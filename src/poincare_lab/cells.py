@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -400,25 +399,21 @@ def _real_roots_at(C, x):
     return sorted(_poly_real_roots(c, -math.inf, math.inf))
 
 
-def _member_many(spec, t, pts):
-    return spec.member_points(t, np.asarray(pts, dtype=np.float64))
-
-
 def _graph_label(spec, t, xs, ys, span):
     pts = np.stack([xs, ys], axis=1)
-    own = _member_many(spec, t, pts)
+    own = spec.member_points(t, pts)
     if own.all():
         return INSIDE
     d = _PROBE_OFFSET * span
     for dx, dy in ((d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)):
-        if _member_many(spec, t, pts + np.array([dx, dy])).any():
+        if spec.member_points(t, pts + np.array([dx, dy])).any():
             return BOUNDARY
     return OUTSIDE
 
 
 def _band_label(spec, t, xs, lo_y, hi_y, col_interval):
     mids = 0.5 * (lo_y + hi_y)
-    got = _member_many(spec, t, np.stack([xs, mids], axis=1))
+    got = spec.member_points(t, np.stack([xs, mids], axis=1))
     if got.all():
         return INSIDE
     if not got.any():

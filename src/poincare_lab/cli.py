@@ -17,8 +17,6 @@ import math
 import os
 from pathlib import Path
 
-import numpy as np
-
 from .cells import cell_decompose_2d, merge_vertical
 from .corpus import corpus_path
 from .dsl import parse_domain, print_domain
@@ -34,6 +32,7 @@ from .harness import (
     grid_points,
     plot_data_texts,
     sweep,
+    unit_direction,
     verify_thickness_volume_bound,
     verify_uniform_trend,
 )
@@ -113,29 +112,17 @@ def _parse_direction(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
-def _direction_vector(spec, parsed):
-    from .harness import axis_direction
-
-    if isinstance(parsed, str):
-        return axis_direction(spec.ambient_dim, parsed)
-    arr = np.asarray(parsed, dtype=np.float64)
-    n = float(np.linalg.norm(arr))
-    if n <= 0:
-        raise ValueError("direction must be a nonzero vector")
-    return tuple(float(v) for v in arr / n)
-
-
-def _t_values(args, spec) -> list:
-    if getattr(args, "ts", None):
+def _t_values(args, spec, grid: int = DEFAULTS["grid"]) -> list:
+    if args.ts:
         return [spec.check_params(t) for t in _parse_t_list(args.ts)]
-    if getattr(args, "grid", None):
+    if args.grid:
         counts = [int(v) for v in args.grid.split(",")]
         if len(counts) == 1 and spec.n_params > 1:
             counts = counts * spec.n_params
         return grid_points(spec, counts)
     if spec.n_params == 0:
         return [()]
-    return grid_points(spec, [DEFAULTS["grid"]] * spec.n_params)
+    return grid_points(spec, [grid] * spec.n_params)
 
 
 def _add_common(sp):
@@ -256,7 +243,7 @@ def _cmd_check(args):
         )
         lam = rep.direction
     else:
-        lam = _direction_vector(spec, parsed)
+        lam = unit_direction(spec.ambient_dim, parsed)
     checks = []
     bound = verify_thickness_bound(
         spec, t, raster, args.p, lam, step=args.step, tol=args.tol, seed=args.seed
@@ -362,7 +349,7 @@ def _cmd_thickness(args):
     spec = _load_spec(args.spec)
     t = spec.check_params(_parse_t(args.t))
     raster = rasterize(spec, t, args.res)
-    lam = _direction_vector(spec, _parse_direction(args.dir))
+    lam = unit_direction(spec.ambient_dim, _parse_direction(args.dir))
     step = args.step if args.step is not None else (raster.h / 4.0 if not raster.empty else None)
     T = thickness(spec, t, lam, step=step)
     discrete = {
@@ -388,16 +375,12 @@ def _cmd_thickness(args):
 
 def _cmd_regdir(args):
     spec = _load_spec(args.spec)
-    if args.ts:
-        ts = [spec.check_params(t) for t in _parse_t_list(args.ts)]
-    elif args.grid:
-        ts = grid_points(spec, [int(v) for v in args.grid.split(",")])
-    elif spec.n_params == 0:
-        ts = [()]
-    else:
-        ts = grid_points(spec, [3] * spec.n_params)
     rep = find_regular_direction(
-        spec, ts, directions=args.dirs, seed=args.seed, count=args.samples
+        spec,
+        _t_values(args, spec, grid=3),
+        directions=args.dirs,
+        seed=args.seed,
+        count=args.samples,
     )
     report = {
         "command": "regdir",

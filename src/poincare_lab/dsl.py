@@ -206,22 +206,6 @@ class PolyAtom:
             s += m
         return max(s, 1e-300)
 
-    def lipschitz_bound(self, box, param_box) -> float:
-        """Upper bound for |ambient gradient| over the boxes."""
-        mags = [max(abs(lo), abs(hi), 1.0) for lo, hi in list(box) + list(param_box)]
-        total = 0.0
-        for i in range(self.ambient_dim):
-            bi = 0.0
-            for exps, c in self.coeffs:
-                if exps[i] == 0:
-                    continue
-                m = abs(float(c)) * exps[i]
-                for j, (e, mag) in enumerate(zip(exps, mags)):
-                    m *= mag ** (e - 1 if j == i else e)
-                bi += m
-            total += bi * bi
-        return float(np.sqrt(total))
-
     def poly_string(self, names: Sequence[str]) -> str:
         parts = []
         for exps, c in self.coeffs:
@@ -299,10 +283,6 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-def _strip_comments(toks: list[_Tok]) -> list[_Tok]:
-    return toks
-
-
 # ---------------------------------------------------------------------------
 # formula tree
 # ---------------------------------------------------------------------------
@@ -321,15 +301,6 @@ def _flatten(op: str, children: Iterable[tuple]) -> tuple:
     if len(flat) == 1:
         return flat[0]
     return (op, tuple(flat))
-
-
-def formula_atom_ids(formula) -> list[int]:
-    if formula[0] == "atom":
-        return [formula[1]]
-    out: list[int] = []
-    for c in formula[1]:
-        out.extend(formula_atom_ids(c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +382,6 @@ class DomainSpec:
             return out
 
         return ev(self.formula)
-
-    def atom_values_at(self, t, point) -> np.ndarray:
-        t = self.check_params(t)
-        pt = np.asarray(point, dtype=np.float64).reshape(1, -1)
-        coords = self._coords(t, pt)
-        return np.array([float(a.values(coords)[0]) for a in self.atoms])
 
 
 def _as_param_tuple(t, k: int) -> tuple:

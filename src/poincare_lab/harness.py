@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import DomainSpec, print_domain
-from .errors import NotApplicableError, PoincareLabError
-from .raster import rasterize, thickness, volume
+from .errors import NotApplicableError, PoincareLabError, UnboundedDirectionError
+from .raster import rasterize, volume
 from .sobolev import CheckRecord, verify_thickness_bound
 from .tangent import find_regular_direction, margin, sample_boundary
 
@@ -39,13 +39,13 @@ class FiberRecord:
 
     t: tuple
     empty: bool
-    volume: float | None
-    thickness: float | None
-    constant: float | None
-    bound: float | None
-    slack: float | None
-    passed: bool | None
-    error: str | None
+    volume: float | None = None
+    thickness: float | None = None
+    constant: float | None = None
+    bound: float | None = None
+    slack: float | None = None
+    passed: bool | None = None
+    error: str | None = None
 
     @property
     def unbounded(self) -> bool:
@@ -141,6 +141,17 @@ def axis_direction(dim: int, name: str):
     return tuple(v)
 
 
+def unit_direction(dim: int, direction) -> tuple:
+    """Unit vector from an axis name like ``e2`` or a nonzero vector."""
+    if isinstance(direction, str):
+        return axis_direction(dim, direction)
+    arr = np.asarray(direction, dtype=np.float64)
+    nrm = float(np.linalg.norm(arr))
+    if nrm <= 0:
+        raise ValueError("direction must be a nonzero vector")
+    return tuple(float(v) for v in arr / nrm)
+
+
 def _coarse_subgrid(t_values):
     t_sorted = sorted(t_values)
     picks = {0, len(t_sorted) // 2, len(t_sorted) - 1}
@@ -167,14 +178,7 @@ def resolve_direction(
     if isinstance(direction, str) and direction.upper() == "AUTO":
         rep = find_regular_direction(spec, sub, directions=dirs, seed=seed, count=count)
         return tuple(float(v) for v in rep.direction), "auto", float(rep.alpha)
-    if isinstance(direction, str):
-        lam = axis_direction(spec.ambient_dim, direction)
-    else:
-        arr = np.asarray(direction, dtype=np.float64)
-        nrm = float(np.linalg.norm(arr))
-        if nrm <= 0:
-            raise ValueError("direction must be a nonzero vector")
-        lam = tuple(float(v) for v in arr / nrm)
+    lam = unit_direction(spec.ambient_dim, direction)
     alphas = []
     for t in sub:
         try:
@@ -191,32 +195,18 @@ def _sweep_fiber(spec, t, p, resolution, direction, tol, seed):
     try:
         raster = rasterize(spec, t, resolution)
         if raster.empty:
-            return FiberRecord(
-                t=t,
-                empty=True,
-                volume=0.0,
-                thickness=None,
-                constant=None,
-                bound=None,
-                slack=None,
-                passed=None,
-                error=None,
-            )
+            return FiberRecord(t=t, empty=True, volume=0.0)
         vol = volume(raster)
-        T = thickness(spec, t, direction, step=raster.h / 4.0)
-        if math.isinf(T):
+        try:
+            rec = verify_thickness_bound(spec, t, raster, p, direction, tol=tol, seed=seed)
+        except UnboundedDirectionError:
             return FiberRecord(
                 t=t,
                 empty=False,
                 volume=vol,
                 thickness=math.inf,
-                constant=None,
-                bound=None,
-                slack=None,
-                passed=None,
                 error="UnboundedDirectionError: fiber unbounded along the family direction",
             )
-        rec = verify_thickness_bound(spec, t, raster, p, direction, tol=tol, seed=seed)
         return FiberRecord(
             t=t,
             empty=False,
@@ -226,20 +216,9 @@ def _sweep_fiber(spec, t, p, resolution, direction, tol, seed):
             bound=rec.data["bound"],
             slack=rec.data["slack"],
             passed=rec.passed,
-            error=None,
         )
     except (PoincareLabError, ArithmeticError, ValueError) as exc:
-        return FiberRecord(
-            t=t,
-            empty=False,
-            volume=None,
-            thickness=None,
-            constant=None,
-            bound=None,
-            slack=None,
-            passed=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return FiberRecord(t=t, empty=False, error=f"{type(exc).__name__}: {exc}")
 
 
 def recompute_aggregates(records, dim: int):

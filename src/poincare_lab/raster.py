@@ -6,6 +6,11 @@ formula, so the raster is an inner approximation of the open set.  On top of
 the raster this module measures volume, directional thickness (longest open
 chord in a given direction), discrete per-axis thickness, and local
 connectivity near a point, and serializes masks for external tools.
+
+``line_crossings`` is the package's one line-march-and-bisect kernel: it
+samples membership along many lines at once and bisects every flip.
+Thickness (``longest_chord``) and boundary sampling
+(``tangent.sample_boundary``) are both built on it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .dsl import DomainSpec
 from .errors import EmptyFiberError
@@ -222,18 +226,35 @@ def _ray_box_span(P: np.ndarray, lam: np.ndarray, box) -> tuple:
     return s_lo, s_hi, ok
 
 
-def _bisect_boundary(spec, t, base, lam, s_in, s_out, rounds: int):
-    """Refine set-boundary crossings along lines.  ``base + s*lam`` is inside
-    at s_in and outside at s_out; returns the midpoint of the final bracket."""
-    s_in = np.array(s_in, dtype=np.float64)
-    s_out = np.array(s_out, dtype=np.float64)
+def line_crossings(spec: DomainSpec, t, origins, direction, svals, rounds: int):
+    """Membership flips along the lines ``origins[i] + s*direction``.
+
+    ``svals`` holds ascending sample parameters, one row per line or one
+    row shared by all lines; a line with fewer samples repeats its last
+    one as padding, which adds no flip.  Membership is evaluated at every
+    sample in one call, and every flip between neighbouring samples is
+    bisected ``rounds`` times, all flips together.  Returns
+    ``(line, seg, s, status)``: for each flip in line-major order its line,
+    the index of the sample before it and its refined parameter, plus the
+    membership at every sample, shape ``(n_lines, n_samples)``.
+    """
+    origins = np.asarray(origins, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    svals = np.asarray(svals, dtype=np.float64)
+    pts = origins[:, None, :] + svals[..., None] * direction
+    status = spec.member_points(t, pts.reshape(-1, origins.shape[1])).reshape(pts.shape[:2])
+    svals = np.broadcast_to(svals, status.shape)
+    line, seg = np.nonzero(status[:, :-1] != status[:, 1:])
+    lo = svals[line, seg]
+    hi = svals[line, seg + 1]
+    lo_status = status[line, seg]
+    base = origins[line]
     for _ in range(rounds):
-        mid = 0.5 * (s_in + s_out)
-        pts = base + mid[:, None] * lam
-        inside = spec.member_points(t, pts)
-        s_in = np.where(inside, mid, s_in)
-        s_out = np.where(inside, s_out, mid)
-    return 0.5 * (s_in + s_out)
+        mid = 0.5 * (lo + hi)
+        same = spec.member_points(t, base + mid[:, None] * direction) == lo_status
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return line, seg, 0.5 * (lo + hi), status
 
 
 def longest_chord(
@@ -283,55 +304,26 @@ def longest_chord(
     s_hi = s_hi + tiny
 
     nsteps = np.ceil((s_hi - s_lo) / step).astype(np.int64)
-    kmax = int(nsteps.max()) + 1
-    j = np.arange(kmax)
+    j = np.arange(int(nsteps.max()) + 1)
     svals = s_lo[:, None] + j[None, :] * step
-    valid = j[None, :] <= nsteps[:, None]
-    # land the final sample exactly on the box face
-    svals = np.where(j[None, :] == nsteps[:, None], s_hi[:, None], svals)
-    svals = np.where(valid, svals, s_hi[:, None])
+    # land the final sample exactly on the box face and repeat it as padding
+    svals = np.where(j[None, :] >= nsteps[:, None], s_hi[:, None], svals)
+    line, seg, s, inside = line_crossings(spec, t, bases, lam, svals, rounds=6)
 
-    pts = bases[:, None, :] + svals[..., None] * lam
-    inside = spec.member_points(t, pts.reshape(-1, dim)).reshape(svals.shape)
-    inside &= valid
-
-    rounds = max(6, int(math.ceil(math.log2(64))))
-    best_len = 0.0
-    best_start = None
-    unbounded_start = None
-
-    left_in, left_out, right_in, right_out, row_of = [], [], [], [], []
-    for r in range(inside.shape[0]):
-        m = inside[r]
-        n = int(nsteps[r]) + 1
-        mm = m[:n]
-        padded = np.concatenate(([False], mm, [False]))
-        d = np.diff(padded.astype(np.int8))
-        starts = np.nonzero(d == 1)[0]
-        ends = np.nonzero(d == -1)[0] - 1
-        for a, b in zip(starts, ends):
-            if a == 0 or b == n - 1:
-                unbounded_start = bases[r] + svals[r, a] * lam
-                continue
-            left_in.append(svals[r, a])
-            left_out.append(svals[r, a - 1])
-            right_in.append(svals[r, b])
-            right_out.append(svals[r, b + 1])
-            row_of.append(r)
-
-    if unbounded_start is not None:
-        return Chord(tuple(unbounded_start), tuple(lam), math.inf)
-    if not left_in:
+    escaping = np.nonzero(inside[:, 0] | inside[:, -1])[0]
+    if escaping.size:
+        # report the last escaping run, from its first inside sample
+        r = escaping[-1]
+        segs = seg[line == r]
+        a = segs[-1] + 1 if inside[r, -1] and segs.size else 0
+        return Chord(tuple(bases[r] + svals[r, a] * lam), tuple(lam), math.inf)
+    if s.size == 0:
         raise EmptyFiberError("no chord found along any sampled line")
-
-    rows = np.array(row_of)
-    lb = _bisect_boundary(spec, t, bases[rows], lam, left_in, left_out, rounds)
-    rb = _bisect_boundary(spec, t, bases[rows], lam, right_in, right_out, rounds)
-    lengths = rb - lb
+    # no line escapes, so its flips pair up as (entry, exit)
+    lengths = s[1::2] - s[0::2]
     i = int(np.argmax(lengths))
-    best_len = float(max(lengths[i], 0.0))
-    best_start = bases[rows[i]] + lb[i] * lam
-    return Chord(tuple(best_start), tuple(lam), best_len)
+    start = bases[line[2 * i]] + s[2 * i] * lam
+    return Chord(tuple(start), tuple(lam), float(max(lengths[i], 0.0)))
 
 
 def thickness(
@@ -381,12 +373,12 @@ def local_components(raster: RasterDomain, x, eps: float) -> int:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != raster.dim:
         raise ValueError("query point dimension mismatch")
-    axes = [raster.axis_centers(i) for i in range(raster.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    dist2 = sum((g - xi) ** 2 for g, xi in zip(grids, x))
+    dist2 = np.sum((raster.centers() - x) ** 2, axis=-1)
     sel = raster.interior & (dist2 < eps * eps)
     if not sel.any():
         return 0
+    from scipy import ndimage  # deferred: slow to import, needed only here
+
     _, n = ndimage.label(sel)
     return int(n)
 
@@ -416,9 +408,7 @@ _MS_CASES = {
 def margin_field(raster: RasterDomain) -> np.ndarray:
     """Signed margin of the membership formula at the cell centers
     (min/max composition of atom values; positive exactly inside)."""
-    axes = [raster.axis_centers(i) for i in range(raster.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    pts = raster.centers().reshape(-1, raster.dim)
     return raster.spec.margin_points(raster.t, pts).reshape(raster.counts)
 
 

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 
 from .dsl import DomainSpec
 from .errors import (
@@ -68,10 +68,6 @@ class DiscreteField:
         pts = raster.interior_points()
         return cls(raster, np.asarray(fn(pts), dtype=np.float64))
 
-    @classmethod
-    def random_uniform(cls, raster: RasterDomain, rng) -> "DiscreteField":
-        return cls(raster, rng.uniform(-1.0, 1.0, raster.interior_count))
-
 
 @dataclass(frozen=True)
 class GradientOperator:
@@ -83,7 +79,6 @@ class GradientOperator:
 
     raster: RasterDomain
     mats: tuple
-    _lap: list = dc_field(default_factory=lambda: [None], repr=False, compare=False)
 
     @property
     def h(self) -> float:
@@ -101,13 +96,11 @@ class GradientOperator:
 
     def laplacian(self) -> sparse.csr_matrix:
         """grad^T grad on interior cells: the Dirichlet difference Laplacian."""
-        if self._lap[0] is None:
-            A = None
-            for m in self.mats:
-                B = (m.T @ m).tocsr()
-                A = B if A is None else A + B
-            self._lap[0] = A.tocsr()
-        return self._lap[0]
+        A = None
+        for m in self.mats:
+            B = (m.T @ m).tocsr()
+            A = B if A is None else A + B
+        return A.tocsr()
 
 
 def build_gradient(raster: RasterDomain) -> GradientOperator:
@@ -639,6 +632,8 @@ def _battery_functions(raster: RasterDomain, battery: str):
             )
     elif battery == "bump":
         # distance-like profiles vanishing within a few cells of the boundary
+        from scipy import ndimage  # deferred: slow to import, needed only here
+
         edt = ndimage.distance_transform_edt(raster.interior) * raster.h
         idx_axes = [raster.axis_centers(i) for i in range(dim)]
 

@@ -1,12 +1,14 @@
 """Boundary sampling, regular-direction margins, and direction search.
 
 Boundary points are found where membership flips along axis-parallel scan
-lines and refined by bisection.  A point is kept only when exactly one
-atom is active there with a usable gradient, which restricts attention to
-smooth codimension-one strata; corners, cusp tips, and degenerate atoms
-(vanishing gradients) are excluded.  The margin of a direction is the
-smallest |<direction, normal>| over the samples, and the direction search
-scans a deterministic antipodally-reduced lattice of candidates.
+lines and refined by bisection; the scan runs on ``raster.line_crossings``,
+the line kernel that thickness is measured with too.  A point is kept only
+when exactly one atom is active there with a usable gradient, which
+restricts attention to smooth codimension-one strata; corners, cusp tips,
+and degenerate atoms (vanishing gradients) are excluded.  The margin of a
+direction is the smallest |<direction, normal>| over the samples, and the
+direction search scans a deterministic antipodally-reduced lattice of
+candidates.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .dsl import DomainSpec
 from .errors import EmptySamplesError, StratumTooThinWarning
+from .raster import line_crossings
 
 # bisection refinement of a membership flip, in coordinates
 _BISECT_TOL = 1e-10
@@ -26,15 +29,6 @@ _BISECT_TOL = 1e-10
 ATOM_TOL_SCALE = 1e-7
 # gradients shorter than this give no reliable normal
 _MIN_GRAD_NORM = 1e-8
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    """One point on a smooth boundary stratum with its unit normal."""
-
-    point: tuple
-    normal: tuple
-    atom_id: int
 
 
 class BoundarySampleSet:
@@ -54,51 +48,12 @@ class BoundarySampleSet:
     def __len__(self):
         return self.points.shape[0]
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield BoundarySample(
-                tuple(self.points[i]), tuple(self.normals[i]), int(self.atom_ids[i])
-            )
-
     def subset(self, mask) -> "BoundarySampleSet":
         mask = np.asarray(mask, dtype=bool)
         return BoundarySampleSet(
             self.points[mask], self.normals[mask], self.atom_ids[mask], self.t,
             self.warnings,
         )
-
-
-def line_crossings(spec: DomainSpec, t, origins, direction, s_max, steps=1024):
-    """Membership flips along lines ``origin + s*direction``, s in [0, s_max].
-
-    Returns (line_index, s) arrays with one entry per flip, refined by
-    bisection to coordinate tolerance 1e-10.  Vectorized over all lines and
-    brackets at once.
-    """
-    origins = np.asarray(origins, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    svals = np.linspace(0.0, s_max, steps + 1)
-    pts = origins[:, None, :] + svals[None, :, None] * direction[None, None, :]
-    flat = pts.reshape(-1, origins.shape[1])
-    status = spec.member_points(t, flat).reshape(origins.shape[0], svals.size)
-
-    flips = status[:, :-1] != status[:, 1:]
-    line_idx, seg_idx = np.nonzero(flips)
-    if line_idx.size == 0:
-        return line_idx, np.zeros(0)
-
-    lo = svals[seg_idx].copy()
-    hi = svals[seg_idx + 1].copy()
-    lo_status = status[line_idx, seg_idx]
-    base = origins[line_idx]
-    n_rounds = max(1, int(math.ceil(math.log2(max((hi - lo).max(), 1e-300) / _BISECT_TOL))))
-    for _ in range(n_rounds):
-        mid = 0.5 * (lo + hi)
-        mstat = spec.member_points(t, base + mid[:, None] * direction)
-        same = mstat == lo_status
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return line_idx, 0.5 * (lo + hi)
 
 
 def _atom_coords(spec: DomainSpec, t, pts):
@@ -150,10 +105,11 @@ def sample_boundary(
             origins[:, j] = lo if j == axis else rng.uniform(lo, hi, lines_per_axis)
         direction = np.zeros(dim)
         direction[axis] = 1.0
-        s_max = box[axis][1] - box[axis][0]
-        line_idx, svals = line_crossings(spec, t, origins, direction, s_max, steps)
-        if line_idx.size:
-            all_pts.append(origins[line_idx] + svals[:, None] * direction)
+        svals = np.linspace(0.0, box[axis][1] - box[axis][0], steps + 1)
+        rounds = max(1, math.ceil(math.log2(np.diff(svals).max() / _BISECT_TOL)))
+        line, _, s, _ = line_crossings(spec, t, origins, direction, svals, rounds)
+        if line.size:
+            all_pts.append(origins[line] + s[:, None] * direction)
 
     if all_pts:
         pts = np.concatenate(all_pts, axis=0)

@@ -157,6 +157,23 @@ def test_sweep_records_unbounded_direction_as_error(specs):
     assert d["thickness"] is None and d["unbounded"] is True
 
 
+def test_sweep_measures_thickness_once_per_fiber(specs, monkeypatch):
+    import poincare_lab.raster
+
+    real = poincare_lab.raster.longest_chord
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(poincare_lab.raster, "longest_chord", counting)
+    ts = [(0.3,), (0.65,), (1.0,)]
+    rep = sweep(specs["cusp"], 2.0, ts, resolution=32, direction=(0.0, 1.0), count=1024)
+    assert rep.all_passed
+    assert sorted(calls) == ts
+
+
 def test_sweep_deterministic_and_parallel(specs):
     kw = dict(
         p=2.0,

@@ -19,6 +19,7 @@ from poincare_lab import (
     write_pgm,
 )
 from poincare_lab.errors import EmptyFiberError
+from poincare_lab.raster import line_crossings
 
 
 def test_raster_matches_pointwise_membership(specs):
@@ -117,6 +118,29 @@ def test_longest_chord_reports_start_and_direction(specs):
     # the winning chord is the diameter through the center
     assert abs(chord.start[1]) < 0.05
     assert chord.direction == pytest.approx((1.0, 0.0))
+
+
+def test_line_crossings_disk_lines_of_unequal_span(specs):
+    # horizontal lines through the unit disk, each ending at its own x past
+    # the disk, so the shorter rows are padded with their last sample
+    offsets = np.array([0.0, 0.3, -0.55, 0.8, 0.97])
+    step = 1.0 / 256.0
+    ends = 2.6 + 0.2 * np.arange(offsets.size)
+    j = np.arange(int(np.ceil(ends.max() / step)) + 1)
+    svals = np.minimum(j[None, :] * step, ends[:, None])
+    origins = np.stack([np.full(offsets.size, -1.5), offsets], axis=1)
+    line, _, s, status = line_crossings(specs["disk"], (), origins, (1.0, 0.0), svals, 6)
+    assert not (status[:, 0] | status[:, -1]).any()
+    assert np.array_equal(line, np.repeat(np.arange(offsets.size), 2))
+    lengths = s[1::2] - s[0::2]
+    assert np.abs(lengths - 2.0 * np.sqrt(1.0 - offsets**2)).max() <= step / 64
+
+
+def test_longest_chord_escaping_slanted_line(specs):
+    # slanted lines enter the strip through y = 0 and leave the box at x = 10
+    chord = longest_chord(specs["strip"], (), (1.0, 0.05))
+    assert chord.length == math.inf
+    assert member(specs["strip"], (), chord.start)
 
 
 def test_longest_chord_empty_raises(specs):

@@ -168,7 +168,8 @@ def test_find_regular_direction_validates_inputs(specs):
 def test_line_crossings_strip(specs):
     spec = specs["strip"]
     origins = np.array([[-3.0, -0.5], [0.25, -0.5], [7.5, -0.5]])
-    idx, svals = line_crossings(spec, (), origins, np.array([0.0, 1.0]), 2.0)
+    samples = np.linspace(0.0, 2.0, 1025)
+    idx, _, svals, _ = line_crossings(spec, (), origins, np.array([0.0, 1.0]), samples, 25)
     assert idx.shape == svals.shape
     for r in range(3):
         hits = np.sort(svals[idx == r])

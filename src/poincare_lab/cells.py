@@ -119,11 +119,10 @@ class CellComplex2D:
             if b.label == INSIDE
         )
 
-    def inside_volume(self) -> float:
-        """Trapezoid integral of (xi_hi - xi_lo) over inside bands,
-        clipped to the bounding box in y."""
+    def _inside_band_heights(self):
+        """(x samples, xi_hi - xi_lo) for each inside band over an open
+        column, with both graphs clipped to the bounding box in y."""
         y_lo, y_hi = self.spec.bounding_box[1]
-        total = 0.0
         for col in self.columns:
             if col.kind != "open":
                 continue
@@ -140,30 +139,21 @@ class CellComplex2D:
                     if b.upper is None
                     else np.clip(col.graphs[b.upper].y, y_lo, y_hi)
                 )
-                total += float(np.trapezoid(np.maximum(hi - lo, 0.0), col.x_samples))
+                yield col.x_samples, np.maximum(hi - lo, 0.0)
+
+    def inside_volume(self) -> float:
+        """Trapezoid integral of (xi_hi - xi_lo) over inside bands,
+        clipped to the bounding box in y."""
+        total = 0.0
+        for x, height in self._inside_band_heights():
+            total += float(np.trapezoid(height, x))
         return total
 
     def max_inside_band_height(self) -> float:
         """Max over inside bands of sup(xi_hi - xi_lo), box-clipped."""
-        y_lo, y_hi = self.spec.bounding_box[1]
         best = 0.0
-        for col in self.columns:
-            if col.kind != "open":
-                continue
-            for b in col.bands:
-                if b.label != INSIDE:
-                    continue
-                lo = (
-                    np.full(col.x_samples.size, y_lo)
-                    if b.lower is None
-                    else np.clip(col.graphs[b.lower].y, y_lo, y_hi)
-                )
-                hi = (
-                    np.full(col.x_samples.size, y_hi)
-                    if b.upper is None
-                    else np.clip(col.graphs[b.upper].y, y_lo, y_hi)
-                )
-                best = max(best, float(np.max(np.maximum(hi - lo, 0.0))))
+        for _, height in self._inside_band_heights():
+            best = max(best, float(np.max(height)))
         return best
 
     def to_json_dict(self):

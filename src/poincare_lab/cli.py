@@ -28,6 +28,7 @@ from .errors import (
     SpecError,
 )
 from .harness import (
+    _finite_or_none,
     fibers_csv_text,
     grid_points,
     plot_data_texts,
@@ -53,7 +54,7 @@ from .tangent import find_regular_direction
 
 # single source of truth for every numeric default; flags override 1:1
 DEFAULTS = {
-    "tol": 1e-8,  # solver relative tolerance
+    "tol": None,  # solver relative tolerance; None means each route's own default
     "step": None,  # chord-march step; None means h/4 of the fiber raster
     "samples": 4096,  # boundary samples per fiber
     "dirs": 512,  # candidate directions for the regular-direction search
@@ -210,7 +211,7 @@ def _build_parser():
 
 def _safe(v):
     if isinstance(v, float):
-        return v if math.isfinite(v) else None
+        return _finite_or_none(v)
     if isinstance(v, dict):
         return {k: _safe(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

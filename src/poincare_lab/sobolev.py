@@ -2,12 +2,13 @@
 
 Fields live on interior cells and are implicitly extended by zero, which
 models the zero-trace condition.  The gradient is the forward difference
-quotient, one sparse matrix per axis, rows indexed by full-grid cells.
-On top of the operator this module computes discrete Poincare constants
-(exact eigensolve route for p = 2, multi-start Rayleigh-quotient descent
-for general p), verifies the thickness bound C_p <= 2^(1/p) * |Omega|_dir,
-checks the sharper per-axis discrete inequality exactly, and estimates
-boundary-trace interpolation ratios.
+quotient, applied as array stencils on the full raster grid; only the
+p = 2 Laplacian is assembled as a sparse matrix.  On top of the operator
+this module computes discrete Poincare constants (exact eigensolve route
+for p = 2, multi-start Rayleigh-quotient descent for general p), verifies
+the thickness bound C_p <= 2^(1/p) * |Omega|_dir, checks the sharper
+per-axis discrete inequality exactly, and estimates boundary-trace
+interpolation ratios.
 """
 
 from __future__ import annotations
@@ -73,12 +74,14 @@ class DiscreteField:
 class GradientOperator:
     """Forward-difference gradient with zero extension outside the interior.
 
-    ``mats[j]`` maps interior values to the j-th difference component on the
-    full grid; each row has at most two entries, -1/h and +1/h.
+    Applied as array stencils on the full raster grid: interior values are
+    scattered into a zero grid, and component j is the difference of each
+    cell's forward neighbour along axis j minus the cell, divided by h.
+    The exterior apron keeps every interior cell off the grid edge, so the
+    zero padding past the last cell only ever meets exterior cells.
     """
 
     raster: RasterDomain
-    mats: tuple
 
     @property
     def h(self) -> float:
@@ -86,56 +89,51 @@ class GradientOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Gradient of an interior field, shape (dim, n_full_cells)."""
-        return np.stack([m @ values for m in self.mats])
+        r = self.raster
+        full = np.zeros(r.counts)
+        full[r.interior] = values * (1.0 / r.h)
+        return np.stack(
+            [np.diff(full, axis=ax, append=0.0).reshape(-1) for ax in range(r.dim)]
+        )
 
     def apply_transpose(self, comps: np.ndarray) -> np.ndarray:
-        out = self.mats[0].T @ comps[0]
-        for m, c in zip(self.mats[1:], comps[1:]):
-            out = out + m.T @ c
+        """Adjoint of ``apply``: full-grid components to interior values."""
+        r = self.raster
+        c = np.asarray(comps).reshape((r.dim,) + r.counts) * (1.0 / r.h)
+        out = -np.diff(c[0], axis=0, prepend=0.0)[r.interior]
+        for ax in range(1, r.dim):
+            out = out - np.diff(c[ax], axis=ax, prepend=0.0)[r.interior]
         return out
 
     def laplacian(self) -> sparse.csr_matrix:
-        """grad^T grad on interior cells: the Dirichlet difference Laplacian."""
-        A = None
-        for m in self.mats:
-            B = (m.T @ m).tocsr()
-            A = B if A is None else A + B
-        return A.tocsr()
+        """grad^T grad on interior cells: the Dirichlet difference Laplacian.
+
+        The diagonal is 2 * dim / h^2 for every cell, since both neighbours
+        along each axis enter the differences whether inside or not; each
+        pair of face-adjacent interior cells adds -1/h^2 off the diagonal.
+        """
+        r = self.raster
+        inv_h = 1.0 / r.h
+        n = r.interior_count
+        col = np.full(r.counts, -1, dtype=np.int64)
+        col[r.interior] = np.arange(n)
+        rows, cols = [np.arange(n)], [np.arange(n)]
+        for ax in range(r.dim):
+            c = np.moveaxis(col, ax, 0)
+            lo, hi = c[:-1], c[1:]
+            both = (lo >= 0) & (hi >= 0)
+            rows += [lo[both], hi[both]]
+            cols += [hi[both], lo[both]]
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        data = np.full(rows.size, -(inv_h * inv_h))
+        data[:n] = 2 * r.dim * (inv_h * inv_h)
+        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def build_gradient(raster: RasterDomain) -> GradientOperator:
     if raster.empty:
         raise EmptyFiberError("cannot build a gradient operator on an empty raster")
-    dim = raster.dim
-    counts = raster.counts
-    n_full = int(np.prod(counts))
-    flat_interior = np.flatnonzero(raster.interior.reshape(-1))
-    col_of = np.full(n_full, -1, dtype=np.int64)
-    col_of[flat_interior] = np.arange(flat_interior.size)
-    inv_h = 1.0 / raster.h
-
-    strides = np.ones(dim, dtype=np.int64)
-    for ax in range(dim - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * counts[ax + 1]
-
-    idx_nd = np.argwhere(raster.interior)
-    mats = []
-    for ax in range(dim):
-        rows = [flat_interior]
-        cols = [col_of[flat_interior]]
-        vals = [np.full(flat_interior.size, -inv_h)]
-        # +1/h at the backward neighbor's row for each interior cell
-        has_back = idx_nd[:, ax] > 0
-        back_flat = flat_interior[has_back] - strides[ax]
-        rows.append(back_flat)
-        cols.append(col_of[flat_interior[has_back]])
-        vals.append(np.full(back_flat.size, inv_h))
-        m = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_full, flat_interior.size),
-        ).tocsr()
-        mats.append(m)
-    return GradientOperator(raster=raster, mats=tuple(mats))
+    return GradientOperator(raster)
 
 
 def grad(op: GradientOperator, field) -> np.ndarray:
@@ -186,7 +184,7 @@ class PoincareEstimate:
 
     def __post_init__(self):
         if not (self.constant > 0.0 and np.isfinite(self.constant)):
-            raise ValueError("Poincare constant must be positive and finite")
+            raise SolverDivergedError("Poincare constant must be positive and finite")
 
 
 def _cg(matvec, b, rtol: float, maxiter: int, x0=None):
@@ -286,6 +284,10 @@ def poincare_p2(
 # general p: Rayleigh-quotient descent
 # ---------------------------------------------------------------------------
 
+_RESTARTS = 8  # seeded random start fields, besides the p = 2 eigenvector
+_STAGE_ITER = 300  # descent steps per annealed smoothing level
+_FINAL_ITER = 3000  # descent steps at the declared kink smoothing
+
 
 def _ratio_and_grad(
     op: GradientOperator, u: np.ndarray, p: float, eps_g: float, eps_u: float
@@ -372,9 +374,6 @@ def poincare_general_p(
     p: float,
     tol: float = 1e-6,
     seed: int = 0,
-    restarts: int = 8,
-    stage_iter: int = 300,
-    final_iter: int = 3000,
 ) -> PoincareEstimate:
     """Discrete Poincare constant for general p >= 1 by multi-start
     normalized descent on the Rayleigh ratio ||grad u||_p / ||u||_p.
@@ -384,7 +383,7 @@ def poincare_general_p(
     smoothing geometrically from the start field's RMS gradient down to the
     kink scale before the final polish at the declared smoothing; this lets
     plateau-type optimizers form instead of jamming the line search at the
-    first kink.  Starts are ``restarts`` seeded random fields plus the p = 2
+    first kink.  Starts are eight seeded random fields plus the p = 2
     eigenvector; the result is the best ratio over all trajectories, so the
     constant is a certified lower bound for the discrete supremum.
     A spread above 5 percent between restart outcomes is flagged as
@@ -399,7 +398,7 @@ def poincare_general_p(
     rng = np.random.default_rng(seed)
     n = raster.interior_count
 
-    starts = [rng.uniform(-1.0, 1.0, n) for _ in range(restarts)]
+    starts = [rng.uniform(-1.0, 1.0, n) for _ in range(_RESTARTS)]
     eig = poincare_p2(raster, tol=min(1e-6, tol))
     starts.append(eig.eigenvector.copy())
 
@@ -414,11 +413,11 @@ def poincare_general_p(
         u = u0.copy()
         best_stage = math.inf
         while eps_g > 10.0 * eps_u:
-            b, u, it, _ = _descend(op, u, p, eps_g, eps_u, stage_iter, 1e-8)
+            b, u, it, _ = _descend(op, u, p, eps_g, eps_u, _STAGE_ITER, 1e-8)
             best_stage = min(best_stage, b)
             total_it += it
             eps_g *= 0.3
-        b, u, it, resid = _descend(op, u, p, eps_u, eps_u, final_iter, tol)
+        b, u, it, resid = _descend(op, u, p, eps_u, eps_u, _FINAL_ITER, tol)
         total_it += it
         R = min(best_stage, b)
         finals.append(R)
@@ -534,7 +533,7 @@ def discrete_column_inequality(
         if nu == 0.0:
             skipped += 1
             continue
-        du = lp_norm(np.abs(op.mats[axis] @ u)[None, :], p, raster)
+        du = lp_norm(np.abs(op.apply(u)[axis])[None, :], p, raster)
         ratio = nu / (T * du)
         worst = max(worst, ratio)
         if ratio > 1.0:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from poincare_lab import sobolev
 from poincare_lab.cli import DEFAULTS, canonical_json, exit_code_from_report, main
 
 
@@ -65,6 +66,40 @@ def test_check_param_out_of_range_is_usage_error(tmp_path):
     assert code == 2
     assert report["status"] == "usage_error"
     assert report["error"]["type"] == "ParamOutOfRangeError"
+
+
+def test_check_general_p_uses_route_tolerance(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(raster, p, tol=1e-6, seed=0):
+        seen.append(tol)
+        return sobolev.PoincareEstimate(
+            p=p, constant=0.1, method="stub", iterations=0,
+            residual=0.0, tol=tol, h=raster.h,
+        )
+
+    monkeypatch.setattr(sobolev, "poincare_general_p", spy)
+    code, report, _ = run(
+        tmp_path, "check", "--spec", "disk", "--p", "1", "--res", "16", "--trials", "5"
+    )
+    assert code == 0
+    assert seen == [1e-6]
+
+
+def test_check_nonfinite_constant_is_solver_error(tmp_path, monkeypatch):
+    def nan_p2(raster, tol=1e-8, max_outer=200):
+        return sobolev.PoincareEstimate(
+            p=2.0, constant=math.nan, method="stub", iterations=0,
+            residual=0.0, tol=tol, h=raster.h,
+        )
+
+    monkeypatch.setattr(sobolev, "poincare_p2", nan_p2)
+    code, report, _ = run(
+        tmp_path, "check", "--spec", "disk", "--res", "16", "--trials", "5"
+    )
+    assert code == 3
+    assert report["status"] == "solver_error"
+    assert report["error"]["type"] == "SolverDivergedError"
 
 
 def test_regdir_circle_fails(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from poincare_lab import (
     DiscreteField,
@@ -101,6 +102,62 @@ def test_laplacian_symmetry(square64):
     A = build_gradient(square64).laplacian()
     assert (A - A.T).nnz == 0
     assert A.shape == (square64.interior_count,) * 2
+
+
+def _reference_difference_matrices(raster):
+    """Per-axis sparse forward-difference matrices assembled from COO
+    triplets: rows are full-grid cells, columns interior cells, -1/h at the
+    cell and +1/h at its backward neighbour's row."""
+    counts = raster.counts
+    n_full = int(np.prod(counts))
+    flat_interior = np.flatnonzero(raster.interior.reshape(-1))
+    col_of = np.full(n_full, -1, dtype=np.int64)
+    col_of[flat_interior] = np.arange(flat_interior.size)
+    inv_h = 1.0 / raster.h
+    strides = np.ones(raster.dim, dtype=np.int64)
+    for ax in range(raster.dim - 2, -1, -1):
+        strides[ax] = strides[ax + 1] * counts[ax + 1]
+    idx_nd = np.argwhere(raster.interior)
+    mats = []
+    for ax in range(raster.dim):
+        has_back = idx_nd[:, ax] > 0
+        back_flat = flat_interior[has_back] - strides[ax]
+        rows = np.concatenate([flat_interior, back_flat])
+        cols = np.concatenate([col_of[flat_interior], col_of[flat_interior[has_back]]])
+        vals = np.concatenate(
+            [np.full(flat_interior.size, -inv_h), np.full(back_flat.size, inv_h)]
+        )
+        mats.append(
+            scipy.sparse.coo_matrix(
+                (vals, (rows, cols)), shape=(n_full, flat_interior.size)
+            ).tocsr()
+        )
+    return mats
+
+
+@pytest.mark.parametrize(
+    "name,t,res",
+    [("interval", (), 64), ("disk", (), 25), ("cusp", (0.5,), 65), ("ball", (), 25)],
+)
+def test_stencils_match_sparse_reference(specs, name, t, res):
+    spec = specs.get(name) or parse_domain(
+        "dim 3\nbox [-1.5,1.5]x[-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 - z^2 > 0\n"
+    )
+    r = rasterize(spec, t, res)
+    op = build_gradient(r)
+    mats = _reference_difference_matrices(r)
+    rng = np.random.default_rng(res)
+    u = rng.normal(size=r.interior_count)
+    c = rng.normal(size=(r.dim, int(np.prod(r.counts))))
+    assert np.array_equal(op.apply(u), np.stack([m @ u for m in mats]))
+    assert np.array_equal(op.apply_transpose(c), sum(m.T @ ci for m, ci in zip(mats, c)))
+    ref = sum((m.T @ m).tocsr() for m in mats).tocsr()
+    A = op.laplacian()
+    ref.sort_indices()
+    A.sort_indices()
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
 
 
 def test_grad_accepts_field_objects(square64):

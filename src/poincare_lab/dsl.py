@@ -85,10 +85,6 @@ def _poly_pow(a: dict, e: int) -> dict:
     return out
 
 
-def _poly_degree(a: dict) -> int:
-    return max((sum(k) for k in a), default=0)
-
-
 def _monomial_key(exps: tuple) -> tuple:
     # graded lexicographic, used descending
     return (sum(exps),) + exps

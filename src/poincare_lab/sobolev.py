@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -75,10 +76,12 @@ class GradientOperator:
     """Forward-difference gradient with zero extension outside the interior.
 
     Applied as array stencils on the full raster grid: interior values are
-    scattered into a zero grid, and component j is the difference of each
+    scattered by flat index into a zero grid, and component j is each
     cell's forward neighbour along axis j minus the cell, divided by h.
-    The exterior apron keeps every interior cell off the grid edge, so the
-    zero padding past the last cell only ever meets exterior cells.
+    The differences run between cached slices of the grid; on the last
+    plane along an axis the forward neighbour is the zero past the grid.
+    The exterior apron keeps every interior cell off the grid edge, so that
+    zero only ever meets exterior cells.
     """
 
     raster: RasterDomain
@@ -87,22 +90,72 @@ class GradientOperator:
     def h(self) -> float:
         return self.raster.h
 
+    @cached_property
+    def _flat_interior(self) -> np.ndarray:
+        return np.flatnonzero(self.raster.interior)
+
+    @cached_property
+    def _planes(self) -> tuple:
+        """Per axis: index tuples for the head (all but the last plane), the
+        tail (all but the first), the last plane and the first plane.  The
+        planes are one-element slices, so they keep the axis even in 1D."""
+        dim = self.raster.dim
+
+        def along(ax, s):
+            return tuple(s if a == ax else slice(None) for a in range(dim))
+
+        return tuple(
+            (
+                along(ax, slice(None, -1)),
+                along(ax, slice(1, None)),
+                along(ax, slice(-1, None)),
+                along(ax, slice(0, 1)),
+            )
+            for ax in range(dim)
+        )
+
+    def _scatter(self, values: np.ndarray) -> np.ndarray:
+        """Interior values times 1/h on the zero full grid."""
+        r = self.raster
+        full = np.zeros(r.interior.size)
+        full[self._flat_interior] = values * (1.0 / r.h)
+        return full.reshape(r.counts)
+
+    def _forward_difference(self, full: np.ndarray, axis: int, out: np.ndarray):
+        head, tail, last, _ = self._planes[axis]
+        np.subtract(full[tail], full[head], out=out[head])
+        # the forward neighbour past the grid is +0.0, as np.diff(append=0)
+        np.subtract(0.0, full[last], out=out[last])
+
+    def apply_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Gradient component ``axis`` of an interior field, shape (n_full_cells,)."""
+        out = np.empty(self.raster.counts)
+        self._forward_difference(self._scatter(values), axis, out)
+        return out.reshape(-1)
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Gradient of an interior field, shape (dim, n_full_cells)."""
         r = self.raster
-        full = np.zeros(r.counts)
-        full[r.interior] = values * (1.0 / r.h)
-        return np.stack(
-            [np.diff(full, axis=ax, append=0.0).reshape(-1) for ax in range(r.dim)]
-        )
+        full = self._scatter(values)
+        out = np.empty((r.dim,) + r.counts)
+        for ax in range(r.dim):
+            self._forward_difference(full, ax, out[ax])
+        return out.reshape(r.dim, -1)
 
     def apply_transpose(self, comps: np.ndarray) -> np.ndarray:
-        """Adjoint of ``apply``: full-grid components to interior values."""
+        """Adjoint of ``apply``: full-grid components to interior values, by
+        backward differences whose first plane is the component itself."""
         r = self.raster
         c = np.asarray(comps).reshape((r.dim,) + r.counts) * (1.0 / r.h)
-        out = -np.diff(c[0], axis=0, prepend=0.0)[r.interior]
+        d = np.empty_like(c)
+        for ax in range(r.dim):
+            head, tail, _, first = self._planes[ax]
+            np.subtract(c[ax][tail], c[ax][head], out=d[ax][tail])
+            d[ax][first] = c[ax][first]
+        d = d.reshape(r.dim, -1)[:, self._flat_interior]
+        out = -d[0]
         for ax in range(1, r.dim):
-            out = out - np.diff(c[ax], axis=ax, prepend=0.0)[r.interior]
+            out -= d[ax]
         return out
 
     def laplacian(self) -> sparse.csr_matrix:
@@ -289,25 +342,31 @@ _STAGE_ITER = 300  # descent steps per annealed smoothing level
 _FINAL_ITER = 3000  # descent steps at the declared kink smoothing
 
 
-def _ratio_and_grad(
-    op: GradientOperator, u: np.ndarray, p: float, eps_g: float, eps_u: float
-):
-    """Smoothed ratio R(u) = ||grad u||_p / ||u||_p and its gradient.
+def _ratio(op: GradientOperator, u: np.ndarray, p: float, eps_g: float, eps_u: float):
+    """Smoothed ratio R(u) = ||grad u||_p / ||u||_p and the norm ||u||_p.
 
-    The gradient-magnitude smoothing eps_g is annealed by the caller; the
-    field smoothing eps_u stays at the declared kink scale, since inflating
-    it rescales the denominator and degenerates the functional.
+    The third item holds the terms ``_ratio_and_grad`` reuses for the
+    gradient.  The gradient-magnitude smoothing eps_g is annealed by the
+    caller; the field smoothing eps_u stays at the declared kink scale,
+    since inflating it rescales the denominator and degenerates the
+    functional.
     """
     h_w = op.h**op.raster.dim
     g = op.apply(u)
-    m2 = np.sum(g * g, axis=0) + eps_g * eps_g
-    Sg = float(np.sum(m2 ** (p / 2.0))) * h_w
+    m2 = (g * g).sum(axis=0) + eps_g * eps_g
+    Sg = float((m2 ** (p / 2.0)).sum()) * h_w
     Ng = Sg ** (1.0 / p)
     u2 = u * u + eps_u * eps_u
-    Su = float(np.sum(u2 ** (p / 2.0))) * h_w
+    Su = float((u2 ** (p / 2.0)).sum()) * h_w
     Nu = Su ** (1.0 / p)
-    R = Ng / Nu
+    return Ng / Nu, Nu, (h_w, g, m2, Ng, u2)
 
+
+def _ratio_and_grad(
+    op: GradientOperator, u: np.ndarray, p: float, eps_g: float, eps_u: float
+):
+    """The smoothed ratio, its gradient and ||u||_p."""
+    R, Nu, (h_w, g, m2, Ng, u2) = _ratio(op, u, p, eps_g, eps_u)
     dNg = op.apply_transpose(g * m2 ** (p / 2.0 - 1.0)) * (h_w * Ng ** (1.0 - p))
     dNu = u * u2 ** (p / 2.0 - 1.0) * (h_w * Nu ** (1.0 - p))
     gradR = (dNg - R * dNu) / Nu
@@ -317,14 +376,15 @@ def _ratio_and_grad(
 def _descend(op, u0, p, eps_g, eps_u, max_iter, rtol):
     """Normalized gradient descent at one smoothing level.
 
-    Barzilai-Borwein trial step with Armijo backtracking; the iterate is
-    renormalized to ||u||_p = 1 after every accepted step.  Returns the best
-    ratio seen, the final iterate, iterations used, and the relative change
-    of R over the last 10 iterations.
+    Barzilai-Borwein trial step with Armijo backtracking; the line search
+    evaluates the ratio only, so just the accepted point pays for the
+    gradient.  The iterate is renormalized to ||u||_p = 1 after every
+    accepted step.  Returns the best ratio seen, the final iterate,
+    iterations used, and the relative change of R over the last 10
+    iterations.
     """
-    u = u0.copy()
-    R, gR, Nu = _ratio_and_grad(op, u, p, eps_g, eps_u)
-    u = u / Nu
+    R, Nu, _ = _ratio(op, u0, p, eps_g, eps_u)
+    u = u0 / Nu
     best = R
     step = 1.0
     history = [R]
@@ -344,13 +404,13 @@ def _descend(op, u0, p, eps_g, eps_u, max_iter, rtol):
             sy = float(s @ y)
             if sy > 1e-300:
                 step = max(float(s @ s) / sy, 1e-12)
-        u_prev = u.copy()
-        g_prev = gR.copy()
+        u_prev = u
+        g_prev = gR
         accepted = False
         st = step
         for _ in range(50):
             cand = u - st * gR
-            Rc, _, Nuc = _ratio_and_grad(op, cand, p, eps_g, eps_u)
+            Rc, Nuc, _ = _ratio(op, cand, p, eps_g, eps_u)
             if Rc <= R - 1e-4 * st * gnorm2:
                 u = cand / Nuc
                 R = Rc
@@ -533,7 +593,7 @@ def discrete_column_inequality(
         if nu == 0.0:
             skipped += 1
             continue
-        du = lp_norm(np.abs(op.apply(u)[axis])[None, :], p, raster)
+        du = lp_norm(np.abs(op.apply_axis(u, axis))[None, :], p, raster)
         ratio = nu / (T * du)
         worst = max(worst, ratio)
         if ratio > 1.0:

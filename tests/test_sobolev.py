@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from poincare_lab import sobolev
 from poincare_lab import (
     DiscreteField,
     build_gradient,
@@ -149,7 +150,15 @@ def test_stencils_match_sparse_reference(specs, name, t, res):
     rng = np.random.default_rng(res)
     u = rng.normal(size=r.interior_count)
     c = rng.normal(size=(r.dim, int(np.prod(r.counts))))
-    assert np.array_equal(op.apply(u), np.stack([m @ u for m in mats]))
+    g = op.apply(u)
+    assert np.array_equal(g, np.stack([m @ u for m in mats]))
+    # bytes, not values: the zero-extended np.diff stencils fix the sign of
+    # every zero, and the single-axis stencil must repeat apply exactly
+    full = np.zeros(r.counts)
+    full[r.interior] = u * (1.0 / r.h)
+    for ax in range(r.dim):
+        assert g[ax].tobytes() == np.diff(full, axis=ax, append=0.0).tobytes()
+        assert op.apply_axis(u, ax).tobytes() == g[ax].tobytes()
     assert np.array_equal(op.apply_transpose(c), sum(m.T @ ci for m, ci in zip(mats, c)))
     ref = sum((m.T @ m).tocsr() for m in mats).tocsr()
     A = op.laplacian()
@@ -250,6 +259,43 @@ def test_p2_divergence_attaches_estimate(disk128):
 
 
 # -- general p descent ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,res", [("interval", 16), ("disk", 13), ("ball", 8)])
+def test_value_only_ratio_matches_ratio_and_grad(specs, name, res):
+    spec = specs.get(name) or parse_domain(
+        "dim 3\nbox [-1.5,1.5]x[-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 - z^2 > 0\n"
+    )
+    r = rasterize(spec, (), res)
+    op = build_gradient(r)
+    u = np.random.default_rng(res).normal(size=r.interior_count)
+    for p in (1.0, 1.5, 3.0):
+        for eps_g in (1e-9 * r.h, 0.5):
+            R, Nu, _ = sobolev._ratio(op, u, p, eps_g, 1e-9 * r.h)
+            R_ref, _, Nu_ref = sobolev._ratio_and_grad(op, u, p, eps_g, 1e-9 * r.h)
+            assert R == R_ref
+            assert Nu == Nu_ref
+
+
+# Exact outputs of the descent: a change that alters its numerics on purpose
+# updates these and says so in CHANGES.md.
+@pytest.mark.filterwarnings("ignore::poincare_lab.errors.StagnationWarning")
+@pytest.mark.parametrize(
+    "name,res,p,bits",
+    [
+        (
+            "disk", 5, 1.0,
+            ("0x1.e4ea62112192ep-2", 9636, "0x1.cf89168f3d367p-32", "0x1.9436f3b271f5ep-22"),
+        ),
+        (
+            "square", 17, 3.0,
+            ("0x1.110fbb6daa69ep-2", 10301, "0x0.0p+0", "0x1.110fbb6daa69ep-53"),
+        ),
+    ],
+)
+def test_general_p_golden_bits(specs, name, res, p, bits):
+    est = poincare_general_p(rasterize(specs[name], (), res), p, seed=0)
+    assert (est.constant.hex(), est.iterations, est.residual.hex(), est.spread.hex()) == bits
 
 
 def test_general_p_agrees_with_eigensolve_at_p2(square64):

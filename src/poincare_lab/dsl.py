@@ -615,12 +615,12 @@ class _AtomSink:
         return len(self.atoms) - 1
 
 
-def parse_domain(text: str, audit: bool = True, audit_seed: int = 0) -> DomainSpec:
+def parse_domain(text: str) -> DomainSpec:
     """Parse domain text into an immutable :class:`DomainSpec`.
 
     Raises :class:`SpecSyntaxError` (with line/column) on malformed input.
-    When ``audit`` is true, the fiber-inside-box invariant is probed by
-    rejection sampling; violations are recorded as warnings on the spec
+    The fiber-inside-box invariant is probed by seeded rejection sampling;
+    violations are recorded as warnings on the spec
     rather than raised, because thickness queries legitimately detect
     fibers that escape through the bounding box.
     """
@@ -704,15 +704,13 @@ def parse_domain(text: str, audit: bool = True, audit_seed: int = 0) -> DomainSp
         atoms=tuple(sink.atoms),
         formula=formula,
     )
-    if audit:
-        warnings = _audit_box_containment(spec, seed=audit_seed)
-        object.__setattr__(spec, "audit_warnings", tuple(warnings))
+    object.__setattr__(spec, "audit_warnings", tuple(_audit_box_containment(spec)))
     return spec
 
 
-def parse_domain_file(path, **kw) -> DomainSpec:
+def parse_domain_file(path) -> DomainSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_domain(fh.read(), **kw)
+        return parse_domain(fh.read())
 
 
 def _audit_box_containment(

@@ -11,6 +11,11 @@ connectivity near a point, and serializes masks for external tools.
 samples membership along many lines at once and bisects every flip.
 Thickness (``longest_chord``) and boundary sampling
 (``tangent.sample_boundary``) are both built on it.
+
+``face_slices`` pairs every cell with its face neighbour along an axis for
+all whole-array stencils.  Boundary extraction interpolates the zero level
+of the signed margin field between cell centres on whole arrays:
+table-driven marching squares in 2D and sign flips in 1D.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -33,10 +39,10 @@ class RasterDomain:
 
     ``interior`` marks cell centers that belong to the set;
     ``boundary_adjacent`` marks interior cells with at least one
-    non-interior face neighbor (grid edges count as non-interior).
-    The grid extends one exterior cell beyond the bounding box on every
-    side, so an interior cell never sits on the grid edge and difference
-    operators see every zero-extension jump on an in-grid face.
+    non-interior face neighbor.  The grid extends one exterior cell beyond
+    the bounding box on every side, so an interior cell never sits on the
+    grid edge and difference operators see every zero-extension jump on an
+    in-grid face.
     """
 
     spec: DomainSpec
@@ -67,7 +73,7 @@ class RasterDomain:
         return int(self.interior.sum())
 
     def axis_centers(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + (np.arange(self.counts[axis]) + 0.5) * self.h
+        return _axis_centers(self.origin[axis], self.h, self.counts[axis])
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape ``counts + (dim,)``."""
@@ -81,16 +87,33 @@ class RasterDomain:
         return self.origin + (idx + 0.5) * self.h
 
 
+def _axis_centers(origin: float, h: float, count: int) -> np.ndarray:
+    return origin + (np.arange(count) + 0.5) * h
+
+
+@cache
+def face_slices(dim: int) -> tuple:
+    """Per axis of a ``dim``-dimensional grid: index tuples for the head
+    (all but the last plane), the tail (all but the first), the last plane
+    and the first plane.  ``a[head]`` and ``a[tail]`` pair every cell with
+    its forward neighbour, one pair per face.  The planes are one-element
+    slices, so they keep the axis even in 1D."""
+
+    def along(ax, s):
+        return tuple(s if a == ax else slice(None) for a in range(dim))
+
+    planes = (slice(None, -1), slice(1, None), slice(-1, None), slice(0, 1))
+    return tuple(tuple(along(ax, s) for s in planes) for ax in range(dim))
+
+
 def _boundary_adjacent(interior: np.ndarray) -> np.ndarray:
-    pad = np.pad(interior, 1, constant_values=False)
-    dim = interior.ndim
+    """Interior cells with a non-interior face neighbour.  The exterior
+    apron keeps every interior cell off the grid edge, so only in-grid
+    neighbours are looked at."""
     exposed = np.zeros_like(interior)
-    core = tuple(slice(1, -1) for _ in range(dim))
-    for ax in range(dim):
-        for shift in (1, -1):
-            sl = list(core)
-            sl[ax] = slice(1 + shift, pad.shape[ax] - 1 + shift)
-            exposed |= ~pad[tuple(sl)]
+    for head, tail, _, _ in face_slices(interior.ndim):
+        exposed[head] |= ~interior[tail]
+        exposed[tail] |= ~interior[head]
     return interior & exposed
 
 
@@ -110,10 +133,7 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     counts = tuple(c + 2 for c in inner_counts)
     origin = tuple(lo - h for lo, _ in spec.bounding_box)
 
-    axes = [
-        origin[i] + (np.arange(1, 1 + inner_counts[i]) + 0.5) * h
-        for i in range(spec.ambient_dim)
-    ]
+    axes = [_axis_centers(origin[i], h, counts[i])[1:-1] for i in range(spec.ambient_dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     inner = spec.member_points(t, pts).reshape(inner_counts)
@@ -192,18 +212,16 @@ def _line_seeds(raster: RasterDomain) -> np.ndarray:
     """Chord-line seeds: interior centers plus boundary-adjacent face
     midpoints (the sup can be attained by chords grazing the boundary)."""
     pts = [raster.interior_points()]
-    idx = np.argwhere(raster.boundary_adjacent)
-    if idx.size:
-        pad = np.pad(raster.interior, 1, constant_values=False)
-        base = np.asarray(raster.origin) + (idx + 0.5) * raster.h
-        for ax in range(raster.dim):
-            for shift in (1, -1):
-                nb = idx.copy()
-                nb[:, ax] += shift
-                nb_in = pad[tuple((nb + 1).T)]
-                face = base[~nb_in].copy()
-                face[:, ax] += shift * raster.h / 2.0
-                pts.append(face)
+    inside, edge = raster.interior, raster.boundary_adjacent
+    for ax, (head, tail, _, _) in enumerate(face_slices(raster.dim)):
+        # cells at the head see their forward face, cells at the tail their
+        # backward one; a tail index is one plane short of the cell's own
+        for shift, cell, nb in ((1, head, tail), (-1, tail, head)):
+            idx = np.argwhere(edge[cell] & ~inside[nb])
+            idx[:, ax] += shift < 0
+            face = np.asarray(raster.origin) + (idx + 0.5) * raster.h
+            face[:, ax] += shift * raster.h / 2.0
+            pts.append(face)
     return np.concatenate(pts, axis=0)
 
 
@@ -257,26 +275,19 @@ def line_crossings(spec: DomainSpec, t, origins, direction, svals, rounds: int):
     return line, seg, 0.5 * (lo + hi), status
 
 
-def longest_chord(
-    spec: DomainSpec,
-    t,
-    direction,
-    step: float | None = None,
-    seed_resolution: int | None = None,
-) -> Chord:
+def longest_chord(spec: DomainSpec, t, direction, step: float | None = None) -> Chord:
     """Longest open chord of the fiber in the given direction.
 
     Chord lines are taken through interior cell centers and boundary-adjacent
-    face midpoints of a seed raster; each line is marched at ``step`` and run
-    endpoints are refined by bisection to ``step/64``.  A run that reaches the
-    bounding box while still inside the set yields an infinite chord.
+    face midpoints of a seed raster at ``DEFAULT_SEED_RESOLUTION``; each line
+    is marched at ``step`` and run endpoints are refined by bisection to
+    ``step/64``.  A run that reaches the bounding box while still inside the
+    set yields an infinite chord.
     """
     t = spec.check_params(t)
     dim = spec.ambient_dim
     lam = _unit(direction, dim)
-    if seed_resolution is None:
-        seed_resolution = DEFAULT_SEED_RESOLUTION[dim]
-    raster = rasterize(spec, t, seed_resolution)
+    raster = rasterize(spec, t, DEFAULT_SEED_RESOLUTION[dim])
     if raster.empty:
         raise EmptyFiberError(f"empty fiber at t={list(t)}")
     if step is None:
@@ -326,18 +337,12 @@ def longest_chord(
     return Chord(tuple(start), tuple(lam), float(max(lengths[i], 0.0)))
 
 
-def thickness(
-    spec: DomainSpec,
-    t,
-    direction,
-    step: float | None = None,
-    seed_resolution: int | None = None,
-) -> float:
+def thickness(spec: DomainSpec, t, direction, step: float | None = None) -> float:
     """Directional thickness: supremum of open chord lengths along
     ``direction``.  Returns ``0.0`` for an empty fiber and ``math.inf``
     when a chord escapes through the bounding box."""
     try:
-        chord = longest_chord(spec, t, direction, step=step, seed_resolution=seed_resolution)
+        chord = longest_chord(spec, t, direction, step=step)
     except EmptyFiberError:
         return 0.0
     return chord.length
@@ -387,22 +392,28 @@ def local_components(raster: RasterDomain, x, eps: float) -> int:
 # boundary extraction
 # ---------------------------------------------------------------------------
 
-_EDGE_CORNERS = {"S": (0, 1), "E": (1, 2), "N": (3, 2), "W": (0, 3)}
+# the corners of a square as (i, j) offsets from its lower-left cell centre,
+# counter-clockwise; bit k of a square's case is set when corner k is inside
+_CORNER_OFFSETS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+# the edges S, E, N, W as corner pairs
+_EDGE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
 
-_MS_CASES = {
-    1: [("W", "S")],
-    2: [("S", "E")],
-    3: [("W", "E")],
-    4: [("E", "N")],
-    6: [("S", "N")],
-    7: [("W", "N")],
-    8: [("W", "N")],
-    9: [("S", "N")],
-    11: [("E", "N")],
-    12: [("W", "E")],
-    13: [("S", "E")],
-    14: [("W", "S")],
-}
+
+def _segment_table() -> np.ndarray:
+    """Edge pairs of each marching case, shape (16, 2, 2): two segments at
+    most, padded with -1.  The saddles 5 and 10 hold their pairs for a
+    centre inside the set; a saddle whose centre is outside takes the pairs
+    of its complement case, 15 - case."""
+    pairs = ["", "WS", "SE", "WE", "EN", "SE WN", "SN", "WN",
+             "WN", "SN", "WS EN", "EN", "WE", "SE", "WS", ""]
+    table = np.full((16, 2, 2), -1)
+    for case, segments in enumerate(pairs):
+        for k, seg in enumerate(segments.split()):
+            table[case, k] = ["SENW".index(e) for e in seg]
+    return table
+
+
+_CASE_SEGMENTS = _segment_table()
 
 
 def margin_field(raster: RasterDomain) -> np.ndarray:
@@ -412,60 +423,44 @@ def margin_field(raster: RasterDomain) -> np.ndarray:
     return raster.spec.margin_points(raster.t, pts).reshape(raster.counts)
 
 
+def _zero_crossing(xa, xb, fa, fb):
+    """The zero of the margin interpolated linearly from (xa, fa) to (xb, fb)."""
+    return xa + fa / (fa - fb) * (xb - xa)
+
+
 def boundary_polyline(raster: RasterDomain) -> np.ndarray:
     """Marching-squares polyline of the fiber boundary, shape (m, 2, 2).
 
     The zero level of the signed margin field is interpolated on the grid
     of cell centers, which places vertices sub-cell accurately on the true
-    boundary rather than on the mask staircase.
+    boundary rather than on the mask staircase.  A saddle square is split
+    by the sign of its corner sum.  Segments come in row-major square
+    order, a saddle's two in table order.
     """
     if raster.dim != 2:
         raise ValueError("boundary_polyline is only defined for 2D rasters")
     F = margin_field(raster)
     pos = F > 0.0
-    mixed = np.zeros((F.shape[0] - 1, F.shape[1] - 1), dtype=bool)
-    mixed |= pos[:-1, :-1] != pos[1:, :-1]
-    mixed |= pos[:-1, :-1] != pos[1:, 1:]
-    mixed |= pos[:-1, :-1] != pos[:-1, 1:]
-    ii, jj = np.nonzero(mixed)
+    ni, nj = F.shape[0] - 1, F.shape[1] - 1
+    case = sum(pos[a:a + ni, b:b + nj] << k for k, (a, b) in enumerate(_CORNER_OFFSETS))
+    ii, jj = np.nonzero((case > 0) & (case < 15))
+    i = ii[:, None] + _CORNER_OFFSETS[:, 0]
+    j = jj[:, None] + _CORNER_OFFSETS[:, 1]
+    vals = F[i, j]
+    case = case[ii, jj]
+    centre_out = ((case == 5) | (case == 10)) & ~(vals.sum(axis=1) > 0.0)
+    case = np.where(centre_out, 15 - case, case)
 
-    x0, y0 = raster.origin[0] + 0.5 * raster.h, raster.origin[1] + 0.5 * raster.h
+    sq, seg = np.nonzero(_CASE_SEGMENTS[case, :, 0] >= 0)
+    ends = _EDGE_CORNERS[_CASE_SEGMENTS[case[sq], seg]]
+    a, b, rows = ends[..., 0], ends[..., 1], sq[:, None]
     h = raster.h
-    segments = []
-    for i, j in zip(ii, jj):
-        corners = np.array(
-            [
-                (x0 + i * h, y0 + j * h),
-                (x0 + (i + 1) * h, y0 + j * h),
-                (x0 + (i + 1) * h, y0 + (j + 1) * h),
-                (x0 + i * h, y0 + (j + 1) * h),
-            ]
-        )
-        vals = np.array([F[i, j], F[i + 1, j], F[i + 1, j + 1], F[i, j + 1]])
-        ins = vals > 0.0
-        case = int(ins[0]) | int(ins[1]) << 1 | int(ins[2]) << 2 | int(ins[3]) << 3
-        if case in (0, 15):
-            continue
-        if case in (5, 10):
-            center_in = float(vals.sum()) > 0.0
-            if case == 5:
-                pairs = [("S", "E"), ("W", "N")] if center_in else [("W", "S"), ("E", "N")]
-            else:
-                pairs = [("W", "S"), ("E", "N")] if center_in else [("S", "E"), ("W", "N")]
-        else:
-            pairs = _MS_CASES[case]
-
-        def edge_point(edge):
-            a, b = _EDGE_CORNERS[edge]
-            fa, fb = vals[a], vals[b]
-            r = fa / (fa - fb)
-            return corners[a] + r * (corners[b] - corners[a])
-
-        for ea, eb in pairs:
-            segments.append((edge_point(ea), edge_point(eb)))
-    if not segments:
-        return np.zeros((0, 2, 2))
-    return np.array(segments)
+    corners = np.stack(
+        [raster.origin[0] + 0.5 * h + i * h, raster.origin[1] + 0.5 * h + j * h], axis=-1
+    )
+    return _zero_crossing(
+        corners[rows, a], corners[rows, b], vals[rows, a][..., None], vals[rows, b][..., None]
+    )
 
 
 def boundary_points_1d(raster: RasterDomain) -> np.ndarray:
@@ -475,13 +470,8 @@ def boundary_points_1d(raster: RasterDomain) -> np.ndarray:
         raise ValueError("boundary_points_1d needs a 1D raster")
     F = margin_field(raster)
     xs = raster.axis_centers(0)
-    pos = F > 0.0
-    out = []
-    for i in range(len(F) - 1):
-        if pos[i] != pos[i + 1]:
-            r = F[i] / (F[i] - F[i + 1])
-            out.append(xs[i] + r * (xs[i + 1] - xs[i]))
-    return np.array(out)
+    i = np.flatnonzero((F[:-1] > 0.0) != (F[1:] > 0.0))
+    return _zero_crossing(xs[i], xs[i + 1], F[i], F[i + 1])
 
 
 def polyline_length(segments: np.ndarray) -> float:

@@ -33,6 +33,7 @@ from .raster import (
     RasterDomain,
     boundary_points_1d,
     boundary_polyline,
+    face_slices,
     rasterize,
     thickness,
     thickness_discrete,
@@ -78,10 +79,11 @@ class GradientOperator:
     Applied as array stencils on the full raster grid: interior values are
     scattered by flat index into a zero grid, and component j is each
     cell's forward neighbour along axis j minus the cell, divided by h.
-    The differences run between cached slices of the grid; on the last
-    plane along an axis the forward neighbour is the zero past the grid.
-    The exterior apron keeps every interior cell off the grid edge, so that
-    zero only ever meets exterior cells.
+    The differences run between the head and tail slices of
+    ``raster.face_slices``; on the last plane along an axis the forward
+    neighbour is the zero past the grid.  The exterior apron keeps every
+    interior cell off the grid edge, so that zero only ever meets exterior
+    cells.
     """
 
     raster: RasterDomain
@@ -94,26 +96,6 @@ class GradientOperator:
     def _flat_interior(self) -> np.ndarray:
         return np.flatnonzero(self.raster.interior)
 
-    @cached_property
-    def _planes(self) -> tuple:
-        """Per axis: index tuples for the head (all but the last plane), the
-        tail (all but the first), the last plane and the first plane.  The
-        planes are one-element slices, so they keep the axis even in 1D."""
-        dim = self.raster.dim
-
-        def along(ax, s):
-            return tuple(s if a == ax else slice(None) for a in range(dim))
-
-        return tuple(
-            (
-                along(ax, slice(None, -1)),
-                along(ax, slice(1, None)),
-                along(ax, slice(-1, None)),
-                along(ax, slice(0, 1)),
-            )
-            for ax in range(dim)
-        )
-
     def _scatter(self, values: np.ndarray) -> np.ndarray:
         """Interior values times 1/h on the zero full grid."""
         r = self.raster
@@ -122,7 +104,7 @@ class GradientOperator:
         return full.reshape(r.counts)
 
     def _forward_difference(self, full: np.ndarray, axis: int, out: np.ndarray):
-        head, tail, last, _ = self._planes[axis]
+        head, tail, last, _ = face_slices(self.raster.dim)[axis]
         np.subtract(full[tail], full[head], out=out[head])
         # the forward neighbour past the grid is +0.0, as np.diff(append=0)
         np.subtract(0.0, full[last], out=out[last])
@@ -148,8 +130,7 @@ class GradientOperator:
         r = self.raster
         c = np.asarray(comps).reshape((r.dim,) + r.counts) * (1.0 / r.h)
         d = np.empty_like(c)
-        for ax in range(r.dim):
-            head, tail, _, first = self._planes[ax]
+        for ax, (head, tail, _, first) in enumerate(face_slices(r.dim)):
             np.subtract(c[ax][tail], c[ax][head], out=d[ax][tail])
             d[ax][first] = c[ax][first]
         d = d.reshape(r.dim, -1)[:, self._flat_interior]
@@ -620,25 +601,16 @@ def discrete_column_inequality(
 
 def _one_sided_gradient(raster: RasterDomain, vals_grid: np.ndarray) -> np.ndarray:
     """Per-axis derivative estimates using interior-to-interior differences
-    only (no zero extension): forward where possible, else backward, else 0."""
-    dim = raster.dim
+    only (no zero extension): forward where possible, else backward, else 0.
+    Each face difference is formed once and kept where both its cells are
+    interior, as the tail cell's backward and the head cell's forward one."""
     inter = raster.interior
-    out = np.zeros((dim,) + raster.counts)
-    for ax in range(dim):
-        fwd_ok = np.zeros_like(inter)
-        sl_a = [slice(None)] * dim
-        sl_b = [slice(None)] * dim
-        sl_a[ax] = slice(0, -1)
-        sl_b[ax] = slice(1, None)
-        fwd_ok[tuple(sl_a)] = inter[tuple(sl_a)] & inter[tuple(sl_b)]
-        diff = np.zeros(raster.counts)
-        diff[tuple(sl_a)] = (vals_grid[tuple(sl_b)] - vals_grid[tuple(sl_a)]) / raster.h
-        bwd_ok = np.zeros_like(inter)
-        bwd_ok[tuple(sl_b)] = inter[tuple(sl_b)] & inter[tuple(sl_a)]
-        diffb = np.zeros(raster.counts)
-        diffb[tuple(sl_b)] = (vals_grid[tuple(sl_b)] - vals_grid[tuple(sl_a)]) / raster.h
-        comp = np.where(fwd_ok, diff, np.where(bwd_ok, diffb, 0.0))
-        out[ax] = np.where(inter, comp, 0.0)
+    out = np.zeros((raster.dim,) + raster.counts)
+    for ax, (head, tail, _, _) in enumerate(face_slices(raster.dim)):
+        both = inter[head] & inter[tail]
+        face = np.where(both, (vals_grid[tail] - vals_grid[head]) / raster.h, 0.0)
+        out[ax][tail] = face
+        np.copyto(out[ax][head], face, where=both)
     return out
 
 
@@ -738,9 +710,11 @@ def trace_ratio_battery(
     """Measure boundary-trace interpolation ratios for ambient smooth
     functions sampled without zero extension.
 
-    The W-norm combines the L^p norm with one-sided interior differences;
-    the boundary norm integrates |phi|^p over the extracted boundary
-    (polyline segments in 2D, crossing points in 1D).  When ``doubling``
+    Each function is evaluated once on all cell centers, which gives both
+    its interior values and the one-sided interior differences; the
+    W-norm adds their ``lp_norm``s.  The boundary norm integrates |phi|^p
+    over the extracted boundary (polyline segments in 2D, crossing points
+    in 1D), where the function is evaluated once more.  When ``doubling``
     is set, the battery is re-run at twice the resolution and the
     supremum's stability (within 10 percent) is recorded.
     """
@@ -762,23 +736,16 @@ def trace_ratio_battery(
         mids = pts.reshape(-1, 1)
         weights = np.ones(pts.size)
 
-    inter_pts = raster.interior_points()
     grid_pts = raster.centers().reshape(-1, raster.dim)
-    w_cell = raster.h**raster.dim
-
     ratios = {}
     for name, fn in _battery_functions(raster, battery):
-        v_in = fn(inter_pts)
-        n_p = float(np.sum(np.abs(v_in) ** p) * w_cell) ** (1.0 / p)
+        vals_grid = fn(grid_pts).reshape(raster.counts)
+        n_p = lp_norm(vals_grid[raster.interior], p, raster)
         if n_p == 0.0:
             continue
-        vals_grid = fn(grid_pts).reshape(raster.counts)
         g = _one_sided_gradient(raster, vals_grid)
-        mag = np.sqrt(np.sum(g * g, axis=0))[raster.interior]
-        n_grad = float(np.sum(mag**p) * w_cell) ** (1.0 / p)
-        n_w = n_p + n_grad
-        v_b = fn(mids)
-        n_b = float(np.sum(np.abs(v_b) ** p * weights)) ** (1.0 / p)
+        n_w = n_p + lp_norm(g[:, raster.interior], p, raster)
+        n_b = float(np.sum(np.abs(fn(mids)) ** p * weights)) ** (1.0 / p)
         ratios[name] = n_b / (n_p ** (1.0 - 1.0 / p) * n_w ** (1.0 / p))
 
     if not ratios:

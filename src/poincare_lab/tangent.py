@@ -23,12 +23,16 @@ from .dsl import DomainSpec
 from .errors import EmptySamplesError, StratumTooThinWarning
 from .raster import line_crossings
 
-# bisection refinement of a membership flip, in coordinates
+# scan-line samples per box width, and the bisection refinement of a
+# membership flip, in coordinates
+_SCAN_STEPS = 1024
 _BISECT_TOL = 1e-10
 # an atom counts as active when |value| <= ATOM_TOL_SCALE * its value scale
 ATOM_TOL_SCALE = 1e-7
 # gradients shorter than this give no reliable normal
 _MIN_GRAD_NORM = 1e-8
+# a best pooled margin below this is no regular direction
+_MIN_ALPHA = 1e-2
 
 
 class BoundarySampleSet:
@@ -76,17 +80,16 @@ def _active_atoms(spec: DomainSpec, t, pts):
     return act
 
 
-def sample_boundary(
-    spec: DomainSpec, t, count: int = 4096, seed: int = 0, steps: int = 1024
-) -> BoundarySampleSet:
+def sample_boundary(spec: DomainSpec, t, count: int = 4096, seed: int = 0) -> BoundarySampleSet:
     """Sample smooth boundary points of the fiber at ``t``.
 
     Scan lines run parallel to each axis at seeded-random transverse
-    offsets inside the bounding box; membership flips are bisected to
-    1e-10.  Points where exactly one atom is active (scaled tolerance) and
-    its gradient norm is at least 1e-8 become samples with the normalized
-    gradient as normal.  A StratumTooThin warning is attached when fewer
-    than count/10 samples survive.
+    offsets inside the bounding box; each is sampled at ``_SCAN_STEPS``
+    steps and its membership flips are bisected to 1e-10.  Points where
+    exactly one atom is active (scaled tolerance) and its gradient norm is
+    at least 1e-8 become samples with the normalized gradient as normal.
+    A StratumTooThin warning is attached when fewer than count/10 samples
+    survive.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -105,7 +108,7 @@ def sample_boundary(
             origins[:, j] = lo if j == axis else rng.uniform(lo, hi, lines_per_axis)
         direction = np.zeros(dim)
         direction[axis] = 1.0
-        svals = np.linspace(0.0, box[axis][1] - box[axis][0], steps + 1)
+        svals = np.linspace(0.0, box[axis][1] - box[axis][0], _SCAN_STEPS + 1)
         rounds = max(1, math.ceil(math.log2(np.diff(svals).max() / _BISECT_TOL)))
         line, _, s, _ = line_crossings(spec, t, origins, direction, svals, rounds)
         if line.size:
@@ -222,14 +225,12 @@ def find_regular_direction(
     directions: int = 512,
     seed: int = 0,
     count: int = 4096,
-    min_alpha: float = 1e-2,
-    steps: int = 1024,
 ) -> MarginReport:
     """Search candidate directions for one regular for the whole family.
 
     Boundary samples of every fiber are pooled; each lattice direction gets
     the pooled margin, and the best margin wins with ties broken by the
-    lexicographically smallest direction.  A best margin below ``min_alpha``
+    lexicographically smallest direction.  A best margin below ``_MIN_ALPHA``
     is classified as no_regular_direction (a sampled curved boundary never
     produces an exactly zero margin, so the threshold is a resolution-aware
     cutoff rather than an exact test).
@@ -239,7 +240,7 @@ def find_regular_direction(
     t_list = [spec.check_params(t) for t in t_samples]
     if not t_list:
         raise ValueError("need at least one parameter sample")
-    sets = [sample_boundary(spec, t, count=count, seed=seed, steps=steps) for t in t_list]
+    sets = [sample_boundary(spec, t, count=count, seed=seed) for t in t_list]
     pooled = np.concatenate([s.normals for s in sets if len(s)], axis=0) if any(len(s) for s in sets) else None
     if pooled is None or pooled.shape[0] == 0:
         raise EmptySamplesError("no boundary samples in any fiber")
@@ -256,7 +257,7 @@ def find_regular_direction(
         per_fiber.append(
             float(np.min(np.abs(s.normals @ lam))) if len(s) else math.inf
         )
-    status = "ok" if best >= min_alpha else "no_regular_direction"
+    status = "ok" if best >= _MIN_ALPHA else "no_regular_direction"
     return MarginReport(
         direction=tuple(float(v) for v in lam),
         alpha=best,

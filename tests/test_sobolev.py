@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ import scipy.sparse
 from poincare_lab import sobolev
 from poincare_lab import (
     DiscreteField,
+    boundary_points_1d,
+    boundary_polyline,
     build_gradient,
     discrete_column_inequality,
     grad,
     lp_norm,
+    margin_field,
     parse_domain,
     poincare_constant,
     poincare_general_p,
@@ -21,6 +25,7 @@ from poincare_lab import (
     verify_thickness_bound,
 )
 from poincare_lab.errors import (
+    DegenerateGeometryError,
     EmptyFiberError,
     SolverDivergedError,
     StagnationWarning,
@@ -356,9 +361,11 @@ def test_stagnation_warning_on_two_unequal_bars():
 
 
 @pytest.mark.filterwarnings("ignore::poincare_lab.errors.StagnationWarning")
-def test_poincare_constant_routes(square64):
+def test_poincare_constant_routes(specs, square64):
     assert poincare_constant(square64, 2.0).method == "inverse-iteration-cg"
-    assert poincare_constant(square64, 1.5, tol=1e-4).method == "rayleigh-descent"
+    # a coarse raster reaches the descent route as well as square64 does
+    square9 = rasterize(specs["square"], (), 9)
+    assert poincare_constant(square9, 1.5, tol=1e-4).method == "rayleigh-descent"
     with pytest.raises(ValueError):
         poincare_constant(square64, 0.9)
 
@@ -480,3 +487,104 @@ def test_trace_3d_not_implemented():
 def test_trace_rejects_unknown_battery(square64):
     with pytest.raises(ValueError):
         trace_ratio_battery(square64, 2.0, battery="wavelets")
+    # the norms are lp_norm's, which take p >= 1 only
+    with pytest.raises(ValueError):
+        trace_ratio_battery(square64, 0.5, doubling=False)
+
+
+_THREE_INTERVALS = (
+    "dim 1\nbox [0, 1]\n"
+    "set: (x - 0.1 > 0 and 0.25 - x > 0) or (x - 0.4 > 0 and 0.6 - x > 0)"
+    " or (x - 0.75 > 0 and 0.9 - x > 0)\n"
+)
+# at resolution 64 the origin is the centre of a marching square, and for
+# |c| < (h/2)^2 the sign of s*x*y - c alternates around its corners: one
+# saddle square, case 5 for s = 1 and 10 for s = -1, its centre inside for
+# c < 0 and outside for c > 0
+_SADDLE = (
+    "dim 2\nparams c in [-1, 1], s in [-1, 1]\nbox [-1, 1] x [-1, 1]\n"
+    "set: s*x*y - c > 0 and x^2 + y^2 < 0.9\n"
+)
+
+
+def _saddle_squares(r):
+    """(case, centre inside) of every saddle square of the marching grid."""
+    F = margin_field(r)
+    c = (F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:])
+    case = sum((v > 0.0).astype(int) << k for k, v in enumerate(c))
+    centre = ((c[0] + c[1]) + c[2]) + c[3] > 0.0
+    saddle = (case == 5) | (case == 10)
+    return sorted(zip(case[saddle].tolist(), centre[saddle].tolist()))
+
+
+def _trace_digest(r):
+    lines = []
+    for battery in ("polynomial", "trigonometric", "bump"):
+        for p in (1.5, 2.0, 3.0):
+            try:
+                rep = trace_ratio_battery(r, p, battery, doubling=False)
+            except DegenerateGeometryError:
+                lines.append(f"{battery} {p} degenerate")
+                continue
+            lines += [f"{battery} {p} {k} {v.hex()}" for k, v in rep.ratios.items()]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Exact boundary extraction and trace ratios at resolution 64: the 2D cases
+# pin the shape and sha256 of the polyline bytes, the 1D case its crossings,
+# and every case the digest of float.hex of every ratio of every battery at
+# p in {1.5, 2, 3}.
+@pytest.mark.parametrize(
+    "name,t,saddles,boundary,trace",
+    [
+        (
+            "disk", (), [],
+            ((168, 2, 2), "4710b71fecebcb2ca6895ca1e810417320a560e7e9d9fffa702ca51587beace1"),
+            "59aae3a73ff0208d792832fcb6827521865dfc0809908a1420a13c1bd60a2aaa",
+        ),
+        (
+            "annulus", (), [],
+            ((256, 2, 2), "e2dbc93d1466b6fc7894b32e47fe29fae7a7e3733a100104b7e094a245d19263"),
+            "ea1b415c003b744d42faeb181f758a56e8a0bb2e7ad60873c1ca6dde1c944e9a",
+        ),
+        (
+            "three_intervals", (), None,
+            [
+                "0x1.999999999999ap-4", "0x1.0000000000000p-2", "0x1.999999999999ap-2",
+                "0x1.3333333333333p-1", "0x1.8000000000000p-1", "0x1.ccccccccccccdp-1",
+            ],
+            "809e754bd1952646a27f30efe5c75c477ff088d04385a13691cb9de0de281620",
+        ),
+        (
+            "saddle", (1e-4, 1.0), [(5, False)],
+            ((240, 2, 2), "09514cc004d59d3bbca5683ee5656716dc209c7a5cd9d1a928781c1f973bd0d7"),
+            "df7da23666e48d8a84608e43f3b596a698c6f24631c8de02f2a3d042fe975e3b",
+        ),
+        (
+            "saddle", (-1e-4, 1.0), [(5, True)],
+            ((240, 2, 2), "c3a829cff3df6eff815326c2b92ed81764d160d1a7f2d637a3071406d011f458"),
+            "642cc4ace336d5f384c9a38c1534d5a2f2cca0c6fbf3c309d829849940e99afb",
+        ),
+        (
+            "saddle", (1e-4, -1.0), [(10, False)],
+            ((240, 2, 2), "de5a79bd7bebed8ac5ed19ffdac0757abc0eb3ea99cd8dfb91b138cb0425c38d"),
+            "4c51e94546b3ab60136ea5c1e3252be3f9921a6e4135001f16662773dcae50d6",
+        ),
+        (
+            "saddle", (-1e-4, -1.0), [(10, True)],
+            ((240, 2, 2), "2bd90cefb46feecbd7f58b98038ab0e3b439edc9105381e829e80d6b8c13dd32"),
+            "9739b5974855e927c7c030e0986aa97ed6a8530996485d02b232e1c985fd4c34",
+        ),
+    ],
+    ids=["disk", "annulus", "three_intervals", "case5_out", "case5_in", "case10_out", "case10_in"],
+)
+def test_boundary_and_trace_golden_bits(specs, name, t, saddles, boundary, trace):
+    text = {"three_intervals": _THREE_INTERVALS, "saddle": _SADDLE}.get(name)
+    r = rasterize(parse_domain(text) if text else specs[name], t, 64)
+    if r.dim == 1:
+        assert [v.hex() for v in boundary_points_1d(r)] == boundary
+    else:
+        segs = boundary_polyline(r)
+        assert _saddle_squares(r) == saddles
+        assert (segs.shape, hashlib.sha256(segs.tobytes()).hexdigest()) == boundary
+    assert _trace_digest(r) == trace

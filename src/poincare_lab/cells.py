@@ -171,15 +171,12 @@ class CellComplex2D:
         horizontal neighbors between consecutive columns (y-overlap at the
         shared critical)."""
         lines = ["graph cells {"]
-        names = {}
         for ci, col in enumerate(self.columns):
             for gi in range(len(col.graphs)):
-                names[(ci, "g", gi)] = f"c{ci}_g{gi}"
                 lines.append(
                     f'  c{ci}_g{gi} [label="graph {col.graphs[gi].label}"];'
                 )
             for bi in range(len(col.bands)):
-                names[(ci, "b", bi)] = f"c{ci}_b{bi}"
                 lines.append(f'  c{ci}_b{bi} [label="band {col.bands[bi].label}"];')
         for ci, col in enumerate(self.columns):
             for bi, b in enumerate(col.bands):

@@ -131,7 +131,6 @@ def _add_common(sp):
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     sp.add_argument("--jobs", type=int, default=None, help="worker cap (env POINCARE_LAB_JOBS)")
-    sp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
 
 
 def _build_parser():
@@ -140,6 +139,7 @@ def _build_parser():
 
     sp = sub.add_parser("check", help="single-fiber bound check plus exact discrete inequality")
     _add_common(sp)
+    sp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     sp.add_argument("--t", default="", help="comma-separated parameter values")
     sp.add_argument("--p", type=float, default=DEFAULTS["p"])
     sp.add_argument("--res", type=int, default=DEFAULTS["resolution"])
@@ -154,6 +154,7 @@ def _build_parser():
     ):
         sp = sub.add_parser(name, help=hlp)
         _add_common(sp)
+        sp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
         sp.add_argument("--ts", default=None, help="semicolon-separated parameter tuples")
         sp.add_argument("--grid", default=None, help="per-axis grid counts, comma-separated")
         sp.add_argument("--p", type=float, default=DEFAULTS["p"])

@@ -15,15 +15,23 @@ rewritten to ``(p - q)^2 > 0``.  Coefficients are kept as exact rationals;
 evaluation happens in double precision with a Horner order fixed by the
 normalizer, so membership tests are bit-reproducible.
 
-Headers may also be written on a single line separated by `` / ``.
+``#`` starts a comment that runs to the end of its line.  Headers may also
+be written on a single line separated by `` / ``.
+
+Membership and the signed margin field are one fold over the formula
+tree (``DomainSpec._fold``): each atom is evaluated once, to truth values
+or to signed values, and each connective reduces its children left to
+right, with ``&``/``|`` or ``min``/``max``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +48,8 @@ from .errors import (
 AMBIENT_NAMES = ("x", "y", "z")
 MAX_TOTAL_DEGREE = 12
 _KEYWORDS = {"dim", "params", "box", "set", "in", "and", "or"}
+# every relation the lexer knows; the non-strict ones are rejected on parse
+_RELATIONS = ("<", ">", "!=", "<=", ">=", "=", "==")
 
 # ---------------------------------------------------------------------------
 # polynomial support
@@ -49,9 +59,11 @@ _KEYWORDS = {"dim", "params", "box", "set", "in", "and", "or"}
 # over ambient variables first, then parameters.
 
 
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
+def _accumulate(terms: Iterable[tuple]) -> dict:
+    """Sum ``(exponents, coefficient)`` pairs into a polynomial, dropping
+    terms that cancel."""
+    out: dict = {}
+    for k, v in terms:
         s = out.get(k, Fraction(0)) + v
         if s:
             out[k] = s
@@ -60,21 +72,20 @@ def _poly_add(a: dict, b: dict) -> dict:
     return out
 
 
+def _poly_add(a: dict, b: dict) -> dict:
+    return _accumulate([*a.items(), *b.items()])
+
+
 def _poly_neg(a: dict) -> dict:
     return {k: -v for k, v in a.items()}
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(i + j for i, j in zip(ka, kb))
-            s = out.get(k, Fraction(0)) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+    return _accumulate(
+        (tuple(i + j for i, j in zip(ka, kb)), va * vb)
+        for ka, va in a.items()
+        for kb, vb in b.items()
+    )
 
 
 def _poly_pow(a: dict, e: int) -> dict:
@@ -85,9 +96,9 @@ def _poly_pow(a: dict, e: int) -> dict:
     return out
 
 
-def _monomial_key(exps: tuple) -> tuple:
-    # graded lexicographic, used descending
-    return (sum(exps),) + exps
+def _sorted_terms(poly: dict) -> tuple:
+    """Terms in descending graded-lexicographic order of their exponents."""
+    return tuple(sorted(poly.items(), key=lambda kv: (sum(kv[0]),) + kv[0], reverse=True))
 
 
 def _compile_horner(coeffs: Sequence[tuple], var: int, nvars: int):
@@ -122,6 +133,15 @@ def _eval_horner(node, coords):
     return acc
 
 
+def _eval_array(node, coords) -> np.ndarray:
+    """Evaluate a Horner tree; a constant is broadcast to the points' shape."""
+    v = _eval_horner(node, coords)
+    if np.ndim(v) == 0:
+        shape = np.broadcast(*[np.asarray(c) for c in coords]).shape
+        v = np.broadcast_to(np.float64(v), shape).copy()
+    return v
+
+
 @dataclass(frozen=True)
 class PolyAtom:
     """One strict polynomial inequality ``p > 0`` or ``p < 0``.
@@ -143,24 +163,21 @@ class PolyAtom:
             raise SpecError(f"bad relation {self.relation!r}")
         if not self.coeffs:
             raise SpecError("atom polynomial has no nonzero coefficient")
-        deg = max(sum(k) for k, _ in self.coeffs)
-        if deg > MAX_TOTAL_DEGREE:
+        if self.degree > MAX_TOTAL_DEGREE:
             raise DegreeLimitError(
-                f"atom total degree {deg} exceeds the limit {MAX_TOTAL_DEGREE}"
+                f"atom total degree {self.degree} exceeds the limit {MAX_TOTAL_DEGREE}"
             )
         object.__setattr__(
             self, "_horner", _compile_horner(self.coeffs, 0, self.nvars)
         )
         grads = []
         for i in range(self.ambient_dim):
-            d: dict = {}
-            for exps, c in self.coeffs:
-                if exps[i] > 0:
-                    k = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-                    d[k] = d.get(k, Fraction(0)) + c * exps[i]
-            d = {k: v for k, v in d.items() if v}
-            items = sorted(d.items(), key=lambda kv: _monomial_key(kv[0]), reverse=True)
-            grads.append(_compile_horner(items, 0, self.nvars))
+            d = _accumulate(
+                (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], c * exps[i])
+                for exps, c in self.coeffs
+                if exps[i] > 0
+            )
+            grads.append(_compile_horner(_sorted_terms(d), 0, self.nvars))
         object.__setattr__(self, "_grad", tuple(grads))
 
     @property
@@ -170,26 +187,20 @@ class PolyAtom:
     def values(self, coords) -> np.ndarray:
         """Evaluate the polynomial; ``coords`` is one array (or scalar) per
         variable, ambient variables first then parameters."""
-        v = _eval_horner(self._horner, coords)
-        if np.ndim(v) == 0:
-            shape = np.broadcast(*[np.asarray(c) for c in coords]).shape
-            v = np.broadcast_to(np.float64(v), shape).copy()
-        return v
+        return _eval_array(self._horner, coords)
 
     def truth(self, coords) -> np.ndarray:
         v = self.values(coords)
         return v > 0.0 if self.relation == "GT" else v < 0.0
 
+    def signed_values(self, coords) -> np.ndarray:
+        """Values oriented to be positive exactly where the atom holds."""
+        v = self.values(coords)
+        return v if self.relation == "GT" else -v
+
     def gradient_values(self, coords) -> np.ndarray:
         """Ambient-space gradient, shape ``(ambient_dim,) + point shape``."""
-        parts = []
-        shape = np.broadcast(*[np.asarray(c) for c in coords]).shape
-        for g in self._grad:
-            v = _eval_horner(g, coords)
-            if np.ndim(v) == 0:
-                v = np.broadcast_to(np.float64(v), shape).copy()
-            parts.append(v)
-        return np.array(parts)
+        return np.array([_eval_array(g, coords) for g in self._grad])
 
     def value_scale(self, box, param_box) -> float:
         """Crude magnitude bound: sum of |coeff| * box-corner monomial size."""
@@ -246,6 +257,8 @@ class _Tok:
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    # dropping a comment leaves its newline, so line and column numbers hold
+    text = re.sub(r"#[^\n]*", "", text)
     # one-line form: " / " separates headers; only applies before "set:"
     m = re.search(r"\bset\s*:", text)
     head_end = m.start() if m else len(text)
@@ -266,12 +279,6 @@ def _tokenize(text: str) -> list[_Tok]:
             col += len(s)
             continue
         if kind == "BAD":
-            if s == "#":  # comment to end of line
-                rest = text[m.start():]
-                eol = rest.find("\n")
-                skip = len(rest) if eol < 0 else eol
-                col += skip
-                continue
             raise SpecSyntaxError(f"unexpected character {s!r}", line, col)
         toks.append(_Tok(kind, s, line, col))
         col += len(s)
@@ -299,6 +306,15 @@ def _flatten(op: str, children: Iterable[tuple]) -> tuple:
     return (op, tuple(flat))
 
 
+def _reduce_formula(node: tuple, leaves: list, and_, or_):
+    # not a closure: a recursive closure is a reference cycle, which keeps
+    # the evaluated arrays alive until the next garbage collection
+    if node[0] == "atom":
+        return leaves[node[1]]
+    children = (_reduce_formula(c, leaves, and_, or_) for c in node[1])
+    return reduce(and_ if node[0] == "and" else or_, children)
+
+
 # ---------------------------------------------------------------------------
 # the spec object
 # ---------------------------------------------------------------------------
@@ -314,7 +330,6 @@ class DomainSpec:
     bounding_box: tuple  # ((lo, hi), ...) per ambient axis
     atoms: tuple  # PolyAtom, deduplicated, in order of first appearance
     formula: tuple
-    audit_warnings: tuple = field(default=(), compare=False)
 
     @property
     def var_names(self) -> tuple:
@@ -338,46 +353,23 @@ class DomainSpec:
         coords.extend(np.float64(v) for v in t)
         return coords
 
-    def member_points(self, t, pts: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an array of points, shape (..., dim)."""
+    def _fold(self, t, pts, leaf, and_, or_) -> np.ndarray:
+        """Evaluate ``leaf(atom, coords)`` once per atom at the points and
+        reduce the formula tree with ``and_``/``or_``, left to right."""
         t = self.check_params(t)
         pts = np.asarray(pts, dtype=np.float64)
         coords = self._coords(t, pts)
-        truths = {}
+        leaves = [leaf(atom, coords) for atom in self.atoms]
+        return _reduce_formula(self.formula, leaves, and_, or_)
 
-        def ev(node):
-            if node[0] == "atom":
-                i = node[1]
-                if i not in truths:
-                    truths[i] = self.atoms[i].truth(coords)
-                return truths[i]
-            parts = [ev(c) for c in node[1]]
-            out = parts[0]
-            for p in parts[1:]:
-                out = (out & p) if node[0] == "and" else (out | p)
-            return out
-
-        return ev(self.formula)
+    def member_points(self, t, pts: np.ndarray) -> np.ndarray:
+        """Vectorized membership for an array of points, shape (..., dim)."""
+        return self._fold(t, pts, PolyAtom.truth, operator.and_, operator.or_)
 
     def margin_points(self, t, pts: np.ndarray) -> np.ndarray:
         """Signed margin field: min/max composition of atom values, positive
         exactly on the set.  Used for sub-cell boundary interpolation."""
-        t = self.check_params(t)
-        pts = np.asarray(pts, dtype=np.float64)
-        coords = self._coords(t, pts)
-
-        def ev(node):
-            if node[0] == "atom":
-                a = self.atoms[node[1]]
-                v = a.values(coords)
-                return v if a.relation == "GT" else -v
-            parts = [ev(c) for c in node[1]]
-            out = parts[0]
-            for p in parts[1:]:
-                out = np.minimum(out, p) if node[0] == "and" else np.maximum(out, p)
-            return out
-
-        return ev(self.formula)
+        return self._fold(t, pts, PolyAtom.signed_values, np.minimum, np.maximum)
 
 
 def _as_param_tuple(t, k: int) -> tuple:
@@ -476,7 +468,7 @@ class _Parser:
             if tok.text == "*":
                 e = _poly_mul(e, rhs)
             else:
-                const = [v for v in rhs.values()]
+                const = list(rhs.values())
                 if any(sum(k) for k in rhs) or not const:
                     self.err("division is only allowed by a nonzero constant", tok)
                 e = {k: v / const[0] for k, v in e.items()}
@@ -493,7 +485,7 @@ class _Parser:
     def parse_power(self, names: dict) -> dict:
         base = self.parse_base(names)
         if self.peek().kind == "OP" and self.peek().text == "^":
-            tok = self.next()
+            self.next()
             et = self.expect("NUMBER")
             if not re.fullmatch(r"\d+", et.text):
                 self.err("exponent must be a nonnegative integer", et)
@@ -504,11 +496,7 @@ class _Parser:
         t = self.peek()
         nvars = len(names)
         if t.kind == "NUMBER":
-            self.next()
-            try:
-                c = Fraction(Decimal(t.text))
-            except InvalidOperation:
-                self.err(f"bad number {t.text!r}", t)
+            c = self.number()
             return {(0,) * nvars: c} if c else {}
         if t.kind == "NAME":
             if t.text in names:
@@ -538,12 +526,10 @@ class _Parser:
                 depth -= 1
                 if depth == 0:
                     return False
-            elif t.kind == "OP" and t.text in ("<", ">", "!=", "<=", ">=", "=", "=="):
+            elif t.kind == "OP" and t.text in _RELATIONS:
                 return True
             elif t.kind == "NAME" and t.text in ("and", "or"):
                 return True
-            elif t.kind in ("EOF",):
-                return False
         return False
 
     def parse_formula(self, names: dict, sink: "_AtomSink") -> tuple:
@@ -572,7 +558,7 @@ class _Parser:
     def parse_comparison(self, names: dict, sink: "_AtomSink") -> tuple:
         lhs = self.parse_expr(names)
         t = self.peek()
-        if t.kind != "OP" or t.text not in ("<", ">", "!=", "<=", ">=", "=", "=="):
+        if t.kind != "OP" or t.text not in _RELATIONS:
             self.err("expected a relation '<', '>' or '!='")
         if t.text in ("<=", ">=", "=", "=="):
             raise NonStrictRelationError(
@@ -603,9 +589,7 @@ class _AtomSink:
         self._index: dict = {}
 
     def add(self, poly: dict, relation: str) -> int:
-        items = tuple(
-            sorted(poly.items(), key=lambda kv: _monomial_key(kv[0]), reverse=True)
-        )
+        items = _sorted_terms(poly)
         key = (items, relation)
         if key in self._index:
             return self._index[key]
@@ -619,10 +603,6 @@ def parse_domain(text: str) -> DomainSpec:
     """Parse domain text into an immutable :class:`DomainSpec`.
 
     Raises :class:`SpecSyntaxError` (with line/column) on malformed input.
-    The fiber-inside-box invariant is probed by seeded rejection sampling;
-    violations are recorded as warnings on the spec
-    rather than raised, because thickness queries legitimately detect
-    fibers that escape through the bounding box.
     """
     p = _Parser(_tokenize(text))
     p.skip_nl()
@@ -696,7 +676,7 @@ def parse_domain(text: str) -> DomainSpec:
     if p.peek().kind != "EOF":
         p.err(f"trailing input {p.peek().text!r}")
 
-    spec = DomainSpec(
+    return DomainSpec(
         ambient_dim=dim,
         param_names=tuple(param_names),
         param_box=tuple(param_box),
@@ -704,62 +684,6 @@ def parse_domain(text: str) -> DomainSpec:
         atoms=tuple(sink.atoms),
         formula=formula,
     )
-    object.__setattr__(spec, "audit_warnings", tuple(_audit_box_containment(spec)))
-    return spec
-
-
-def parse_domain_file(path) -> DomainSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_domain(fh.read())
-
-
-def _audit_box_containment(
-    spec: DomainSpec, samples: int = 256, param_draws: int = 8, seed: int = 0
-) -> list[str]:
-    """Probe whether fibers leak outside the bounding box.
-
-    Samples points in an inflated shell around the box plus parameter draws;
-    any member hit is reported.  This is a statistical audit, not a proof.
-    """
-    rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in spec.bounding_box])
-    hi = np.array([b[1] for b in spec.bounding_box])
-    span = hi - lo
-    pad = np.maximum(0.25 * span, 1e-3)
-    big_lo, big_hi = lo - pad, hi + pad
-
-    pts = []
-    tries = 0
-    while len(pts) < samples and tries < 50:
-        cand = rng.uniform(big_lo, big_hi, size=(samples * 4, spec.ambient_dim))
-        outside = np.any((cand < lo) | (cand > hi), axis=1)
-        pts.extend(cand[outside][: samples - len(pts)])
-        tries += 1
-    if not pts:
-        return []
-    pts = np.array(pts)
-
-    k = len(spec.param_names)
-    draws = [()] if k == 0 else []
-    if k:
-        plo = np.array([b[0] for b in spec.param_box])
-        phi = np.array([b[1] for b in spec.param_box])
-        draws.append(tuple(plo))
-        draws.append(tuple(phi))
-        for _ in range(param_draws - 2):
-            draws.append(tuple(rng.uniform(plo, phi)))
-
-    warnings = []
-    for t in draws:
-        hit = spec.member_points(t, pts)
-        if np.any(hit):
-            i = int(np.argmax(hit))
-            warnings.append(
-                "fiber escapes the bounding box: member point "
-                f"{pts[i].tolist()} at params {list(t)}"
-            )
-            break
-    return warnings
 
 
 # ---------------------------------------------------------------------------

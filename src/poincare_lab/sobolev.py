@@ -221,10 +221,10 @@ class PoincareEstimate:
             raise SolverDivergedError("Poincare constant must be positive and finite")
 
 
-def _cg(matvec, b, rtol: float, maxiter: int, x0=None):
-    """Plain conjugate gradients for SPD systems; deterministic."""
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - matvec(x) if x0 is not None else b.copy()
+def _cg(matvec, b, rtol: float, maxiter: int):
+    """Plain conjugate gradients for SPD systems from a zero start; deterministic."""
+    x = np.zeros_like(b)
+    r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     bnorm = float(np.linalg.norm(b))
@@ -267,11 +267,24 @@ def poincare_p2(
     inner_total = 0
     rel_change = 1.0
 
+    def estimate(iterations: int) -> PoincareEstimate:
+        return PoincareEstimate(
+            p=2.0,
+            constant=lam ** (-0.5),
+            method="inverse-iteration-cg",
+            iterations=iterations,
+            residual=rel_change,
+            tol=tol,
+            h=raster.h,
+            eigenvalue=lam,
+            eigenvector=x,
+        )
+
     for outer in range(1, max_outer + 1):
         M = A if shift == 0.0 else A - shift * sparse.identity(n, format="csr")
         inner_rtol = min(1e-2, max(0.1 * rel_change, 0.01 * tol))
         try:
-            y, it = _cg(lambda v: M @ v, x, rtol=inner_rtol, maxiter=20 * n, x0=None)
+            y, it = _cg(lambda v: M @ v, x, rtol=inner_rtol, maxiter=20 * n)
         except ArithmeticError:
             shift *= 0.5
             continue
@@ -287,30 +300,10 @@ def poincare_p2(
         if outer >= 2:
             shift = 0.9 * lam
         if rel_change <= tol:
-            return PoincareEstimate(
-                p=2.0,
-                constant=lam ** (-0.5),
-                method="inverse-iteration-cg",
-                iterations=outer,
-                residual=rel_change,
-                tol=tol,
-                h=raster.h,
-                eigenvalue=lam,
-                eigenvector=x,
-            )
+            return estimate(outer)
     raise SolverDivergedError(
         f"inverse iteration did not reach tol={tol} in {max_outer} steps",
-        estimate=PoincareEstimate(
-            p=2.0,
-            constant=lam ** (-0.5),
-            method="inverse-iteration-cg",
-            iterations=max_outer,
-            residual=rel_change,
-            tol=tol,
-            h=raster.h,
-            eigenvalue=lam,
-            eigenvector=x,
-        ),
+        estimate=estimate(max_outer),
     )
 
 

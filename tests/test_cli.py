@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from poincare_lab import sobolev
-from poincare_lab.cli import DEFAULTS, canonical_json, exit_code_from_report, main
+from poincare_lab.cli import (
+    DEFAULTS,
+    _build_parser,
+    canonical_json,
+    exit_code_from_report,
+    main,
+)
 
 
 def run(tmp_path, *argv):
@@ -281,6 +287,22 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     code = main(["check", "--spec", "disk", "--nonsense"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_tol_only_on_solver_commands(tmp_path, capsys):
+    # only the commands that run a solver read --tol
+    assert main(["trace", "--spec", "disk", "--res", "16", "--tol", "1e-3",
+                 "--out", str(tmp_path)]) == 2
+    assert "--tol" in capsys.readouterr().err
+    parser = _build_parser()
+    for command in ("check", "sweep", "lemma", "uniform"):
+        args = parser.parse_args([command, "--spec", "disk", "--tol", "1e-3"])
+        assert args.tol == 1e-3
+    for argv in (["thickness", "--dir", "e1"], ["regdir"], ["cells"], ["raster"]):
+        parser.parse_args(argv + ["--spec", "disk"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--spec", "disk", "--tol", "1e-3"])
+    capsys.readouterr()
 
 
 def test_byte_determinism(tmp_path):

@@ -489,7 +489,14 @@ class _Parser:
             et = self.expect("NUMBER")
             if not re.fullmatch(r"\d+", et.text):
                 self.err("exponent must be a nonnegative integer", et)
-            return _poly_pow(base, int(et.text))
+            e = int(et.text)
+            # checked before expanding, which costs e multiplications
+            degree = max((sum(k) for k in base), default=0) * e
+            if degree > MAX_TOTAL_DEGREE:
+                raise DegreeLimitError(
+                    f"power of total degree {degree} exceeds the limit {MAX_TOTAL_DEGREE}"
+                )
+            return _poly_pow(base, e)
         return base
 
     def parse_base(self, names: dict) -> dict:

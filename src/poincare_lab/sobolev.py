@@ -2,13 +2,15 @@
 
 Fields live on interior cells and are implicitly extended by zero, which
 models the zero-trace condition.  The gradient is the forward difference
-quotient, applied as array stencils on the full raster grid; only the
-p = 2 Laplacian is assembled as a sparse matrix.  On top of the operator
-this module computes discrete Poincare constants (exact eigensolve route
-for p = 2, multi-start Rayleigh-quotient descent for general p), verifies
-the thickness bound C_p <= 2^(1/p) * |Omega|_dir, checks the sharper
-per-axis discrete inequality exactly, and estimates boundary-trace
-interpolation ratios.
+quotient, applied as array stencils on the full raster grid to one field
+or to a batch of fields at once; only the p = 2 Laplacian is assembled as
+a sparse matrix.  On top of the operator this module computes discrete
+Poincare constants (exact eigensolve route for p = 2, multi-start
+Rayleigh-quotient descent for general p, its starts advanced in lockstep
+so that one batched ratio evaluation serves them all), verifies the
+thickness bound C_p <= 2^(1/p) * |Omega|_dir, checks the sharper per-axis
+discrete inequality exactly, and estimates boundary-trace interpolation
+ratios.
 """
 
 from __future__ import annotations
@@ -79,11 +81,22 @@ class GradientOperator:
     Applied as array stencils on the full raster grid: interior values are
     scattered by flat index into a zero grid, and component j is each
     cell's forward neighbour along axis j minus the cell, divided by h.
-    The differences run between the head and tail slices of
-    ``raster.face_slices``; on the last plane along an axis the forward
+    On the flattened grid the forward neighbour along axis j is the cell
+    ``stride_j`` further on, so each component is one shifted difference;
+    on the last plane along the axis (``raster.face_slices``) the forward
     neighbour is the zero past the grid.  The exterior apron keeps every
     interior cell off the grid edge, so that zero only ever meets exterior
-    cells.
+    cells, and every interior cell's backward neighbour, which the adjoint
+    reads, lies on the grid.
+
+    ``apply``, ``apply_axis`` and ``apply_transpose`` take leading batch
+    axes: interior fields of shape ``(..., n_interior)`` map to gradients
+    of shape ``(..., dim, n_full)`` and back.  Each row goes through the
+    same elementwise operations as it would alone, so a batched result is
+    byte-equal to its rows' results.
+    Internally the gradient is component-major, ``(dim, ..., n_full)``, so
+    that each component of a whole batch is one contiguous array; ``apply``
+    returns it as a view with the component axis moved behind the batch.
     """
 
     raster: RasterDomain
@@ -96,48 +109,88 @@ class GradientOperator:
     def _flat_interior(self) -> np.ndarray:
         return np.flatnonzero(self.raster.interior)
 
-    def _scatter(self, values: np.ndarray) -> np.ndarray:
-        """Interior values times 1/h on the zero full grid."""
+    @cached_property
+    def _axes(self) -> tuple:
+        """Per axis: its stride in flat cells and the index of its last
+        plane behind the batch axes."""
         r = self.raster
-        full = np.zeros(r.interior.size)
-        full[self._flat_interior] = values * (1.0 / r.h)
-        return full.reshape(r.counts)
+        strides = np.cumprod((1,) + r.counts[:0:-1])[::-1].tolist()
+        return tuple(
+            (s, (Ellipsis,) + last) for s, (_, _, last, _) in zip(strides, face_slices(r.dim))
+        )
+
+    @cached_property
+    def _adjoint_index(self) -> np.ndarray:
+        """Per axis, the flat indices of every interior cell and of its
+        backward neighbour, shape (dim, 2, n_interior)."""
+        r = self.raster
+        fi = self._flat_interior
+        index = []
+        for ax, (s, _) in enumerate(self._axes):
+            if ((fi // s) % r.counts[ax] == 0).any():
+                raise ValueError("interior cell on the grid edge: the raster has no exterior apron")
+            index.append(np.stack([fi, fi - s]))
+        return np.stack(index)
+
+    def _scatter(self, values: np.ndarray, full: np.ndarray):
+        """Interior values times 1/h into ``full``, flat grids (..., n_full)
+        whose exterior cells are zero."""
+        full[..., self._flat_interior] = values * (1.0 / self.raster.h)
 
     def _forward_difference(self, full: np.ndarray, axis: int, out: np.ndarray):
-        head, tail, last, _ = face_slices(self.raster.dim)[axis]
-        np.subtract(full[tail], full[head], out=out[head])
-        # the forward neighbour past the grid is +0.0, as np.diff(append=0)
-        np.subtract(0.0, full[last], out=out[last])
+        """Component ``axis`` of the gradient of the scattered ``full`` into
+        ``out``, both contiguous flat grids of shape (..., n_full)."""
+        s, last = self._axes[axis]
+        # one shifted difference runs over the whole batch; wherever it
+        # pairs a cell with the next line's (or the next row's) first cell,
+        # the cell is on the last plane
+        flat, flat_out = full.reshape(-1), out.reshape(-1)
+        np.subtract(flat[s:], flat[:-s], out=flat_out[:-s])
+        # there the forward neighbour is +0.0, as np.diff(append=0)
+        grid = full.shape[:-1] + self.raster.counts
+        np.subtract(0.0, full.reshape(grid)[last], out=out.reshape(grid)[last])
+
+    def _gradient(self, values: np.ndarray, full: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Gradient of interior fields (..., n_interior) into ``out``, shape
+        (dim, ..., n_full), through the zero-exterior flat grids ``full``."""
+        self._scatter(values, full)
+        for ax in range(self.raster.dim):
+            self._forward_difference(full, ax, out[ax])
+        return out
+
+    def _adjoint(self, comps) -> np.ndarray:
+        """Adjoint of ``_gradient``: component-major (dim, ..., n_full) to
+        interior values, minus the sum over axes of the backward
+        differences at the interior cells."""
+        terms = []
+        for c, index in zip(comps, self._adjoint_index):
+            c = c.take(index, axis=-1)
+            c *= 1.0 / self.raster.h
+            terms.append(c[..., 0, :] - c[..., 1, :])
+        out = -terms[0]
+        for d in terms[1:]:
+            out -= d
+        return out
 
     def apply_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Gradient component ``axis`` of an interior field, shape (n_full_cells,)."""
-        out = np.empty(self.raster.counts)
-        self._forward_difference(self._scatter(values), axis, out)
-        return out.reshape(-1)
+        """Gradient component ``axis`` of interior fields, shape (..., n_full_cells)."""
+        values = np.asarray(values)
+        full = np.zeros(values.shape[:-1] + (self.raster.interior.size,))
+        self._scatter(values, full)
+        out = np.empty_like(full)
+        self._forward_difference(full, axis, out)
+        return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Gradient of an interior field, shape (dim, n_full_cells)."""
-        r = self.raster
-        full = self._scatter(values)
-        out = np.empty((r.dim,) + r.counts)
-        for ax in range(r.dim):
-            self._forward_difference(full, ax, out[ax])
-        return out.reshape(r.dim, -1)
+        """Gradient of interior fields, shape (..., dim, n_full_cells)."""
+        values = np.asarray(values)
+        full = np.zeros(values.shape[:-1] + (self.raster.interior.size,))
+        out = np.empty((self.raster.dim,) + full.shape)
+        return np.moveaxis(self._gradient(values, full, out), 0, -2)
 
     def apply_transpose(self, comps: np.ndarray) -> np.ndarray:
-        """Adjoint of ``apply``: full-grid components to interior values, by
-        backward differences whose first plane is the component itself."""
-        r = self.raster
-        c = np.asarray(comps).reshape((r.dim,) + r.counts) * (1.0 / r.h)
-        d = np.empty_like(c)
-        for ax, (head, tail, _, first) in enumerate(face_slices(r.dim)):
-            np.subtract(c[ax][tail], c[ax][head], out=d[ax][tail])
-            d[ax][first] = c[ax][first]
-        d = d.reshape(r.dim, -1)[:, self._flat_interior]
-        out = -d[0]
-        for ax in range(1, r.dim):
-            out -= d[ax]
-        return out
+        """Adjoint of ``apply``: full-grid components to interior values."""
+        return self._adjoint(np.moveaxis(np.asarray(comps), -2, 0))
 
     def laplacian(self) -> sparse.csr_matrix:
         """grad^T grad on interior cells: the Dirichlet difference Laplacian.
@@ -222,10 +275,15 @@ class PoincareEstimate:
 
 
 def _cg(matvec, b, rtol: float, maxiter: int):
-    """Plain conjugate gradients for SPD systems from a zero start; deterministic."""
+    """Plain conjugate gradients for SPD systems from a zero start; deterministic.
+
+    The updates run in place through one scratch buffer; ``p *= beta;
+    p += r`` gives the bits of ``r + beta * p``, since IEEE addition and
+    multiplication commute."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
+    tmp = np.empty_like(b)
     rs = float(r @ r)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -238,10 +296,11 @@ def _cg(matvec, b, rtol: float, maxiter: int):
         if pAp <= 0.0:
             raise ArithmeticError("matrix not positive definite in CG")
         alpha = rs / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, Ap, out=tmp)
         rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
         it += 1
     return x, it
@@ -316,48 +375,93 @@ _STAGE_ITER = 300  # descent steps per annealed smoothing level
 _FINAL_ITER = 3000  # descent steps at the declared kink smoothing
 
 
-def _ratio(op: GradientOperator, u: np.ndarray, p: float, eps_g: float, eps_u: float):
-    """Smoothed ratio R(u) = ||grad u||_p / ||u||_p and the norm ||u||_p.
+class _RatioBatch:
+    """Smoothed Rayleigh ratios R(u) = ||grad u||_p / ||u||_p of batches of
+    up to ``rows`` fields on one operator, at one p and field smoothing.
 
-    The third item holds the terms ``_ratio_and_grad`` reuses for the
-    gradient.  The gradient-magnitude smoothing eps_g is annealed by the
-    caller; the field smoothing eps_u stays at the declared kink scale,
-    since inflating it rescales the denominator and degenerates the
-    functional.
+    Each row u of a batch ``U`` (shape (k, n)) is smoothed by its own
+    gradient-magnitude ``eps_g[i]``, which the caller anneals; the field
+    smoothing eps_u stays at the declared kink scale, since inflating it
+    rescales the denominator and degenerates the functional.  The
+    elementwise work and the row sums run once on the whole batch; the
+    per-row scalars are finished as Python floats, whose ``**`` is libm
+    ``pow`` (numpy's can differ in the last bit), so each row gets exactly
+    the bits it would get alone.  The full-grid arrays live in scratch
+    buffers allocated once: fresh ones per batch fault their pages in again
+    whenever the allocator has handed the memory back in between.
     """
-    h_w = op.h**op.raster.dim
-    g = op.apply(u)
-    m2 = (g * g).sum(axis=0) + eps_g * eps_g
-    Sg = float((m2 ** (p / 2.0)).sum()) * h_w
-    Ng = Sg ** (1.0 / p)
-    u2 = u * u + eps_u * eps_u
-    Su = float((u2 ** (p / 2.0)).sum()) * h_w
-    Nu = Su ** (1.0 / p)
-    return Ng / Nu, Nu, (h_w, g, m2, Ng, u2)
+
+    def __init__(self, op: GradientOperator, p: float, eps_u: float, rows: int):
+        r = op.raster
+        self.op, self.p, self.eps_u = op, p, eps_u
+        self.h_w = r.h**r.dim
+        cells = rows * r.interior.size
+        self._full = np.zeros(cells)  # only interior cells are ever written
+        self._grad = np.empty(r.dim * cells)
+        self._comps = np.empty(r.dim * cells)
+        self._m2 = np.empty(cells)
+        self._tmp = np.empty(cells)
+
+    def _view(self, buf: np.ndarray, *shape) -> np.ndarray:
+        """A contiguous prefix of a scratch buffer, shaped."""
+        return buf[: math.prod(shape)].reshape(shape)
+
+    def ratio(self, U: np.ndarray, eps_g: np.ndarray):
+        """Lists of R and ||u||_p over the rows of ``U``, and the terms
+        ``ratio_and_grad`` reuses for the gradient."""
+        op, p, h_w = self.op, self.p, self.h_w
+        k, n_full = U.shape[0], op.raster.interior.size
+        G = op._gradient(
+            U, self._view(self._full, k, n_full), self._view(self._grad, op.raster.dim, k, n_full)
+        )
+        # squared components added in axis order, as (g * g).sum(axis=0)
+        M2 = np.multiply(G[0], G[0], out=self._view(self._m2, k, n_full))
+        tmp = self._view(self._tmp, k, n_full)
+        for g in G[1:]:
+            M2 += np.multiply(g, g, out=tmp)
+        M2 += (eps_g * eps_g)[:, None]
+        np.copyto(tmp, M2)
+        tmp **= p / 2.0  # in place, through the same scalar-power path as **
+        Ng = [(s * h_w) ** (1.0 / p) for s in tmp.sum(axis=-1).tolist()]
+        U2 = U * U + self.eps_u * self.eps_u
+        Nu = [(s * h_w) ** (1.0 / p) for s in (U2 ** (p / 2.0)).sum(axis=-1).tolist()]
+        R = [ng / nu for ng, nu in zip(Ng, Nu)]
+        return R, Nu, (G, M2, Ng, U2)
+
+    def ratio_and_grad(self, U: np.ndarray, eps_g: np.ndarray, k: int):
+        """R and ||u||_p of every row of ``U``, and the gradient of R,
+        shape (k, n), for its first ``k`` rows only (None when k is 0)."""
+        R, Nu, (G, M2, Ng, U2) = self.ratio(U, eps_g)
+        if k == 0:
+            return R, None, Nu
+        op, p, h_w = self.op, self.p, self.h_w
+        n_full = M2.shape[-1]
+        W = self._view(self._tmp, k, n_full)
+        np.copyto(W, M2[:k])
+        W **= p / 2.0 - 1.0
+        C = np.multiply(G[:, :k], W, out=self._view(self._comps, op.raster.dim, k, n_full))
+        cg = np.array([h_w * ng ** (1.0 - p) for ng in Ng[:k]])[:, None]
+        cu = np.array([h_w * nu ** (1.0 - p) for nu in Nu[:k]])[:, None]
+        dNg = op._adjoint(C) * cg
+        dNu = U[:k] * U2[:k] ** (p / 2.0 - 1.0) * cu
+        gradR = (dNg - np.array(R[:k])[:, None] * dNu) / np.array(Nu[:k])[:, None]
+        return R, gradR, Nu
 
 
-def _ratio_and_grad(
-    op: GradientOperator, u: np.ndarray, p: float, eps_g: float, eps_u: float
-):
-    """The smoothed ratio, its gradient and ||u||_p."""
-    R, Nu, (h_w, g, m2, Ng, u2) = _ratio(op, u, p, eps_g, eps_u)
-    dNg = op.apply_transpose(g * m2 ** (p / 2.0 - 1.0)) * (h_w * Ng ** (1.0 - p))
-    dNu = u * u2 ** (p / 2.0 - 1.0) * (h_w * Nu ** (1.0 - p))
-    gradR = (dNg - R * dNu) / Nu
-    return R, gradR, Nu
+def _descend(u0, eps_g, max_iter, rtol):
+    """Normalized gradient descent at one smoothing level, as a generator.
 
-
-def _descend(op, u0, p, eps_g, eps_u, max_iter, rtol):
-    """Normalized gradient descent at one smoothing level.
-
-    Barzilai-Borwein trial step with Armijo backtracking; the line search
-    evaluates the ratio only, so just the accepted point pays for the
-    gradient.  The iterate is renormalized to ||u||_p = 1 after every
-    accepted step.  Returns the best ratio seen, the final iterate,
-    iterations used, and the relative change of R over the last 10
-    iterations.
+    Every ratio evaluation is a request ``yield (u, eps_g, want_grad)``,
+    answered with ``(R, ||u||_p, gradR)``, where gradR is None unless
+    asked for; ``poincare_general_p`` answers the requests of all starts
+    in one batched pass.  Barzilai-Borwein trial step with Armijo
+    backtracking; the line search asks for the ratio only, so just the
+    accepted point pays for the gradient.  The iterate is renormalized to
+    ||u||_p = 1 after every accepted step.  Returns the best ratio seen,
+    the final iterate, iterations used, and the relative change of R over
+    the last 10 iterations.
     """
-    R, Nu, _ = _ratio(op, u0, p, eps_g, eps_u)
+    R, Nu, _ = yield u0, eps_g, False
     u = u0 / Nu
     best = R
     step = 1.0
@@ -367,7 +471,7 @@ def _descend(op, u0, p, eps_g, eps_u, max_iter, rtol):
     g_prev = None
     it = 0
     for it in range(1, max_iter + 1):
-        R, gR, _ = _ratio_and_grad(op, u, p, eps_g, eps_u)
+        R, _, gR = yield u, eps_g, True
         gnorm2 = float(gR @ gR)
         if gnorm2 == 0.0:
             resid = 0.0
@@ -384,7 +488,7 @@ def _descend(op, u0, p, eps_g, eps_u, max_iter, rtol):
         st = step
         for _ in range(50):
             cand = u - st * gR
-            Rc, Nuc, _ = _ratio(op, cand, p, eps_g, eps_u)
+            Rc, Nuc, _ = yield cand, eps_g, False
             if Rc <= R - 1e-4 * st * gnorm2:
                 u = cand / Nuc
                 R = Rc
@@ -401,6 +505,27 @@ def _descend(op, u0, p, eps_g, eps_u, max_iter, rtol):
             if resid <= rtol:
                 break
     return best, u, it, resid
+
+
+def _trajectory(op: GradientOperator, u0: np.ndarray, p: float, eps_u: float, tol: float):
+    """One start's descent, as a generator of ``_descend`` requests: stages
+    that anneal the gradient-magnitude smoothing geometrically from the
+    start field's RMS gradient down to the kink scale, then the polish at
+    the declared smoothing.  Returns the best ratio over all stages, the
+    polish's residual and the iterations used."""
+    un = u0 / max(lp_norm(u0, p, op.raster), 1e-300)
+    g0 = op.apply(un)
+    eps_g = float(np.sqrt(np.mean(np.sum(g0 * g0, axis=0)))) or 1.0
+    u = u0
+    best = math.inf
+    total_it = 0
+    while eps_g > 10.0 * eps_u:
+        b, u, it, _ = yield from _descend(u, eps_g, _STAGE_ITER, 1e-8)
+        best = min(best, b)
+        total_it += it
+        eps_g *= 0.3
+    b, u, it, resid = yield from _descend(u, eps_u, _FINAL_ITER, tol)
+    return min(best, b), resid, total_it + it
 
 
 def poincare_general_p(
@@ -422,6 +547,15 @@ def poincare_general_p(
     constant is a certified lower bound for the discrete supremum.
     A spread above 5 percent between restart outcomes is flagged as
     stagnation (reported, not fatal).
+
+    The starts advance in lockstep.  Each start is a ``_trajectory``
+    generator that yields its ratio requests; each tick stacks the pending
+    request of every unfinished trajectory into one batch, gradient
+    requests first, answers them with one ``_RatioBatch.ratio_and_grad``
+    pass and sends every trajectory its own row.  Every trajectory still
+    runs exactly its own floating-point operations in its own order, so
+    the result equals that of running the starts one after another, and
+    a tick costs about as many numpy calls as one start's step.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
@@ -436,27 +570,29 @@ def poincare_general_p(
     eig = poincare_p2(raster, tol=min(1e-6, tol))
     starts.append(eig.eigenvector.copy())
 
-    finals = []
+    trajectories = [_trajectory(op, u0, p, eps_u, tol) for u0 in starts]
+    batch = _RatioBatch(op, p, eps_u, rows=len(trajectories))
+    pending = {i: next(t) for i, t in enumerate(trajectories)}
+    outcomes = [None] * len(trajectories)
+    while pending:
+        live = sorted(pending, key=lambda i: not pending[i][2])
+        k = sum(pending[i][2] for i in live)
+        U = np.stack([pending[i][0] for i in live])
+        eps_g = np.array([pending[i][1] for i in live])
+        R, gradR, Nu = batch.ratio_and_grad(U, eps_g, k)
+        for j, i in enumerate(live):
+            try:
+                pending[i] = trajectories[i].send((R[j], Nu[j], gradR[j] if j < k else None))
+            except StopIteration as done:
+                outcomes[i] = done.value
+                del pending[i]
+
+    finals = [ratio for ratio, _, _ in outcomes]
     best_R = math.inf
     best_resid = 1.0
-    total_it = 0
-    for u0 in starts:
-        un = u0 / max(lp_norm(u0, p, raster), 1e-300)
-        g0 = op.apply(un)
-        eps_g = float(np.sqrt(np.mean(np.sum(g0 * g0, axis=0)))) or 1.0
-        u = u0.copy()
-        best_stage = math.inf
-        while eps_g > 10.0 * eps_u:
-            b, u, it, _ = _descend(op, u, p, eps_g, eps_u, _STAGE_ITER, 1e-8)
-            best_stage = min(best_stage, b)
-            total_it += it
-            eps_g *= 0.3
-        b, u, it, resid = _descend(op, u, p, eps_u, eps_u, _FINAL_ITER, tol)
-        total_it += it
-        R = min(best_stage, b)
-        finals.append(R)
-        if R < best_R:
-            best_R, best_resid = R, resid
+    for ratio, resid, _ in outcomes:
+        if ratio < best_R:
+            best_R, best_resid = ratio, resid
     spread = (max(finals) - min(finals)) / max(min(finals), 1e-300)
     stagnation = spread > 0.05
     if stagnation:
@@ -467,7 +603,7 @@ def poincare_general_p(
         p=float(p),
         constant=1.0 / best_R,
         method="rayleigh-descent",
-        iterations=total_it,
+        iterations=sum(it for _, _, it in outcomes),
         residual=best_resid,
         tol=tol,
         h=raster.h,

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ def test_neq_rewritten_as_square_positivity():
 def test_degree_limit():
     with pytest.raises(DegreeLimitError):
         parse_domain("dim 1\nbox [0,1]\nset: x^13 - 1 < 0\n")
+    # an over-cap power is rejected before it is expanded
+    for term in ("x^100000000", "(x+y+1)^80", "(x^7)^2"):
+        start = time.perf_counter()
+        with pytest.raises(DegreeLimitError):
+            parse_domain(f"dim 2\nbox [0,1]x[0,1]\nset: {term} > 0\n")
+        assert time.perf_counter() - start < 1.0
+    # constant bases carry no degree, whatever the exponent
+    spec = parse_domain("dim 1\nbox [0,1]\nset: 2^64 * x - 1 > 0\n")
+    assert member(spec, (), (0.5,)) and not member(spec, (), (2.0**-65,))
 
 
 def test_missing_box():

@@ -33,6 +33,8 @@ from poincare_lab.errors import (
 )
 from poincare_lab.raster import RasterDomain
 
+BALL = "dim 3\nbox [-1.5,1.5]x[-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 - z^2 > 0\n"
+
 
 @pytest.fixture(scope="module")
 def single_cell(specs):
@@ -146,9 +148,7 @@ def _reference_difference_matrices(raster):
     [("interval", (), 64), ("disk", (), 25), ("cusp", (0.5,), 65), ("ball", (), 25)],
 )
 def test_stencils_match_sparse_reference(specs, name, t, res):
-    spec = specs.get(name) or parse_domain(
-        "dim 3\nbox [-1.5,1.5]x[-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 - z^2 > 0\n"
-    )
+    spec = specs.get(name) or parse_domain(BALL)
     r = rasterize(spec, t, res)
     op = build_gradient(r)
     mats = _reference_difference_matrices(r)
@@ -165,6 +165,16 @@ def test_stencils_match_sparse_reference(specs, name, t, res):
         assert g[ax].tobytes() == np.diff(full, axis=ax, append=0.0).tobytes()
         assert op.apply_axis(u, ax).tobytes() == g[ax].tobytes()
     assert np.array_equal(op.apply_transpose(c), sum(m.T @ ci for m, ci in zip(mats, c)))
+    # a leading batch axis runs every row through the same operations
+    U = rng.normal(size=(3, r.interior_count))
+    C = rng.normal(size=(3,) + c.shape)
+    rows = np.stack([op.apply(u) for u in U])
+    assert op.apply(U).tobytes() == rows.tobytes()
+    rows = np.stack([op.apply_transpose(ci) for ci in C])
+    assert op.apply_transpose(C).tobytes() == rows.tobytes()
+    for ax in range(r.dim):
+        rows = np.stack([op.apply_axis(u, ax) for u in U])
+        assert op.apply_axis(U, ax).tobytes() == rows.tobytes()
     ref = sum((m.T @ m).tocsr() for m in mats).tocsr()
     A = op.laplacian()
     ref.sort_indices()
@@ -266,20 +276,47 @@ def test_p2_divergence_attaches_estimate(disk128):
 # -- general p descent ---------------------------------------------------------
 
 
+def _reference_ratio_and_grad(op, u, p, eps_g, eps_u):
+    """The smoothed ratio, its gradient and ||u||_p of one field, written
+    out on the unbatched operator."""
+    h_w = op.h**op.raster.dim
+    g = op.apply(u)
+    m2 = (g * g).sum(axis=0) + eps_g * eps_g
+    Ng = (float((m2 ** (p / 2.0)).sum()) * h_w) ** (1.0 / p)
+    u2 = u * u + eps_u * eps_u
+    Nu = (float((u2 ** (p / 2.0)).sum()) * h_w) ** (1.0 / p)
+    R = Ng / Nu
+    dNg = op.apply_transpose(g * m2 ** (p / 2.0 - 1.0)) * (h_w * Ng ** (1.0 - p))
+    dNu = u * u2 ** (p / 2.0 - 1.0) * (h_w * Nu ** (1.0 - p))
+    return R, (dNg - R * dNu) / Nu, Nu
+
+
 @pytest.mark.parametrize("name,res", [("interval", 16), ("disk", 13), ("ball", 8)])
 def test_value_only_ratio_matches_ratio_and_grad(specs, name, res):
-    spec = specs.get(name) or parse_domain(
-        "dim 3\nbox [-1.5,1.5]x[-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 - z^2 > 0\n"
-    )
-    r = rasterize(spec, (), res)
+    # a batch of k rows, the first k_grad asking for the gradient, equals
+    # k single-row calls and the one-field reference, bit for bit
+    r = rasterize(specs.get(name) or parse_domain(BALL), (), res)
     op = build_gradient(r)
-    u = np.random.default_rng(res).normal(size=r.interior_count)
+    eps_u = 1e-9 * r.h
+    rng = np.random.default_rng(res)
     for p in (1.0, 1.5, 3.0):
-        for eps_g in (1e-9 * r.h, 0.5):
-            R, Nu, _ = sobolev._ratio(op, u, p, eps_g, 1e-9 * r.h)
-            R_ref, _, Nu_ref = sobolev._ratio_and_grad(op, u, p, eps_g, 1e-9 * r.h)
-            assert R == R_ref
-            assert Nu == Nu_ref
+        batch = sobolev._RatioBatch(op, p, eps_u, rows=9)
+        for k, k_grad in ((1, 0), (1, 1), (3, 2), (9, 4)):
+            U = rng.normal(size=(k, r.interior_count))
+            eps_g = rng.choice([eps_u, 1e-3, 0.5], size=k)
+            R, gradR, Nu = batch.ratio_and_grad(U, eps_g, k_grad)
+            assert len(R) == len(Nu) == k
+            assert (gradR is None) == (k_grad == 0)
+            R_val, Nu_val, _ = batch.ratio(U, eps_g)
+            assert R_val == R and Nu_val == Nu
+            for i in range(k):
+                R1, g1, Nu1 = batch.ratio_and_grad(U[i : i + 1].copy(), eps_g[i : i + 1], 1)
+                R_ref, g_ref, Nu_ref = _reference_ratio_and_grad(op, U[i], p, eps_g[i], eps_u)
+                assert R[i] == R1[0] == R_ref
+                assert Nu[i] == Nu1[0] == Nu_ref
+                assert g1[0].tobytes() == g_ref.tobytes()
+                if i < k_grad:
+                    assert gradR[i].tobytes() == g_ref.tobytes()
 
 
 # Exact outputs of the descent: a change that alters its numerics on purpose
@@ -296,10 +333,19 @@ def test_value_only_ratio_matches_ratio_and_grad(specs, name, res):
             "square", 17, 3.0,
             ("0x1.110fbb6daa69ep-2", 10301, "0x0.0p+0", "0x1.110fbb6daa69ep-53"),
         ),
+        (
+            "ball", 8, 3.0,
+            ("0x1.c60f5c316ee14p-2", 7371, "0x1.c60f5c316ee14p-53", "0x1.c60f5c316ee14p-53"),
+        ),
+        (
+            "two_disks", 9, 1.5,
+            ("0x1.3dc4bf608b695p-2", 9206, "0x1.a76ecb8385c4bp-42", "0x1.5e0fd99bef004p-31"),
+        ),
     ],
 )
 def test_general_p_golden_bits(specs, name, res, p, bits):
-    est = poincare_general_p(rasterize(specs[name], (), res), p, seed=0)
+    spec = specs.get(name) or parse_domain(BALL)
+    est = poincare_general_p(rasterize(spec, (), res), p, seed=0)
     assert (est.constant.hex(), est.iterations, est.residual.hex(), est.spread.hex()) == bits
 
 

@@ -5,8 +5,12 @@ trace, raster.  Every run writes ``report.json`` (and command-specific
 side files with stable names) under ``--out``; the exit code is a pure
 function of the report's ``status`` field: 0 = all checks passed,
 1 = a check failed, 2 = usage or parse error, 3 = solver failure.
-All numeric defaults live in the DEFAULTS block below; flags override
-them one-to-one, and ``--seed 0 --jobs 1`` runs are byte-reproducible.
+Each command returns its status and results as plain values; ``main``
+alone adds the ``command`` and ``error`` keys, turns exceptions into
+error reports, and encodes the whole report once with
+``harness.jsonable``.  All numeric defaults live in the DEFAULTS block
+below; flags override them one-to-one, and ``--seed 0 --jobs 1`` runs
+are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from .errors import (
     SpecError,
 )
 from .harness import (
-    _finite_or_none,
     fibers_csv_text,
     grid_points,
+    jsonable,
     plot_data_texts,
     sweep,
     unit_direction,
@@ -94,10 +98,17 @@ def _load_spec(path_or_name: str):
         return parse_domain(Path(str(corpus_path(path_or_name))).read_text())
     raise FileNotFoundError(f"spec file not found: {path_or_name}")
 
+
 def _parse_t(text: str | None) -> tuple:
     if not text:
         return ()
     return tuple(float(v) for v in text.split(","))
+
+
+def _fiber(args):
+    """The spec and the checked parameter tuple of a single-fiber command."""
+    spec = _load_spec(args.spec)
+    return spec, spec.check_params(_parse_t(args.t))
 
 
 def _parse_t_list(text: str) -> list:
@@ -205,25 +216,6 @@ def _build_parser():
     return ap
 
 
-# ---------------------------------------------------------------------------
-# serialization helpers
-# ---------------------------------------------------------------------------
-
-
-def _safe(v):
-    if isinstance(v, float):
-        return _finite_or_none(v)
-    if isinstance(v, dict):
-        return {k: _safe(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_safe(x) for x in v]
-    return v
-
-
-def _record_dict(rec) -> dict:
-    return {"kind": rec.kind, "passed": rec.passed, "data": _safe(rec.data)}
-
-
 def canonical_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -234,8 +226,7 @@ def canonical_json(report: dict) -> str:
 
 
 def _cmd_check(args):
-    spec = _load_spec(args.spec)
-    t = spec.check_params(_parse_t(args.t))
+    spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
     dir_text = args.dir if args.dir is not None else f"e{spec.ambient_dim}"
     parsed = _parse_direction(dir_text)
@@ -246,28 +237,24 @@ def _cmd_check(args):
         lam = rep.direction
     else:
         lam = unit_direction(spec.ambient_dim, parsed)
-    checks = []
-    bound = verify_thickness_bound(
-        spec, t, raster, args.p, lam, step=args.step, tol=args.tol, seed=args.seed
-    )
-    checks.append(_record_dict(bound))
-    for axis in range(spec.ambient_dim):
-        rec = discrete_column_inequality(
-            raster, axis, args.p, trials=args.trials, seed=args.seed
+    checks = [
+        verify_thickness_bound(
+            spec, t, raster, args.p, lam, step=args.step, tol=args.tol, seed=args.seed
         )
-        checks.append(_record_dict(rec))
-    status = "ok" if all(c["passed"] for c in checks) else "fail"
+    ]
+    for axis in range(spec.ambient_dim):
+        checks.append(
+            discrete_column_inequality(raster, axis, args.p, trials=args.trials, seed=args.seed)
+        )
     report = {
-        "command": "check",
         "domain": print_domain(spec),
-        "t": [float(v) for v in t],
+        "t": t,
         "p": args.p,
         "resolution": args.res,
-        "direction": [float(v) for v in lam],
+        "direction": lam,
         "seed": args.seed,
-        "checks": checks,
-        "status": status,
-        "error": None,
+        "checks": [vars(c) for c in checks],
+        "status": "ok" if all(c.passed for c in checks) else "fail",
     }
     return report, {}
 
@@ -297,12 +284,7 @@ def _sweep_files(rep):
 def _cmd_sweep(args):
     spec = _load_spec(args.spec)
     rep = _sweep_report(args, spec, args.res)
-    report = {
-        "command": "sweep",
-        "sweep": rep.to_json_dict(),
-        "status": "ok" if rep.all_passed else "fail",
-        "error": None,
-    }
+    report = {"sweep": rep.to_json_dict(), "status": "ok" if rep.all_passed else "fail"}
     return report, _sweep_files(rep)
 
 
@@ -310,7 +292,7 @@ def _cmd_lemma(args):
     spec = _load_spec(args.spec)
     rep = _sweep_report(args, spec, args.res)
     try:
-        check = _record_dict(verify_thickness_volume_bound(rep, K=args.K))
+        check = vars(verify_thickness_volume_bound(rep, K=args.K))
         status = "ok" if (check["passed"] and rep.all_passed) else "fail"
     except NotApplicableError as exc:
         check = {
@@ -319,13 +301,7 @@ def _cmd_lemma(args):
             "data": {"not_applicable": str(exc)},
         }
         status = "fail"
-    report = {
-        "command": "lemma",
-        "sweep": rep.to_json_dict(),
-        "check": check,
-        "status": status,
-        "error": None,
-    }
+    report = {"sweep": rep.to_json_dict(), "check": check, "status": status}
     return report, _sweep_files(rep)
 
 
@@ -338,18 +314,15 @@ def _cmd_uniform(args):
     trend = verify_uniform_trend(reps)
     status = "ok" if (trend.passed and all(r.all_passed for r in reps)) else "fail"
     report = {
-        "command": "uniform",
         "sweeps": [r.to_json_dict() for r in reps],
-        "trend": _record_dict(trend),
+        "trend": vars(trend),
         "status": status,
-        "error": None,
     }
     return report, _sweep_files(reps[-1])
 
 
 def _cmd_thickness(args):
-    spec = _load_spec(args.spec)
-    t = spec.check_params(_parse_t(args.t))
+    spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
     lam = unit_direction(spec.ambient_dim, _parse_direction(args.dir))
     step = args.step if args.step is not None else (raster.h / 4.0 if not raster.empty else None)
@@ -359,18 +332,16 @@ def _cmd_thickness(args):
         for a in range(spec.ambient_dim)
     }
     report = {
-        "command": "thickness",
         "domain": print_domain(spec),
-        "t": [float(v) for v in t],
-        "direction": [float(v) for v in lam],
+        "t": t,
+        "direction": lam,
         "resolution": args.res,
-        "thickness": _safe(float(T)),
-        "unbounded": bool(math.isinf(T)),
+        "thickness": T,
+        "unbounded": math.isinf(T),
         "discrete": discrete,
-        "empty": bool(raster.empty),
+        "empty": raster.empty,
         "seed": args.seed,
         "status": "ok",
-        "error": None,
     }
     return report, {}
 
@@ -385,24 +356,20 @@ def _cmd_regdir(args):
         count=args.samples,
     )
     report = {
-        "command": "regdir",
         "domain": print_domain(spec),
         "seed": args.seed,
         "search": rep.to_json_dict(),
         "status": "ok" if rep.found else "fail",
-        "error": None,
     }
     return report, {}
 
 
 def _cmd_cells(args):
-    spec = _load_spec(args.spec)
-    t = spec.check_params(_parse_t(args.t))
+    spec, t = _fiber(args)
     complex_ = cell_decompose_2d(spec, t, samples_per_column=args.samples_per_column)
     raw_count = complex_.inside_cell_count()
     merged = complex_ if args.no_merge else merge_vertical(complex_)
     report = {
-        "command": "cells",
         "domain": print_domain(spec),
         "seed": args.seed,
         "inside_cells_raw": raw_count,
@@ -411,41 +378,35 @@ def _cmd_cells(args):
         "volume_estimate": merged.inside_volume(),
         "decomposition": merged.to_json_dict(),
         "status": "ok",
-        "error": None,
     }
     return report, {"cells.dot": merged.to_dot() + "\n"}
 
 
 def _cmd_trace(args):
-    spec = _load_spec(args.spec)
-    t = spec.check_params(_parse_t(args.t))
+    spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
     rep = trace_ratio_battery(
         raster, args.p, battery=args.battery, doubling=not args.no_doubling
     )
-    status = "ok" if rep.stable is not False else "fail"
     report = {
-        "command": "trace",
         "domain": print_domain(spec),
-        "t": [float(v) for v in t],
+        "t": t,
         "p": args.p,
         "resolution": args.res,
         "battery": rep.battery,
-        "ratios": {k: _safe(float(v)) for k, v in rep.ratios.items()},
-        "supremum": _safe(float(rep.supremum)),
-        "doubled_supremum": _safe(rep.doubled_supremum),
+        "ratios": rep.ratios,
+        "supremum": rep.supremum,
+        "doubled_supremum": rep.doubled_supremum,
         "stable": rep.stable,
         "h": rep.h,
         "seed": args.seed,
-        "status": status,
-        "error": None,
+        "status": "ok" if rep.stable is not False else "fail",
     }
     return report, {}
 
 
 def _cmd_raster(args):
-    spec = _load_spec(args.spec)
-    t = spec.check_params(_parse_t(args.t))
+    spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
     out = Path(args.out)
     written = ["mask.bin", "mask.json"]
@@ -454,18 +415,16 @@ def _cmd_raster(args):
         write_pgm(raster, out / "mask.pgm")
         written.append("mask.pgm")
     report = {
-        "command": "raster",
         "domain": print_domain(spec),
-        "t": [float(v) for v in t],
+        "t": t,
         "resolution": args.res,
         "h": raster.h,
-        "empty": bool(raster.empty),
+        "empty": raster.empty,
         "volume": volume(raster),
-        "interior_cells": int(raster.interior.sum()),
+        "interior_cells": raster.interior_count,
         "files": sorted(written),
         "seed": args.seed,
         "status": "ok",
-        "error": None,
     }
     return report, {}
 
@@ -483,14 +442,6 @@ _COMMANDS = {
 }
 
 
-def _error_report(command: str, status: str, exc: Exception) -> dict:
-    return {
-        "command": command,
-        "status": status,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -500,14 +451,22 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict = {}
+    error = None
     try:
         report, files = _COMMANDS[args.command](args)
     except SolverDivergedError as exc:
-        report = _error_report(args.command, "solver_error", exc)
-    except (SpecError, ParamOutOfRangeError, FileNotFoundError, ValueError) as exc:
-        report = _error_report(args.command, "usage_error", exc)
+        report, error = {"status": "solver_error"}, exc
+    except (
+        SpecError, ParamOutOfRangeError, FileNotFoundError, ValueError, NotImplementedError
+    ) as exc:
+        report, error = {"status": "usage_error"}, exc
     except PoincareLabError as exc:
-        report = _error_report(args.command, "fail", exc)
+        report, error = {"status": "fail"}, exc
+    report["command"] = args.command
+    report["error"] = (
+        None if error is None else {"type": type(error).__name__, "message": str(error)}
+    )
+    report = jsonable(report)
     (out_dir / "report.json").write_text(canonical_json(report))
     for name, text in files.items():
         (out_dir / name).write_text(text)

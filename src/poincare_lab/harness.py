@@ -7,7 +7,8 @@ aborting on a fiber failure, and aggregates the two family ratios:
 sup_t C_p / vol^{1/n} and sup_t thickness / vol^{1/n}.  On top of the
 report sit two checks: the thickness-volume ratio against a margin-derived
 sufficient constant, and the stability of the constant ratio under grid
-refinement.
+refinement.  ``jsonable`` is the one encoder for report values: the
+records and checks here and the CLI's reports pass through it.
 """
 
 from __future__ import annotations
@@ -26,11 +27,20 @@ from .sobolev import CheckRecord, verify_thickness_bound
 from .tangent import find_regular_direction, margin, sample_boundary
 
 
-def _finite_or_none(v):
-    if v is None:
+def jsonable(value):
+    """JSON-ready copy of a report value: non-finite floats become None,
+    tuples and arrays become lists, numpy scalars become Python scalars."""
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
         return None
-    v = float(v)
-    return v if math.isfinite(v) else None
+    return value
 
 
 @dataclass(frozen=True)
@@ -52,18 +62,7 @@ class FiberRecord:
         return self.thickness is not None and math.isinf(self.thickness)
 
     def to_json_dict(self):
-        return {
-            "t": [float(v) for v in self.t],
-            "empty": self.empty,
-            "volume": _finite_or_none(self.volume),
-            "thickness": _finite_or_none(self.thickness),
-            "unbounded": self.unbounded,
-            "constant": _finite_or_none(self.constant),
-            "bound": _finite_or_none(self.bound),
-            "slack": _finite_or_none(self.slack),
-            "passed": self.passed,
-            "error": self.error,
-        }
+        return jsonable(dict(vars(self), unbounded=self.unbounded))
 
 
 @dataclass(frozen=True)
@@ -91,26 +90,13 @@ class SweepReport:
         )
 
     def to_json_dict(self):
-        return {
-            "domain": self.domain,
-            "dim": self.dim,
-            "p": float(self.p),
-            "resolution": self.resolution,
-            "direction": [float(v) for v in self.direction],
-            "direction_mode": self.direction_mode,
-            "alpha": float(self.alpha),
-            "seed": self.seed,
-            "records": [r.to_json_dict() for r in self.records],
-            "sup_constant_ratio": _finite_or_none(self.sup_constant_ratio),
-            "sup_thickness_ratio": _finite_or_none(self.sup_thickness_ratio),
-            "worst_constant_t": None
-            if self.worst_constant_t is None
-            else [float(v) for v in self.worst_constant_t],
-            "worst_thickness_t": None
-            if self.worst_thickness_t is None
-            else [float(v) for v in self.worst_thickness_t],
-            "all_passed": self.all_passed,
-        }
+        return jsonable(
+            dict(
+                vars(self),
+                records=[r.to_json_dict() for r in self.records],
+                all_passed=self.all_passed,
+            )
+        )
 
 
 def grid_points(spec: DomainSpec, counts) -> list:
@@ -323,17 +309,17 @@ def verify_thickness_volume_bound(
     return CheckRecord(
         kind="thickness-volume-bound",
         passed=bool(k_star <= k_used),
-        data={
-            "empirical_sup": k_star,
-            "worst_t": None
-            if report.worst_thickness_t is None
-            else [float(v) for v in report.worst_thickness_t],
-            "alpha": report.alpha,
-            "lipschitz_bound": _finite_or_none(L),
-            "sufficient_K": _finite_or_none(k_sufficient),
-            "K": k_used if K is not None else None,
-            "direction": [float(v) for v in report.direction],
-        },
+        data=jsonable(
+            {
+                "empirical_sup": k_star,
+                "worst_t": report.worst_thickness_t,
+                "alpha": report.alpha,
+                "lipschitz_bound": L,
+                "sufficient_K": k_sufficient,
+                "K": K,
+                "direction": report.direction,
+            }
+        ),
     )
 
 
@@ -353,30 +339,24 @@ def verify_uniform_trend(reports) -> CheckRecord:
         raise ValueError("resolutions must be distinct")
     values = [r.sup_constant_ratio for r in reports]
     if any(v is None for v in values):
-        return CheckRecord(
-            kind="uniform-trend",
-            passed=False,
-            data={
-                "resolutions": resolutions,
-                "values": [_finite_or_none(v) for v in values],
-                "finest_increase": None,
-                "asymptote": None,
-                "inconclusive": True,
-            },
-        )
-    increase = (values[-1] - values[-2]) / values[-2]
-    passed = increase <= 0.10
-    asymptote = 2.0 * values[-1] - values[-2]
+        increase = asymptote = None
+        passed = False
+    else:
+        increase = (values[-1] - values[-2]) / values[-2]
+        asymptote = 2.0 * values[-1] - values[-2]
+        passed = bool(increase <= 0.10)
     return CheckRecord(
         kind="uniform-trend",
-        passed=bool(passed),
-        data={
-            "resolutions": resolutions,
-            "values": [float(v) for v in values],
-            "finest_increase": float(increase),
-            "asymptote": float(asymptote),
-            "inconclusive": not passed,
-        },
+        passed=passed,
+        data=jsonable(
+            {
+                "resolutions": resolutions,
+                "values": values,
+                "finest_increase": increase,
+                "asymptote": asymptote,
+                "inconclusive": not passed,
+            }
+        ),
     )
 
 

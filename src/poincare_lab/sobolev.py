@@ -21,7 +21,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .dsl import DomainSpec
 from .errors import (
@@ -192,13 +191,16 @@ class GradientOperator:
         """Adjoint of ``apply``: full-grid components to interior values."""
         return self._adjoint(np.moveaxis(np.asarray(comps), -2, 0))
 
-    def laplacian(self) -> sparse.csr_matrix:
-        """grad^T grad on interior cells: the Dirichlet difference Laplacian.
+    def laplacian(self):
+        """grad^T grad on interior cells, as a CSR matrix: the Dirichlet
+        difference Laplacian.
 
         The diagonal is 2 * dim / h^2 for every cell, since both neighbours
         along each axis enter the differences whether inside or not; each
         pair of face-adjacent interior cells adds -1/h^2 off the diagonal.
         """
+        from scipy import sparse  # deferred: slow to import
+
         r = self.raster
         inv_h = 1.0 / r.h
         n = r.interior_count
@@ -233,8 +235,8 @@ def lp_norm(arr, p: float, raster: RasterDomain) -> float:
     """L^p norm with cell-volume weights.  1D arrays are scalar fields;
     2D arrays (components, cells) are vector fields measured with the
     per-cell euclidean magnitude."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     if isinstance(arr, DiscreteField):
         arr = arr.values
     a = np.asarray(arr, dtype=np.float64)
@@ -315,6 +317,8 @@ def poincare_p2(
     deterministic all-ones start vector.  The final eigenvalue is the
     Rayleigh quotient of the returned eigenvector.
     """
+    from scipy import sparse  # deferred: slow to import
+
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
     op = build_gradient(raster)
@@ -559,8 +563,8 @@ def poincare_general_p(
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     op = build_gradient(raster)
     eps_u = 1e-9 * raster.h
     rng = np.random.default_rng(seed)

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -334,3 +337,219 @@ def test_defaults_complete():
         "grid", "samples_per_column", "trials", "p",
     }
     assert set(DEFAULTS) == expected
+
+
+# Exit code and sha256 of every output file, per command, at --seed 0
+# --jobs 1.  The first nine are the acceptance suite's determinism commands;
+# the rest reach the report's null, empty, not-applicable and error paths.
+GOLDEN = {
+    "check": (
+        ["check", "--spec", "disk", "--p", "2", "--res", "64"],
+        0,
+        {
+            "report.json": "1ca7266e73fdcf1b733f8d3c19c0188acec48345b69f22befaae17196c6b717e",
+        },
+    ),
+    "sweep": (
+        ["sweep", "--spec", "cusp", "--grid", "3", "--p", "2", "--res", "64", "--dir", "0,1"],
+        0,
+        {
+            "fibers.csv": "feb037c427d8b325e1d6947ff7e00f1de6d7f02d1e9fd9c06a314913a76bf66a",
+            "plot_cp.dat": "bf7a5eb2f21842540e9ea370b67fb02d1d656aac4c45bc3e4d188004e2614391",
+            "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
+            "report.json": "21d6d7191cc26085534d2e6a0e31866e2314e37e83a6c41900d5517ea8290105",
+        },
+    ),
+    "lemma": (
+        ["lemma", "--spec", "cusp", "--grid", "3", "--res", "64", "--dir", "0,1"],
+        0,
+        {
+            "fibers.csv": "feb037c427d8b325e1d6947ff7e00f1de6d7f02d1e9fd9c06a314913a76bf66a",
+            "plot_cp.dat": "bf7a5eb2f21842540e9ea370b67fb02d1d656aac4c45bc3e4d188004e2614391",
+            "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
+            "report.json": "132cb9edde7050c2cd2f635468d7e15e75ce1ec85d9e9a62307cf0e3e7513688",
+        },
+    ),
+    "uniform": (
+        ["uniform", "--spec", "cusp", "--grid", "3", "--res", "48,96", "--dir", "0,1"],
+        0,
+        {
+            "fibers.csv": "dbb5aec749ed63f63f49fb53e341d09973025130c9a3aecb165806d874f2d4c5",
+            "plot_cp.dat": "93950c73ca3a66fc783c9259fca4d60cf0b5ece73f12cb90fb9798518f0da7b1",
+            "plot_ratio.dat": "e4e25ded80640b3ef3008065059eed8dd081aa9f594192806c1e13de2a196de3",
+            "report.json": "44840eda87d7cbf942b49efbd056957478115ade9d080949a341b47c7e235211",
+        },
+    ),
+    "thickness": (
+        ["thickness", "--spec", "disk", "--dir", "0,1", "--res", "64"],
+        0,
+        {
+            "report.json": "a59141b65e33ed42f6bc08ce322e320caa219386ee745eccbee319fbf218c33c",
+        },
+    ),
+    "regdir": (
+        ["regdir", "--spec", "cusp", "--grid", "3"],
+        0,
+        {
+            "report.json": "2003bef5a541bda0442438b800d84e34426df1200585f88f0b7ccfcf3a075d49",
+        },
+    ),
+    "cells": (
+        ["cells", "--spec", "annulus"],
+        0,
+        {
+            "cells.dot": "8e85e28001c646f1421bddabf226734bb71c892cff740a7433ad0b4a343331a4",
+            "report.json": "8556b1f468523c52f23ab70c3647e0102d7471feb7bb787e3203ecc2aacb95bc",
+        },
+    ),
+    "trace": (
+        ["trace", "--spec", "disk", "--res", "64"],
+        0,
+        {
+            "report.json": "6466303dbbf301c1b9f8a01b06ca46c53116e7eec5ef5f0f333c97c5654731ac",
+        },
+    ),
+    "raster": (
+        ["raster", "--spec", "disk", "--res", "64"],
+        0,
+        {
+            "mask.bin": "fa443cf5841ee8e4efae5e427e265ef7fd7edfcfc321b2bdfdd8a75df0f3a906",
+            "mask.json": "5754e7092ad0e63a2ccaa6508855202eea7bcf130fbf6307751e75a8b978149f",
+            "mask.pgm": "caf539cde8410e3812d92329fc3ec2b5d622964b4ad83f80edd37b6686d35a73",
+            "report.json": "f33aac780b767d44fabd9e99347517dea30a4b0c0066a5c483793fb1f27b7e58",
+        },
+    ),
+    "thickness-unbounded": (
+        ["thickness", "--spec", "strip", "--dir", "e1", "--res", "64"],
+        0,
+        {
+            "report.json": "8889ebe35a6a4c7c3cd69595e35257020375cdcd9c60c22de28e4d4067402da3",
+        },
+    ),
+    "sweep-unbounded": (
+        ["sweep", "--spec", "strip", "--res", "32", "--dir", "e1", "--samples", "512"],
+        1,
+        {
+            "fibers.csv": "affbbb7d7cb03f1ae9667e5f9f7ced9dc6559b6700acdc0ac581a4753c8a777b",
+            "plot_cp.dat": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "plot_ratio.dat": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "report.json": "6688e0eca7c5c39bdf2a0794c3b5c96f2e82db5702820a580dc0e3c1bbac2258",
+        },
+    ),
+    "sweep-empty-fibers": (
+        ["sweep", "--spec", "shrink_disk", "--ts", "0;0.25;0.6", "--res", "32",
+         "--dir", "e1", "--samples", "512"],
+        0,
+        {
+            "fibers.csv": "313be7cc9310432310e519a2fabfa2d56289dacbaa9a7049a6b3e2b6a9703a13",
+            "plot_cp.dat": "42d6ce78a79a74cc9024a36062967c638f74515ee667fe73c56581f4e01490a9",
+            "plot_ratio.dat": "7400eb72c99cd34e28691ac6bd99634563e14f8428e6cc64481136e6d0bdd39b",
+            "report.json": "3d110e14176911c2d571af4489b6ba977d1968615920821fbd34ffd79ef4859d",
+        },
+    ),
+    "lemma-not-applicable": (
+        ["lemma", "--spec", "shrink_disk", "--ts", "0.1", "--res", "32",
+         "--dir", "e1", "--samples", "512"],
+        1,
+        {
+            "fibers.csv": "2a64ddc52d4eec432f6c2ce60f14eaf473fc1d77069c81466c4d02b549102191",
+            "plot_cp.dat": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "plot_ratio.dat": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "report.json": "6dd4a4f27fa413088bd3a4b22a34333653d352c17bb37f4dee4dab9b7dc2617d",
+        },
+    ),
+    "cells-no-merge": (
+        ["cells", "--spec", "split_disk", "--no-merge"],
+        0,
+        {
+            "cells.dot": "44d1707ddd50d222fae0156e7ba6c2a759d2d31695bdcaa62d816cbfca8ccfc7",
+            "report.json": "e02cc9f5d867f1822cc03c0676f31a8c30600b2bdbf104d9f84d0ed5f1900aca",
+        },
+    ),
+    "trace-bump": (
+        ["trace", "--spec", "disk", "--res", "32", "--battery", "bump"],
+        0,
+        {
+            "report.json": "800782cdf63bd779cd79faa6dfc4956b7ccc9769a94d194f720ff5921bc8dd29",
+        },
+    ),
+    "trace-1d": (
+        ["trace", "--spec", "interval", "--res", "64"],
+        0,
+        {
+            "report.json": "5fdbe926775dc96adf4ec28b7e8e63eb8119d39c3bb6e521668b16ea6a15e3cb",
+        },
+    ),
+    "check-p3": (
+        ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
+        0,
+        {
+            "report.json": "ebcf4ec89419c680a5b2291c6e90c83bd52e62461a5372a4ef1d651bfb0f16e9",
+        },
+    ),
+    "unknown-spec": (
+        ["check", "--spec", "nosuch"],
+        2,
+        {
+            "report.json": "97e0261e72085fc6a668f8cdc2cc2f27408c8fdc80fa77421b0b709b2c9a7450",
+        },
+    ),
+    "t-out-of-range": (
+        ["check", "--spec", "cusp", "--t", "7.0", "--res", "16"],
+        2,
+        {
+            "report.json": "41f8b49164898588d5e3ac5496cc9bc27d0506a85e7829c5043655018c2cc7a7",
+        },
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::poincare_lab.errors.StratumTooThinWarning")
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_golden_bytes(tmp_path, name):
+    argv, code, digests = GOLDEN[name]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--seed", "0", "--jobs", "1"]) == code
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == digests
+
+
+@pytest.mark.parametrize("command", ["check", "trace"])
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_nonfinite_p_is_usage_error(tmp_path, command, p):
+    code, report, _ = run(tmp_path, command, "--spec", "disk", "--res", "16", "--p", p)
+    assert code == 2
+    assert report["status"] == "usage_error"
+    assert report["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_sweep_nonfinite_p_recorded_per_fiber(tmp_path, p):
+    code, report, _ = run(
+        tmp_path, "sweep", "--spec", "disk", "--res", "16", "--dir", "e2",
+        "--samples", "256", "--p", p,
+    )
+    assert code == 1
+    sw = report["sweep"]
+    assert sw["p"] is None
+    assert [r["error"].split(":")[0] for r in sw["records"]] == ["ValueError"]
+
+
+def test_trace_3d_is_usage_error(tmp_path):
+    ball = tmp_path / "ball.dom"
+    ball.write_text(
+        "dim 3\nbox [-1.5,1.5]x[-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 - z^2 > 0\n"
+    )
+    code, report, _ = run(tmp_path, "trace", "--spec", str(ball), "--res", "8")
+    assert code == 2
+    assert report["status"] == "usage_error"
+    assert report["error"]["type"] == "NotImplementedError"
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, poincare_lab.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

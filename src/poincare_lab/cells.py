@@ -24,7 +24,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from .dsl import DomainSpec
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, jsonable
 
 _CRITICAL_MERGE_TOL = 1e-9
 _SOURCE_MERGE_TOL = 1e-7
@@ -48,12 +48,9 @@ class GraphCell:
     atoms: tuple
 
     def to_json_dict(self):
-        return {
-            "type": "graph",
-            "label": self.label,
-            "atoms": [int(a) for a in self.atoms],
-            "y": [float(v) for v in self.y],
-        }
+        return jsonable(
+            {"type": "graph", "label": self.label, "atoms": self.atoms, "y": self.y}
+        )
 
 
 @dataclass(frozen=True)
@@ -69,12 +66,9 @@ class BandCell:
     label: str
 
     def to_json_dict(self):
-        return {
-            "type": "band",
-            "label": self.label,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
+        return jsonable(
+            {"type": "band", "label": self.label, "lower": self.lower, "upper": self.upper}
+        )
 
 
 @dataclass(frozen=True)
@@ -89,14 +83,13 @@ class Column:
     bands: tuple
 
     def to_json_dict(self):
-        return {
+        return jsonable({
             "kind": self.kind,
-            "x_lo": float(self.x_lo),
-            "x_hi": float(self.x_hi),
-            "x_samples": [float(v) for v in self.x_samples],
-            "cells": [g.to_json_dict() for g in self.graphs]
-            + [b.to_json_dict() for b in self.bands],
-        }
+            "x_lo": self.x_lo,
+            "x_hi": self.x_hi,
+            "x_samples": self.x_samples,
+            "cells": [c.to_json_dict() for c in self.graphs + self.bands],
+        })
 
 
 @dataclass(frozen=True)
@@ -157,14 +150,14 @@ class CellComplex2D:
         return best
 
     def to_json_dict(self):
-        return {
-            "t": [float(v) for v in self.t],
-            "criticals": [float(c) for c in self.criticals],
+        return jsonable({
+            "t": self.t,
+            "criticals": self.criticals,
             "samples_per_column": self.samples_per_column,
             "columns": [c.to_json_dict() for c in self.columns],
             "inside_cells": self.inside_cell_count(),
             "metadata": {"xi_smoothness": "continuous-only, C1 not certified"},
-        }
+        })
 
     def to_dot(self) -> str:
         """Cell adjacency graph: vertical neighbors within a stack plus

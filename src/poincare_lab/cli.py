@@ -5,10 +5,13 @@ trace, raster.  Every run writes ``report.json`` (and command-specific
 side files with stable names) under ``--out``; the exit code is a pure
 function of the report's ``status`` field: 0 = all checks passed,
 1 = a check failed, 2 = usage or parse error, 3 = solver failure.
+``--help`` is the one exception: it prints and exits 0 with no report.
 Each command returns its status and results as plain values; ``main``
 alone adds the ``command`` and ``error`` keys, turns exceptions into
 error reports, and encodes the whole report once with
-``harness.jsonable``.  All numeric defaults live in the DEFAULTS block
+``errors.jsonable``.  ``--out`` is read ahead of the full parse, so an
+argparse error (a flag value that does not parse, an unknown flag) is
+reported there too.  All numeric defaults live in the DEFAULTS block
 below; flags override them one-to-one, and ``--seed 0 --jobs 1`` runs
 are byte-reproducible.
 """
@@ -19,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 from .cells import cell_decompose_2d, merge_vertical
@@ -30,11 +34,11 @@ from .errors import (
     PoincareLabError,
     SolverDivergedError,
     SpecError,
+    jsonable,
 )
 from .harness import (
     fibers_csv_text,
     grid_points,
-    jsonable,
     plot_data_texts,
     sweep,
     unit_direction,
@@ -144,8 +148,29 @@ def _add_common(sp):
     sp.add_argument("--jobs", type=int, default=None, help="worker cap (env POINCARE_LAB_JOBS)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors carry their message as the
+    cause of the ``SystemExit``, so that ``main`` can report them."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit as exc:
+            raise exc from argparse.ArgumentError(None, message)
+
+
+def _out_dir(argv) -> Path:
+    """``--out`` read ahead of the full parse; ``.`` when it cannot be."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--out", default=".")
+    try:
+        return Path(pre.parse_known_args(argv)[0].out)
+    except argparse.ArgumentError:
+        return Path(".")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="poincare-lab", description=__doc__)
+    ap = _Parser(prog="poincare-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check", help="single-fiber bound check plus exact discrete inequality")
@@ -443,17 +468,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    out_dir = _out_dir(argv)
     files: dict = {}
     error = None
     try:
-        report, files = _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.__cause__ is None:  # --help
+            return 0
+        args, report, error = None, {"status": "usage_error"}, exc.__cause__
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        if args is not None:
+            report, files = _COMMANDS[command](args)
     except SolverDivergedError as exc:
         report, error = {"status": "solver_error"}, exc
     except (
@@ -462,7 +491,7 @@ def main(argv=None) -> int:
         report, error = {"status": "usage_error"}, exc
     except PoincareLabError as exc:
         report, error = {"status": "fail"}, exc
-    report["command"] = args.command
+    report["command"] = command
     report["error"] = (
         None if error is None else {"type": type(error).__name__, "message": str(error)}
     )

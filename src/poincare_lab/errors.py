@@ -1,11 +1,33 @@
-"""Shared exception and warning types.
+"""Shared exception and warning types, and the report-value encoder.
 
 Every failure mode that callers are expected to handle gets its own class so
 that the CLI can map errors onto structured report entries and exit codes
-without string matching.
+without string matching.  ``jsonable`` is the one encoder for report values:
+every record, check and report passes through it, so they all turn numpy
+values and non-finite floats into JSON the same way.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def jsonable(value):
+    """JSON-ready copy of a report value: non-finite floats become None,
+    tuples and arrays become lists, numpy scalars become Python scalars."""
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 class PoincareLabError(Exception):

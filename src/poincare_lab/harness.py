@@ -7,8 +7,9 @@ aborting on a fiber failure, and aggregates the two family ratios:
 sup_t C_p / vol^{1/n} and sup_t thickness / vol^{1/n}.  On top of the
 report sit two checks: the thickness-volume ratio against a margin-derived
 sufficient constant, and the stability of the constant ratio under grid
-refinement.  ``jsonable`` is the one encoder for report values: the
-records and checks here and the CLI's reports pass through it.
+refinement.  A sweep checks ``p`` and the family direction once, before
+any fiber runs, so a bad value is one error rather than one per fiber.
+Records and checks are encoded with ``errors.jsonable``.
 """
 
 from __future__ import annotations
@@ -21,26 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import DomainSpec, print_domain
-from .errors import NotApplicableError, PoincareLabError, UnboundedDirectionError
-from .raster import rasterize, volume
-from .sobolev import CheckRecord, verify_thickness_bound
+from .errors import (
+    NotApplicableError,
+    PoincareLabError,
+    UnboundedDirectionError,
+    jsonable,
+)
+from .raster import rasterize, unit_vector, volume
+from .sobolev import CheckRecord, check_p, verify_thickness_bound
 from .tangent import find_regular_direction, margin, sample_boundary
-
-
-def jsonable(value):
-    """JSON-ready copy of a report value: non-finite floats become None,
-    tuples and arrays become lists, numpy scalars become Python scalars."""
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 @dataclass(frozen=True)
@@ -128,14 +118,11 @@ def axis_direction(dim: int, name: str):
 
 
 def unit_direction(dim: int, direction) -> tuple:
-    """Unit vector from an axis name like ``e2`` or a nonzero vector."""
+    """Unit vector from an axis name like ``e2`` or, through
+    ``raster.unit_vector``, from a vector."""
     if isinstance(direction, str):
         return axis_direction(dim, direction)
-    arr = np.asarray(direction, dtype=np.float64)
-    nrm = float(np.linalg.norm(arr))
-    if nrm <= 0:
-        raise ValueError("direction must be a nonzero vector")
-    return tuple(float(v) for v in arr / nrm)
+    return tuple(unit_vector(direction, dim).tolist())
 
 
 def _coarse_subgrid(t_values):
@@ -163,7 +150,7 @@ def resolve_direction(
     sub = _coarse_subgrid(t_values)
     if isinstance(direction, str) and direction.upper() == "AUTO":
         rep = find_regular_direction(spec, sub, directions=dirs, seed=seed, count=count)
-        return tuple(float(v) for v in rep.direction), "auto", float(rep.alpha)
+        return rep.direction, "auto", rep.alpha
     lam = unit_direction(spec.ambient_dim, direction)
     alphas = []
     for t in sub:
@@ -241,9 +228,11 @@ def sweep(
 ) -> SweepReport:
     """Run the per-fiber bound check across a parameter family.
 
-    Records are ordered by lexicographic t.  Per-fiber failures of any
-    kind land in the fiber's record; the sweep itself never aborts.
+    Records are ordered by lexicographic t.  A bad ``p`` or direction is
+    rejected before any fiber runs; after that, per-fiber failures of any
+    kind land in the fiber's record and the sweep itself never aborts.
     """
+    check_p(p)
     t_values = sorted(spec.check_params(t) for t in t_values)
     if not t_values:
         raise ValueError("need at least one parameter value")

@@ -4,8 +4,9 @@ A fiber is rasterized on a uniform grid of cell centers inside the declared
 bounding box.  Interior cells are those whose centers satisfy the membership
 formula, so the raster is an inner approximation of the open set.  On top of
 the raster this module measures volume, directional thickness (longest open
-chord in a given direction), discrete per-axis thickness, and local
-connectivity near a point, and serializes masks for external tools.
+chord in a given direction) and discrete per-axis thickness, and serializes
+masks for external tools.  ``unit_vector`` is the package's one direction
+normaliser: every direction a caller passes in is checked and scaled there.
 
 ``line_crossings`` is the package's one line-march-and-bisect kernel: it
 samples membership along many lines at once and bisects every flip.
@@ -28,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from .dsl import DomainSpec
-from .errors import EmptyFiberError
+from .errors import EmptyFiberError, jsonable
 
 DEFAULT_SEED_RESOLUTION = {1: 1024, 2: 256, 3: 48}
 
@@ -171,13 +172,15 @@ class Chord:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=np.float64)
-        if abs(float(np.linalg.norm(d)) - 1.0) > 1e-12:
+        if not abs(float(np.linalg.norm(d)) - 1.0) <= 1e-12:
             raise ValueError("chord direction must be a unit vector")
         if not (self.length >= 0.0):
             raise ValueError("chord length must be nonnegative")
 
 
-def _unit(direction, dim: int) -> np.ndarray:
+def unit_vector(direction, dim: int) -> np.ndarray:
+    """``direction`` scaled to unit length; rejects a vector with the wrong
+    number of components, a zero vector and a non-finite one."""
     lam = np.asarray(direction, dtype=np.float64).reshape(-1)
     if lam.size != dim:
         raise ValueError(f"direction has {lam.size} components, expected {dim}")
@@ -286,7 +289,7 @@ def longest_chord(spec: DomainSpec, t, direction, step: float | None = None) -> 
     """
     t = spec.check_params(t)
     dim = spec.ambient_dim
-    lam = _unit(direction, dim)
+    lam = unit_vector(direction, dim)
     raster = rasterize(spec, t, DEFAULT_SEED_RESOLUTION[dim])
     if raster.empty:
         raise EmptyFiberError(f"empty fiber at t={list(t)}")
@@ -367,25 +370,6 @@ def thickness_discrete(raster: RasterDomain, axis: int) -> float:
     if starts.size == 0:
         return 0.0
     return float((ends - starts).max()) * raster.h
-
-
-def local_components(raster: RasterDomain, x, eps: float) -> int:
-    """Number of face-connected interior components whose cell centers lie
-    within distance ``eps`` of ``x``.  Requires ``eps >= 3h`` so the ball
-    is resolved by the grid."""
-    if eps < 3.0 * raster.h:
-        raise ValueError(f"eps={eps} is below 3h={3.0 * raster.h}")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != raster.dim:
-        raise ValueError("query point dimension mismatch")
-    dist2 = np.sum((raster.centers() - x) ** 2, axis=-1)
-    sel = raster.interior & (dist2 < eps * eps)
-    if not sel.any():
-        return 0
-    from scipy import ndimage  # deferred: slow to import, needed only here
-
-    _, n = ndimage.label(sel)
-    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +490,13 @@ def write_mask(raster: RasterDomain, bin_path, json_path) -> None:
     with open(bin_path, "wb") as fh:
         fh.write(raster.interior.astype(np.uint8).tobytes(order="C"))
     sidecar = {
-        "dims": list(raster.counts),
+        "dims": raster.counts,
         "h": raster.h,
-        "origin": list(raster.origin),
-        "t": list(raster.t),
+        "origin": raster.origin,
+        "t": raster.t,
         "order": "C",
         "interior_count": raster.interior_count,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
+        json.dump(jsonable(sidecar), fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -29,6 +29,7 @@ from .errors import (
     SolverDivergedError,
     StagnationWarning,
     UnboundedDirectionError,
+    jsonable,
 )
 from .raster import (
     RasterDomain,
@@ -42,35 +43,8 @@ from .raster import (
 )
 
 # ---------------------------------------------------------------------------
-# fields and the gradient operator
+# the gradient operator
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteField:
-    """Scalar field on the interior cells of a raster (zero outside)."""
-
-    raster: RasterDomain
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size != self.raster.interior_count:
-            raise ValueError(
-                f"field has {v.size} values for {self.raster.interior_count} interior cells"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def zeros(cls, raster: RasterDomain) -> "DiscreteField":
-        return cls(raster, np.zeros(raster.interior_count))
-
-    @classmethod
-    def from_function(cls, raster: RasterDomain, fn) -> "DiscreteField":
-        pts = raster.interior_points()
-        return cls(raster, np.asarray(fn(pts), dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -225,20 +199,17 @@ def build_gradient(raster: RasterDomain) -> GradientOperator:
     return GradientOperator(raster)
 
 
-def grad(op: GradientOperator, field) -> np.ndarray:
-    """Forward-difference gradient; accepts a DiscreteField or a value array."""
-    values = field.values if isinstance(field, DiscreteField) else np.asarray(field)
-    return op.apply(values)
+def check_p(p: float) -> None:
+    """The package's one rule for an exponent: finite and at least 1."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
 
 
 def lp_norm(arr, p: float, raster: RasterDomain) -> float:
     """L^p norm with cell-volume weights.  1D arrays are scalar fields;
     2D arrays (components, cells) are vector fields measured with the
     per-cell euclidean magnitude."""
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"p must be finite and at least 1, got {p}")
-    if isinstance(arr, DiscreteField):
-        arr = arr.values
+    check_p(p)
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         mag = np.abs(a)
@@ -563,8 +534,7 @@ def poincare_general_p(
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"p must be finite and at least 1, got {p}")
+    check_p(p)
     op = build_gradient(raster)
     eps_u = 1e-9 * raster.h
     rng = np.random.default_rng(seed)
@@ -669,9 +639,9 @@ def verify_thickness_bound(
     return CheckRecord(
         kind="thickness-bound",
         passed=bool(passed),
-        data={
+        data=jsonable({
             "p": float(p),
-            "direction": [float(v) for v in np.asarray(direction, float)],
+            "direction": np.asarray(direction, float),
             "thickness": T,
             "constant": est.constant,
             "bound": bound,
@@ -681,7 +651,7 @@ def verify_thickness_bound(
             "method": est.method,
             "residual": est.residual,
             "h": raster.h,
-        },
+        }),
     )
 
 
@@ -715,7 +685,7 @@ def discrete_column_inequality(
     return CheckRecord(
         kind="discrete-column-inequality",
         passed=not violations,
-        data={
+        data=jsonable({
             "axis": axis,
             "p": float(p),
             "trials": trials,
@@ -723,7 +693,7 @@ def discrete_column_inequality(
             "thickness_discrete": T,
             "worst_ratio": worst,
             "violations": violations,
-        },
+        }),
     )
 
 

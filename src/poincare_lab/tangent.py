@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import DomainSpec
-from .errors import EmptySamplesError, StratumTooThinWarning
+from .errors import EmptySamplesError, StratumTooThinWarning, jsonable
 from .raster import line_crossings
 
 # scan-line samples per box width, and the bisection refinement of a
@@ -155,7 +155,8 @@ def sample_boundary(spec: DomainSpec, t, count: int = 4096, seed: int = 0) -> Bo
 def margin(samples: BoundarySampleSet, direction) -> float:
     """Empirical regular-direction margin: min over samples of |<d, normal>|."""
     d = np.asarray(direction, dtype=np.float64)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+    # written so that a NaN norm fails it too
+    if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:
         raise ValueError("direction must be a unit vector")
     if len(samples) == 0:
         raise EmptySamplesError("no boundary samples to take a margin over")
@@ -206,17 +207,15 @@ class MarginReport:
         return self.status == "ok"
 
     def to_json_dict(self) -> dict:
-        return {
-            "direction": [float(v) for v in self.direction],
-            "alpha": float(self.alpha),
+        return jsonable({
+            "direction": self.direction,
+            "alpha": self.alpha,
             "status": self.status,
-            "fibers": [list(map(float, f)) for f in self.fibers],
-            "per_fiber_margin": [
-                float(v) if math.isfinite(v) else None for v in self.per_fiber
-            ],
-            "sample_counts": [int(c) for c in self.sample_counts],
-            "candidate_count": int(self.candidate_count),
-        }
+            "fibers": self.fibers,
+            "per_fiber_margin": self.per_fiber,
+            "sample_counts": self.sample_counts,
+            "candidate_count": self.candidate_count,
+        })
 
 
 def find_regular_direction(

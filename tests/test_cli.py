@@ -287,9 +287,30 @@ def test_raster_disk(tmp_path):
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):
-    code = main(["check", "--spec", "disk", "--nonsense"])
+    code, report, _ = run(tmp_path, "check", "--spec", "disk", "--nonsense")
+    assert "--nonsense" in capsys.readouterr().err
+    assert code == 2
+    assert report == {
+        "command": "check",
+        "error": {"type": "ArgumentError", "message": "unrecognized arguments: --nonsense"},
+        "status": "usage_error",
+    }
+
+
+def test_unparsable_flag_value_writes_usage_report(tmp_path, capsys):
+    code, report, _ = run(tmp_path, "check", "--spec", "disk", "--p", "abc")
     capsys.readouterr()
     assert code == 2
+    assert report["status"] == "usage_error"
+    assert report["command"] == "check"
+    assert report["error"]["type"] == "ArgumentError"
+    assert "abc" in report["error"]["message"]
+    # without a known subcommand the report still lands in --out
+    code, report, _ = run(tmp_path, "nonsense")
+    capsys.readouterr()
+    assert code == 2
+    assert report["command"] is None
+    assert report["status"] == "usage_error"
 
 
 def test_tol_only_on_solver_commands(tmp_path, capsys):
@@ -523,16 +544,57 @@ def test_nonfinite_p_is_usage_error(tmp_path, command, p):
     assert report["error"]["type"] == "ValueError"
 
 
+@pytest.fixture
+def no_fiber_work(monkeypatch):
+    """Fail the test if a sweep reaches its direction step or any fiber."""
+    from poincare_lab import harness
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep ran past its input checks")
+
+    monkeypatch.setattr(harness, "sample_boundary", forbidden)
+    monkeypatch.setattr(harness, "find_regular_direction", forbidden)
+    monkeypatch.setattr(harness, "rasterize", forbidden)
+
+
 @pytest.mark.parametrize("p", ["nan", "inf"])
-def test_sweep_nonfinite_p_recorded_per_fiber(tmp_path, p):
+def test_sweep_nonfinite_p_recorded_per_fiber(tmp_path, p, no_fiber_work):
+    # a non-finite p is one usage error now, no longer one error per fiber
     code, report, _ = run(
         tmp_path, "sweep", "--spec", "disk", "--res", "16", "--dir", "e2",
         "--samples", "256", "--p", p,
     )
-    assert code == 1
-    sw = report["sweep"]
-    assert sw["p"] is None
-    assert [r["error"].split(":")[0] for r in sw["records"]] == ["ValueError"]
+    assert code == 2
+    assert report["status"] == "usage_error"
+    assert report["error"]["type"] == "ValueError"
+    assert "sweep" not in report
+
+
+@pytest.mark.parametrize("command", ["sweep", "lemma", "uniform"])
+@pytest.mark.parametrize("p", ["0.5", "nan", "inf"])
+def test_family_bad_p_is_usage_error(tmp_path, command, p, no_fiber_work):
+    res = "16,32" if command == "uniform" else "16"
+    code, report, _ = run(
+        tmp_path, command, "--spec", "cusp", "--grid", "3", "--res", res,
+        "--dir", "auto", "--p", p,
+    )
+    assert code == 2
+    assert report["status"] == "usage_error"
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": f"p must be finite and at least 1, got {float(p)}",
+    }
+
+
+@pytest.mark.parametrize("direction", ["nan,1", "0,0", "1,0,0"])
+def test_sweep_bad_direction_is_usage_error(tmp_path, direction, no_fiber_work):
+    code, report, _ = run(
+        tmp_path, "sweep", "--spec", "cusp", "--grid", "3", "--res", "32",
+        f"--dir={direction}",
+    )
+    assert code == 2
+    assert report["status"] == "usage_error"
+    assert report["error"]["type"] == "ValueError"
 
 
 def test_trace_3d_is_usage_error(tmp_path):

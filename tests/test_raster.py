@@ -6,7 +6,6 @@ import pytest
 from poincare_lab import (
     boundary_points_1d,
     boundary_polyline,
-    local_components,
     longest_chord,
     member,
     parse_domain,
@@ -175,30 +174,6 @@ def test_thickness_discrete_bounded_by_continuum(disk128):
 def test_thickness_discrete_axis_range(disk128):
     with pytest.raises(ValueError):
         thickness_discrete(disk128, 2)
-
-
-def test_local_components_disk(disk128):
-    assert local_components(disk128, (1.0, 0.0), 0.2) == 1
-    assert local_components(disk128, (0.0, 0.0), 0.2) == 1
-    assert local_components(disk128, (5.0, 5.0), 0.2) == 0
-
-
-def test_local_components_slit(specs):
-    # odd resolution puts a row of cell centers exactly on the slit line
-    r = rasterize(specs["slit_disk"], (), 255)
-    assert local_components(r, (0.5, 0.0), 0.1) == 2
-    # left of the slit tip the disk is locally whole
-    assert local_components(r, (-0.5, 0.0), 0.1) == 1
-
-
-def test_local_components_cusp(specs):
-    r = rasterize(specs["cusp"], (1.0,), 512)
-    assert local_components(r, (0.0, 0.0), 0.1) == 1
-
-
-def test_local_components_eps_floor(disk128):
-    with pytest.raises(ValueError):
-        local_components(disk128, (0.0, 0.0), disk128.h)
 
 
 def test_boundary_polyline_disk_length(disk128):

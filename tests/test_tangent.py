@@ -97,6 +97,13 @@ def test_margin_requires_unit_direction(specs):
         margin(s, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("direction", [(math.nan, 1.0), (math.inf, 0.0), (math.nan, math.nan)])
+def test_margin_rejects_nonfinite_direction(specs, direction):
+    s = sample_boundary(specs["disk"], (), count=256, seed=7)
+    with pytest.raises(ValueError):
+        margin(s, direction)
+
+
 def test_margin_empty_samples(specs):
     with pytest.warns(StratumTooThinWarning):
         s = sample_boundary(specs["shrink_disk"], (0.1,), count=512, seed=0)

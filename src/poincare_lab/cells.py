@@ -142,13 +142,6 @@ class CellComplex2D:
             total += float(np.trapezoid(height, x))
         return total
 
-    def max_inside_band_height(self) -> float:
-        """Max over inside bands of sup(xi_hi - xi_lo), box-clipped."""
-        best = 0.0
-        for _, height in self._inside_band_heights():
-            best = max(best, float(np.max(height)))
-        return best
-
     def to_json_dict(self):
         return jsonable({
             "t": self.t,
@@ -411,10 +404,9 @@ def _build_column(spec, t, mats, a, b, kind, samples):
     if kind == "point":
         xs = np.array([a], dtype=np.float64)
     else:
-        S = max(3, samples)
-        k = np.arange(S)
+        k = np.arange(samples)
         xs = np.sort(
-            0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * S))
+            0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * samples))
         )
 
     # per-atom sorted real roots at every abscissa
@@ -508,6 +500,8 @@ def cell_decompose_2d(
     """Decompose the fiber at ``t`` into columns of graph and band cells."""
     if spec.ambient_dim != 2:
         raise ValueError("cell decomposition is implemented for dim 2 only")
+    if samples_per_column < 3:
+        raise ValueError(f"samples_per_column must be at least 3, got {samples_per_column}")
     t = spec.check_params(t)
     mats = [_atom_coeff_matrix(a, t) for a in spec.atoms]
     crit = critical_x_values(spec, t)

@@ -12,8 +12,11 @@ error reports, and encodes the whole report once with
 ``errors.jsonable``.  ``--out`` is read ahead of the full parse, so an
 argparse error (a flag value that does not parse, an unknown flag) is
 reported there too.  All numeric defaults live in the DEFAULTS block
-below; flags override them one-to-one, and ``--seed 0 --jobs 1`` runs
-are byte-reproducible.
+below.  ``_FLAGS`` declares each flag once with its argparse keywords;
+one ``_COMMANDS`` row per command names its handler, its help, the flags
+it takes and the few keywords that differ there, and both the parser and
+the dispatch in ``main`` are built from those rows.  ``--seed 0 --jobs 1``
+runs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -40,12 +43,14 @@ from .harness import (
     fibers_csv_text,
     grid_points,
     plot_data_texts,
+    resolve_direction,
     sweep,
     unit_direction,
     verify_thickness_volume_bound,
     verify_uniform_trend,
 )
 from .raster import (
+    check_resolution,
     rasterize,
     thickness,
     thickness_discrete,
@@ -72,6 +77,30 @@ DEFAULTS = {
     "samples_per_column": 129,  # abscissae per decomposition column
     "trials": 100,  # random fields per exact-inequality check
     "p": 2.0,
+}
+
+# every flag once, with its argparse keywords
+_FLAGS = {
+    "--spec": {"required": True, "help": "domain file or bundled name"},
+    "--out": {"default": ".", "help": "output directory"},
+    "--seed": {"type": int, "default": DEFAULTS["seed"]},
+    "--jobs": {"type": int, "default": None, "help": "worker cap (env POINCARE_LAB_JOBS)"},
+    "--tol": {"type": float, "default": DEFAULTS["tol"]},
+    "--t": {"default": "", "help": "comma-separated parameter values"},
+    "--ts": {"default": None, "help": "semicolon-separated parameter tuples"},
+    "--grid": {"default": None, "help": "per-axis grid counts, comma-separated"},
+    "--p": {"type": float, "default": DEFAULTS["p"]},
+    "--res": {"type": int, "default": DEFAULTS["resolution"]},
+    "--dir": {"default": "auto", "help": "axis name, vector, or auto (search)"},
+    "--dirs": {"type": int, "default": DEFAULTS["dirs"]},
+    "--samples": {"type": int, "default": DEFAULTS["samples"]},
+    "--step": {"type": float, "default": DEFAULTS["step"]},
+    "--trials": {"type": int, "default": DEFAULTS["trials"]},
+    "--samples-per-column": {"type": int, "default": DEFAULTS["samples_per_column"]},
+    "--no-merge": {"action": "store_true", "help": "export the raw stacks"},
+    "--battery": {"default": "polynomial", "choices": ["polynomial", "trigonometric", "bump"]},
+    "--no-doubling": {"action": "store_true"},
+    "--K": {"type": float, "default": None},
 }
 
 _EXIT_BY_STATUS = {"ok": 0, "fail": 1, "usage_error": 2, "solver_error": 3}
@@ -120,10 +149,10 @@ def _parse_t_list(text: str) -> list:
 
 
 def _parse_direction(text: str):
+    """``auto``, an axis name like ``e2``, or a vector; ``harness`` gives
+    each its meaning."""
     low = text.strip().lower()
-    if low == "auto":
-        return "AUTO"
-    if low.startswith("e") and low[1:].isdigit():
+    if low == "auto" or (low.startswith("e") and low[1:].isdigit()):
         return low
     return tuple(float(v) for v in text.split(","))
 
@@ -141,13 +170,6 @@ def _t_values(args, spec, grid: int = DEFAULTS["grid"]) -> list:
     return grid_points(spec, [grid] * spec.n_params)
 
 
-def _add_common(sp):
-    sp.add_argument("--spec", required=True, help="domain file or bundled name")
-    sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    sp.add_argument("--jobs", type=int, default=None, help="worker cap (env POINCARE_LAB_JOBS)")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, whose usage errors carry their message as the
     cause of the ``SystemExit``, so that ``main`` can report them."""
@@ -162,83 +184,11 @@ class _Parser(argparse.ArgumentParser):
 def _out_dir(argv) -> Path:
     """``--out`` read ahead of the full parse; ``.`` when it cannot be."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--out", default=".")
+    pre.add_argument("--out", **_FLAGS["--out"])
     try:
         return Path(pre.parse_known_args(argv)[0].out)
     except argparse.ArgumentError:
         return Path(".")
-
-
-def _build_parser():
-    ap = _Parser(prog="poincare-lab", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("check", help="single-fiber bound check plus exact discrete inequality")
-    _add_common(sp)
-    sp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-    sp.add_argument("--t", default="", help="comma-separated parameter values")
-    sp.add_argument("--p", type=float, default=DEFAULTS["p"])
-    sp.add_argument("--res", type=int, default=DEFAULTS["resolution"])
-    sp.add_argument("--dir", default=None, help="axis name, vector, or auto")
-    sp.add_argument("--step", type=float, default=DEFAULTS["step"])
-    sp.add_argument("--trials", type=int, default=DEFAULTS["trials"])
-
-    for name, hlp in (
-        ("sweep", "bound check across a parameter family"),
-        ("lemma", "sweep plus thickness-volume ratio bound"),
-        ("uniform", "multi-resolution sweep refinement trend"),
-    ):
-        sp = sub.add_parser(name, help=hlp)
-        _add_common(sp)
-        sp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-        sp.add_argument("--ts", default=None, help="semicolon-separated parameter tuples")
-        sp.add_argument("--grid", default=None, help="per-axis grid counts, comma-separated")
-        sp.add_argument("--p", type=float, default=DEFAULTS["p"])
-        if name == "uniform":
-            sp.add_argument("--res", default="256,512", help="comma-separated resolutions")
-        else:
-            sp.add_argument("--res", type=int, default=DEFAULTS["resolution"])
-        sp.add_argument("--dir", default="auto", help="axis name, vector, or auto")
-        sp.add_argument("--dirs", type=int, default=DEFAULTS["dirs"])
-        sp.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-        if name == "lemma":
-            sp.add_argument("--K", type=float, default=None)
-
-    sp = sub.add_parser("thickness", help="directional thickness of one fiber")
-    _add_common(sp)
-    sp.add_argument("--t", default="")
-    sp.add_argument("--res", type=int, default=DEFAULTS["resolution"])
-    sp.add_argument("--dir", required=True)
-    sp.add_argument("--step", type=float, default=DEFAULTS["step"])
-
-    sp = sub.add_parser("regdir", help="regular-direction search")
-    _add_common(sp)
-    sp.add_argument("--ts", default=None, help="semicolon-separated parameter tuples")
-    sp.add_argument("--grid", default=None)
-    sp.add_argument("--dirs", type=int, default=DEFAULTS["dirs"])
-    sp.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-
-    sp = sub.add_parser("cells", help="2D cell decomposition export")
-    _add_common(sp)
-    sp.add_argument("--t", default="")
-    sp.add_argument("--samples-per-column", type=int, default=DEFAULTS["samples_per_column"])
-    sp.add_argument("--no-merge", action="store_true", help="export the raw stacks")
-
-    sp = sub.add_parser("trace", help="boundary trace ratio battery")
-    _add_common(sp)
-    sp.add_argument("--t", default="")
-    sp.add_argument("--p", type=float, default=DEFAULTS["p"])
-    sp.add_argument("--res", type=int, default=DEFAULTS["resolution"])
-    sp.add_argument("--battery", default="polynomial",
-                    choices=["polynomial", "trigonometric", "bump"])
-    sp.add_argument("--no-doubling", action="store_true")
-
-    sp = sub.add_parser("raster", help="rasterize one fiber and dump masks")
-    _add_common(sp)
-    sp.add_argument("--t", default="")
-    sp.add_argument("--res", type=int, default=DEFAULTS["resolution"])
-
-    return ap
 
 
 def canonical_json(report: dict) -> str:
@@ -253,15 +203,11 @@ def canonical_json(report: dict) -> str:
 def _cmd_check(args):
     spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
-    dir_text = args.dir if args.dir is not None else f"e{spec.ambient_dim}"
-    parsed = _parse_direction(dir_text)
-    if parsed == "AUTO":
-        rep = find_regular_direction(
-            spec, [t], directions=DEFAULTS["dirs"], seed=args.seed
-        )
-        lam = rep.direction
+    direction = _parse_direction(args.dir if args.dir is not None else f"e{spec.ambient_dim}")
+    if direction == "auto":
+        lam = resolve_direction(spec, direction, [t], seed=args.seed)[0]
     else:
-        lam = unit_direction(spec.ambient_dim, parsed)
+        lam = unit_direction(spec.ambient_dim, direction)
     checks = [
         verify_thickness_bound(
             spec, t, raster, args.p, lam, step=args.step, tol=args.tol, seed=args.seed
@@ -332,9 +278,11 @@ def _cmd_lemma(args):
 
 def _cmd_uniform(args):
     spec = _load_spec(args.spec)
-    resolutions = [int(v) for v in str(args.res).split(",")]
+    resolutions = [int(v) for v in args.res.split(",")]
     if len(resolutions) < 2:
         raise ValueError("uniform needs two or more --res values")
+    for r in resolutions:  # every one before the first sweep runs
+        check_resolution(r)
     reps = [_sweep_report(args, spec, r) for r in resolutions]
     trend = verify_uniform_trend(reps)
     status = "ok" if (trend.passed and all(r.all_passed for r in reps)) else "fail"
@@ -454,17 +402,36 @@ def _cmd_raster(args):
     return report, {}
 
 
+# One row per command: handler, help, the flags it takes after the four
+# that every command takes (in declaration order), and the keywords that
+# differ from _FLAGS for this command.
+_FAMILY = "--tol --ts --grid --p --res --dir --dirs --samples"
 _COMMANDS = {
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-    "lemma": _cmd_lemma,
-    "uniform": _cmd_uniform,
-    "thickness": _cmd_thickness,
-    "regdir": _cmd_regdir,
-    "cells": _cmd_cells,
-    "trace": _cmd_trace,
-    "raster": _cmd_raster,
+    "check": (_cmd_check, "single-fiber bound check plus exact discrete inequality",
+              "--tol --t --p --res --dir --step --trials", {"--dir": {"default": None}}),
+    "sweep": (_cmd_sweep, "bound check across a parameter family", _FAMILY, {}),
+    "lemma": (_cmd_lemma, "sweep plus thickness-volume ratio bound", _FAMILY + " --K", {}),
+    "uniform": (_cmd_uniform, "multi-resolution sweep refinement trend", _FAMILY, {
+        "--res": {"type": str, "default": "256,512", "help": "comma-separated resolutions"}}),
+    "thickness": (_cmd_thickness, "directional thickness of one fiber",
+                  "--t --res --dir --step", {"--dir": {"required": True}}),
+    "regdir": (_cmd_regdir, "regular-direction search", "--ts --grid --dirs --samples", {}),
+    "cells": (_cmd_cells, "2D cell decomposition export",
+              "--t --samples-per-column --no-merge", {}),
+    "trace": (_cmd_trace, "boundary trace ratio battery",
+              "--t --p --res --battery --no-doubling", {}),
+    "raster": (_cmd_raster, "rasterize one fiber and dump masks", "--t --res", {}),
 }
+
+
+def _build_parser():
+    ap = _Parser(prog="poincare-lab", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, hlp, flags, changes) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=hlp)
+        for flag in ("--spec --out --seed --jobs " + flags).split():
+            sp.add_argument(flag, **{**_FLAGS[flag], **changes.get(flag, {})})
+    return ap
 
 
 def main(argv=None) -> int:
@@ -482,7 +449,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args is not None:
-            report, files = _COMMANDS[command](args)
+            report, files = _COMMANDS[command][0](args)
     except SolverDivergedError as exc:
         report, error = {"status": "solver_error"}, exc
     except (

@@ -384,16 +384,6 @@ def _as_param_tuple(t, k: int) -> tuple:
     return t
 
 
-def member(spec: DomainSpec, t, x) -> bool:
-    """Exact-formula membership of a single point in the fiber at ``t``."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != spec.ambient_dim:
-        raise SpecError(
-            f"point has {x.size} coordinates, domain is {spec.ambient_dim}-dimensional"
-        )
-    return bool(spec.member_points(t, x.reshape(1, -1))[0])
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------

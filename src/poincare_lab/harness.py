@@ -7,8 +7,9 @@ aborting on a fiber failure, and aggregates the two family ratios:
 sup_t C_p / vol^{1/n} and sup_t thickness / vol^{1/n}.  On top of the
 report sit two checks: the thickness-volume ratio against a margin-derived
 sufficient constant, and the stability of the constant ratio under grid
-refinement.  A sweep checks ``p`` and the family direction once, before
-any fiber runs, so a bad value is one error rather than one per fiber.
+refinement.  A sweep checks ``p``, the resolution and the family
+direction once, before any fiber runs, so a bad value is one error
+rather than one per fiber.
 Records and checks are encoded with ``errors.jsonable``.
 """
 
@@ -28,7 +29,7 @@ from .errors import (
     UnboundedDirectionError,
     jsonable,
 )
-from .raster import rasterize, unit_vector, volume
+from .raster import check_resolution, rasterize, unit_vector, volume
 from .sobolev import CheckRecord, check_p, verify_thickness_bound
 from .tangent import find_regular_direction, margin, sample_boundary
 
@@ -109,6 +110,11 @@ def grid_points(spec: DomainSpec, counts) -> list:
 
 def axis_direction(dim: int, name: str):
     """Unit basis vector from a name like ``e1``/``e2``."""
+    if not (name[:1].lower() == "e" and name[1:].isdigit()):
+        raise ValueError(
+            f"direction {name!r} is not an axis name like e1 or a vector; "
+            "auto applies only where a direction search runs"
+        )
     idx = int(name[1:]) - 1
     if not 0 <= idx < dim:
         raise ValueError(f"axis name {name!r} out of range for dim {dim}")
@@ -141,14 +147,17 @@ def resolve_direction(
 ):
     """Fix the family direction and its pooled margin.
 
-    ``direction`` is AUTO (search once on a coarse parameter sub-grid and
-    keep that vector for every fiber), an axis name, or an explicit vector.
+    ``direction`` is ``"auto"`` in any case (search once on a coarse
+    parameter sub-grid and keep that vector for every fiber), an axis
+    name, or an explicit vector.  This is the package's one direction
+    search for a family; an explicit direction goes through
+    ``unit_direction``.
     Returns (unit vector, mode, alpha).  Alpha is the pooled boundary
     margin of the sub-grid fibers at the chosen vector, 0.0 when no
     boundary samples exist.
     """
     sub = _coarse_subgrid(t_values)
-    if isinstance(direction, str) and direction.upper() == "AUTO":
+    if isinstance(direction, str) and direction.lower() == "auto":
         rep = find_regular_direction(spec, sub, directions=dirs, seed=seed, count=count)
         return rep.direction, "auto", rep.alpha
     lam = unit_direction(spec.ambient_dim, direction)
@@ -219,7 +228,7 @@ def sweep(
     p: float,
     t_values,
     resolution: int,
-    direction="AUTO",
+    direction="auto",
     seed: int = 0,
     jobs: int = 1,
     tol: float | None = None,
@@ -228,11 +237,13 @@ def sweep(
 ) -> SweepReport:
     """Run the per-fiber bound check across a parameter family.
 
-    Records are ordered by lexicographic t.  A bad ``p`` or direction is
-    rejected before any fiber runs; after that, per-fiber failures of any
-    kind land in the fiber's record and the sweep itself never aborts.
+    Records are ordered by lexicographic t.  A bad ``p``, resolution or
+    direction is rejected before any fiber runs; after that, per-fiber
+    failures of any kind land in the fiber's record and the sweep itself
+    never aborts.
     """
     check_p(p)
+    check_resolution(resolution)
     t_values = sorted(spec.check_params(t) for t in t_values)
     if not t_values:
         raise ValueError("need at least one parameter value")

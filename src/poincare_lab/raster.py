@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -38,28 +38,39 @@ DEFAULT_SEED_RESOLUTION = {1: 1024, 2: 256, 3: 48}
 class RasterDomain:
     """Uniform-grid inner approximation of one fiber.
 
-    ``interior`` marks cell centers that belong to the set;
-    ``boundary_adjacent`` marks interior cells with at least one
-    non-interior face neighbor.  The grid extends one exterior cell beyond
-    the bounding box on every side, so an interior cell never sits on the
-    grid edge and difference operators see every zero-extension jump on an
-    in-grid face.
+    ``interior`` marks cell centers that belong to the set; ``counts``
+    (its shape) and ``boundary_adjacent`` are derived from it.  The grid
+    extends one exterior cell beyond the bounding box on every side, so an
+    interior cell never sits on the grid edge and difference operators see
+    every zero-extension jump on an in-grid face.
     """
 
     spec: DomainSpec
     t: tuple
     h: float
     origin: tuple
-    counts: tuple
     interior: np.ndarray
-    boundary_adjacent: np.ndarray = field(repr=False)
     resolution: int = 0
 
     def __post_init__(self):
-        if self.interior.shape != tuple(self.counts):
-            raise ValueError("interior mask shape does not match counts")
         if self.h <= 0:
             raise ValueError("spacing must be positive")
+
+    @property
+    def counts(self) -> tuple:
+        return self.interior.shape
+
+    @cached_property
+    def boundary_adjacent(self) -> np.ndarray:
+        """Interior cells with a non-interior face neighbour.  The exterior
+        apron keeps every interior cell off the grid edge, so only in-grid
+        neighbours are looked at."""
+        inside = self.interior
+        exposed = np.zeros_like(inside)
+        for head, tail, _, _ in face_slices(inside.ndim):
+            exposed[head] |= ~inside[tail]
+            exposed[tail] |= ~inside[head]
+        return inside & exposed
 
     @property
     def dim(self) -> int:
@@ -107,15 +118,10 @@ def face_slices(dim: int) -> tuple:
     return tuple(tuple(along(ax, s) for s in planes) for ax in range(dim))
 
 
-def _boundary_adjacent(interior: np.ndarray) -> np.ndarray:
-    """Interior cells with a non-interior face neighbour.  The exterior
-    apron keeps every interior cell off the grid edge, so only in-grid
-    neighbours are looked at."""
-    exposed = np.zeros_like(interior)
-    for head, tail, _, _ in face_slices(interior.ndim):
-        exposed[head] |= ~interior[tail]
-        exposed[tail] |= ~interior[head]
-    return interior & exposed
+def check_resolution(resolution: int) -> None:
+    """The package's one rule for a raster resolution: at least 4 cells."""
+    if resolution < 4:
+        raise ValueError("resolution must be at least 4")
 
 
 def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
@@ -123,8 +129,7 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     longest box axis.  An all-exterior result is returned as an empty
     raster (``raster.empty``), which callers treat as data, not an error.
     """
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4")
+    check_resolution(resolution)
     t = spec.check_params(t)
     spans = [hi - lo for lo, hi in spec.bounding_box]
     h = max(spans) / resolution
@@ -139,16 +144,8 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     inner = spec.member_points(t, pts).reshape(inner_counts)
     interior = np.pad(inner, 1, mode="constant", constant_values=False)
-
     return RasterDomain(
-        spec=spec,
-        t=t,
-        h=h,
-        origin=origin,
-        counts=counts,
-        interior=interior,
-        boundary_adjacent=_boundary_adjacent(interior),
-        resolution=resolution,
+        spec=spec, t=t, h=h, origin=origin, interior=interior, resolution=resolution
     )
 
 
@@ -287,6 +284,8 @@ def longest_chord(spec: DomainSpec, t, direction, step: float | None = None) -> 
     ``step/64``.  A run that reaches the bounding box while still inside the
     set yields an infinite chord.
     """
+    if step is not None and not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     t = spec.check_params(t)
     dim = spec.ambient_dim
     lam = unit_vector(direction, dim)

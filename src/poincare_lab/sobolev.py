@@ -663,6 +663,8 @@ def discrete_column_inequality(
     telescoping-and-Holder argument; each random trial is asserted at
     ratio <= 1.  Identically zero draws are skipped by convention.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if raster.empty:
         raise EmptyFiberError("empty raster")
     op = build_gradient(raster)

@@ -38,7 +38,7 @@ _MIN_ALPHA = 1e-2
 class BoundarySampleSet:
     """Array-backed collection of boundary samples for one fiber."""
 
-    def __init__(self, points, normals, atom_ids, t, warnings_=()):
+    def __init__(self, points, normals, atom_ids, t):
         self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         self.normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
         if self.normals.shape != self.points.shape:
@@ -47,7 +47,6 @@ class BoundarySampleSet:
         if self.atom_ids.size != self.points.shape[0]:
             raise ValueError("one atom id per sample required")
         self.t = tuple(t)
-        self.warnings = list(warnings_)
 
     def __len__(self):
         return self.points.shape[0]
@@ -55,8 +54,7 @@ class BoundarySampleSet:
     def subset(self, mask) -> "BoundarySampleSet":
         mask = np.asarray(mask, dtype=bool)
         return BoundarySampleSet(
-            self.points[mask], self.normals[mask], self.atom_ids[mask], self.t,
-            self.warnings,
+            self.points[mask], self.normals[mask], self.atom_ids[mask], self.t
         )
 
 
@@ -88,7 +86,7 @@ def sample_boundary(spec: DomainSpec, t, count: int = 4096, seed: int = 0) -> Bo
     steps and its membership flips are bisected to 1e-10.  Points where
     exactly one atom is active (scaled tolerance) and its gradient norm is
     at least 1e-8 become samples with the normalized gradient as normal.
-    A StratumTooThin warning is attached when fewer than count/10 samples
+    A ``StratumTooThinWarning`` is raised when fewer than count/10 samples
     survive.
     """
     if count < 1:
@@ -119,7 +117,6 @@ def sample_boundary(spec: DomainSpec, t, count: int = 4096, seed: int = 0) -> Bo
     else:
         pts = np.zeros((0, dim))
 
-    warn_list = []
     if pts.shape[0]:
         act = _active_atoms(spec, t, pts)
         single = act.sum(axis=1) == 1
@@ -148,8 +145,7 @@ def sample_boundary(spec: DomainSpec, t, count: int = 4096, seed: int = 0) -> Bo
             f"survived the smooth-stratum filter at t={list(t)}"
         )
         warnings.warn(msg, StratumTooThinWarning)
-        warn_list.append(msg)
-    return BoundarySampleSet(pts, grads, atom_ids, t, warn_list)
+    return BoundarySampleSet(pts, grads, atom_ids, t)
 
 
 def margin(samples: BoundarySampleSet, direction) -> float:

@@ -11,6 +11,7 @@ from poincare_lab import sobolev
 from poincare_lab.cli import (
     DEFAULTS,
     _build_parser,
+    _out_dir,
     canonical_json,
     exit_code_from_report,
     main,
@@ -522,6 +523,14 @@ GOLDEN = {
             "report.json": "41f8b49164898588d5e3ac5496cc9bc27d0506a85e7829c5043655018c2cc7a7",
         },
     ),
+    "check-dir-auto": (
+        ["check", "--spec", "ellipse", "--t", "1.5", "--res", "32", "--dir", "auto",
+         "--trials", "5"],
+        0,
+        {
+            "report.json": "bd1382629fb32e9e8416792f67ccc4cad680b9375681c068a01b70eadb7a7373",
+        },
+    ),
 }
 
 
@@ -615,3 +624,98 @@ def test_cli_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# The parse matrix: every command bare, then with each of the 20 flags
+# given a valid value and, when the flag takes one, the value "abc", then
+# with an unknown flag; plus a missing and an unknown subcommand.  Each
+# outcome is the parsed namespace or argparse's error message, together
+# with the --out directory read ahead of the parse.  The messages are
+# argparse's own (Python 3.11).
+PARSE_COMMANDS = ["check", "sweep", "lemma", "uniform", "thickness", "regdir", "cells",
+                  "trace", "raster"]
+PARSE_VALUES = {
+    "--spec": "cusp", "--out": "o", "--seed": "3", "--jobs": "2", "--tol": "1e-3",
+    "--t": "0.5", "--ts": "0.5;1", "--grid": "3", "--p": "3", "--res": "64",
+    "--dir": "e1", "--dirs": "128", "--samples": "1024", "--step": "0.01",
+    "--trials": "5", "--samples-per-column": "33", "--no-merge": None,
+    "--battery": "bump", "--no-doubling": None, "--K": "2",
+}
+PARSE_DIGEST = "8afad33ab9921f74e442bcbfbf897a20fe190b24471d6ebe5c9d1ee89e743002"
+
+
+def _parse_outcome(argv):
+    try:
+        got = {"args": vars(_build_parser().parse_args(argv))}
+    except SystemExit as exc:
+        got = {"error": str(exc.__cause__)}
+    got["out"] = str(_out_dir(argv))
+    return got
+
+
+def test_parse_matrix_golden(capsys):
+    cases = [[], ["nonsense"]]
+    for command in PARSE_COMMANDS:
+        cases.append([command])
+        for flag, value in PARSE_VALUES.items():
+            base = [command] + (["--spec", "disk"] if flag != "--spec" else [])
+            cases.append(base + [flag] + ([] if value is None else [value]))
+            if value is not None:
+                cases.append(base + [flag, "abc"])
+        cases.append([command, "--spec", "disk", "--nonsense"])
+    assert len(cases) == 362
+    outcomes = [[argv, _parse_outcome(argv)] for argv in cases]
+    capsys.readouterr()
+    text = json.dumps(outcomes, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGEST
+
+
+def test_thickness_dir_auto_is_usage_error(tmp_path):
+    code, report, _ = run(tmp_path, "thickness", "--spec", "disk", "--dir", "auto", "--res", "16")
+    assert code == 2
+    assert report["status"] == "usage_error"
+    assert report["error"]["type"] == "ValueError"
+    assert "auto applies only where a direction search runs" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+def test_bad_step_is_usage_error(tmp_path, step):
+    code, report, _ = run(
+        tmp_path, "thickness", "--spec", "disk", "--dir", "e1", "--res", "32", "--step", step
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": f"step must be positive and finite, got {float(step)}",
+    }
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bad_trials_is_usage_error(tmp_path, trials):
+    code, report, _ = run(
+        tmp_path, "check", "--spec", "disk", "--res", "16", "--trials", trials
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValueError", "message": f"trials must be at least 1, got {trials}"
+    }
+
+
+def test_bad_samples_per_column_is_usage_error(tmp_path):
+    code, report, _ = run(tmp_path, "cells", "--spec", "disk", "--samples-per-column", "2")
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValueError", "message": "samples_per_column must be at least 3, got 2"
+    }
+
+
+@pytest.mark.parametrize(
+    "command,res", [("sweep", "2"), ("lemma", "2"), ("uniform", "2,16"), ("uniform", "16,2")]
+)
+def test_family_bad_resolution_is_usage_error(tmp_path, command, res, no_fiber_work):
+    code, report, _ = run(
+        tmp_path, command, "--spec", "cusp", "--grid", "3", "--res", res, "--dir", "e2"
+    )
+    assert code == 2
+    assert report["error"] == {"type": "ValueError", "message": "resolution must be at least 4"}
+    assert "sweep" not in report and "sweeps" not in report

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from poincare_lab import member, parse_domain, print_domain
+from poincare_lab import parse_domain, print_domain
 from poincare_lab.errors import (
     DegreeLimitError,
     MissingBoundingBoxError,
@@ -37,21 +37,21 @@ def test_parse_cusp_family():
 
 def test_member_disk_center_and_boundary():
     spec = parse_domain(DISK)
-    assert member(spec, (), (0.0, 0.0))
+    assert spec.member_points((), (0.0, 0.0))
     # boundary point excluded: the set is open
-    assert not member(spec, (), (1.0, 0.0))
+    assert not spec.member_points((), (1.0, 0.0))
 
 
 def test_member_cusp_point():
     spec = parse_domain(CUSP)
-    assert member(spec, (0.5,), (0.5, 0.1))
-    assert not member(spec, (0.5,), (0.5, 0.2))
+    assert spec.member_points((0.5,), (0.5, 0.1))
+    assert not spec.member_points((0.5,), (0.5, 0.2))
 
 
 def test_param_out_of_range():
     spec = parse_domain(CUSP)
     with pytest.raises(ParamOutOfRangeError):
-        member(spec, (2.0,), (0.5, 0.1))
+        spec.member_points((2.0,), (0.5, 0.1))
 
 
 def test_nonstrict_rejected():
@@ -66,8 +66,8 @@ def test_nonstrict_rejected():
 def test_neq_rewritten_as_square_positivity():
     spec = parse_domain("dim 2\nbox [-2,2]x[-2,2]\nset: x^2+y^2-1 < 0 and y != 0\n")
     # y != 0 becomes y^2 > 0
-    assert member(spec, (), (0.0, 0.5))
-    assert not member(spec, (), (0.5, 0.0))
+    assert spec.member_points((), (0.0, 0.5))
+    assert not spec.member_points((), (0.5, 0.0))
 
 
 def test_degree_limit():
@@ -81,7 +81,7 @@ def test_degree_limit():
         assert time.perf_counter() - start < 1.0
     # constant bases carry no degree, whatever the exponent
     spec = parse_domain("dim 1\nbox [0,1]\nset: 2^64 * x - 1 > 0\n")
-    assert member(spec, (), (0.5,)) and not member(spec, (), (2.0**-65,))
+    assert spec.member_points((), (0.5,)) and not spec.member_points((), (2.0**-65,))
 
 
 def test_missing_box():
@@ -117,7 +117,7 @@ def test_membership_is_open(specs, rng):
     # atom margins, witnessing openness of the accepted set
     spec = specs["annulus"]
     pts = rng.uniform(-1.2, 1.2, size=(400, 2))
-    inside = [p for p in pts if member(spec, (), p)]
+    inside = [p for p in pts if spec.member_points((), p)]
     assert inside
     for p in inside:
         r2 = p[0] ** 2 + p[1] ** 2
@@ -125,15 +125,15 @@ def test_membership_is_open(specs, rng):
         # |grad| of both atoms is 2|x| <= 3 on the box; keep a factor 2 spare
         delta = margin / (2.0 * 3.0)
         for shift in np.eye(2):
-            assert member(spec, (), p + delta * shift)
-            assert member(spec, (), p - delta * shift)
+            assert spec.member_points((), p + delta * shift)
+            assert spec.member_points((), p - delta * shift)
 
 
 def test_member_points_matches_scalar(specs, rng):
     spec = specs["slit_disk"]
     pts = rng.uniform(-1.5, 1.5, size=(200, 2))
     vec = spec.member_points((), pts)
-    scalar = np.array([member(spec, (), p) for p in pts])
+    scalar = np.array([spec.member_points((), p) for p in pts])
     assert np.array_equal(vec, scalar)
 
 

@@ -48,6 +48,8 @@ def test_axis_direction():
     assert axis_direction(3, "e3") == (0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         axis_direction(2, "e3")
+    with pytest.raises(ValueError, match="auto applies only where a direction search runs"):
+        axis_direction(2, "auto")
 
 
 def test_lipschitz_bound_from_margin():

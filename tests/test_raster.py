@@ -7,7 +7,6 @@ from poincare_lab import (
     boundary_points_1d,
     boundary_polyline,
     longest_chord,
-    member,
     parse_domain,
     polyline_length,
     rasterize,
@@ -26,7 +25,7 @@ def test_raster_matches_pointwise_membership(specs):
     r = rasterize(spec, (), 8)
     centers = r.centers()
     for idx in np.ndindex(r.counts):
-        assert r.interior[idx] == member(spec, (), centers[idx])
+        assert r.interior[idx] == spec.member_points((), centers[idx])
 
 
 def test_apron_is_exterior(disk128):
@@ -139,7 +138,26 @@ def test_longest_chord_escaping_slanted_line(specs):
     # slanted lines enter the strip through y = 0 and leave the box at x = 10
     chord = longest_chord(specs["strip"], (), (1.0, 0.05))
     assert chord.length == math.inf
-    assert member(specs["strip"], (), chord.start)
+    assert specs["strip"].member_points((), chord.start)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+def test_longest_chord_rejects_bad_step(specs, step):
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        longest_chord(specs["disk"], (), (1.0, 0.0), step=step)
+
+
+def test_boundary_adjacent_derived_from_interior(specs):
+    r = rasterize(specs["annulus"], (), 16)
+    assert r.counts == r.interior.shape
+    padded = np.pad(r.interior, 1)
+    ref = np.zeros_like(r.interior)
+    for i, j in np.argwhere(r.interior) + 1:
+        ref[i - 1, j - 1] = not (
+            padded[i - 1, j] and padded[i + 1, j] and padded[i, j - 1] and padded[i, j + 1]
+        )
+    assert np.array_equal(r.boundary_adjacent, ref)
+    assert r.boundary_adjacent is r.boundary_adjacent
 
 
 def test_longest_chord_empty_raises(specs):

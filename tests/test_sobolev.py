@@ -43,9 +43,7 @@ def single_cell(specs):
         t=(),
         h=0.25,
         origin=(-0.25, -0.25),
-        counts=(5, 5),
         interior=interior,
-        boundary_adjacent=interior.copy(),
         resolution=4,
     )
 

@@ -205,7 +205,8 @@ def _cmd_check(args):
     raster = rasterize(spec, t, args.res)
     direction = _parse_direction(args.dir if args.dir is not None else f"e{spec.ambient_dim}")
     if direction == "auto":
-        lam = resolve_direction(spec, direction, [t], seed=args.seed)[0]
+        lam = resolve_direction(spec, direction, [t], seed=args.seed, dirs=DEFAULTS["dirs"],
+                                count=DEFAULTS["samples"])[0]
     else:
         lam = unit_direction(spec.ambient_dim, direction)
     checks = [
@@ -413,8 +414,8 @@ _COMMANDS = {
     "lemma": (_cmd_lemma, "sweep plus thickness-volume ratio bound", _FAMILY + " --K", {}),
     "uniform": (_cmd_uniform, "multi-resolution sweep refinement trend", _FAMILY, {
         "--res": {"type": str, "default": "256,512", "help": "comma-separated resolutions"}}),
-    "thickness": (_cmd_thickness, "directional thickness of one fiber",
-                  "--t --res --dir --step", {"--dir": {"required": True}}),
+    "thickness": (_cmd_thickness, "directional thickness of one fiber", "--t --res --dir --step",
+                  {"--dir": {"required": True, "help": "axis name or vector"}}),
     "regdir": (_cmd_regdir, "regular-direction search", "--ts --grid --dirs --samples", {}),
     "cells": (_cmd_cells, "2D cell decomposition export",
               "--t --samples-per-column --no-merge", {}),

@@ -59,6 +59,7 @@ from .raster import (
     write_pgm,
 )
 from .sobolev import (
+    check_trials,
     discrete_column_inequality,
     trace_ratio_battery,
     verify_thickness_bound,
@@ -201,6 +202,7 @@ def canonical_json(report: dict) -> str:
 
 
 def _cmd_check(args):
+    check_trials(args.trials)
     spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
     direction = _parse_direction(args.dir if args.dir is not None else f"e{spec.ambient_dim}")

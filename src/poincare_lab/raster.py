@@ -32,6 +32,8 @@ from .dsl import DomainSpec
 from .errors import EmptyFiberError, jsonable
 
 DEFAULT_SEED_RESOLUTION = {1: 1024, 2: 256, 3: 48}
+# the most samples (lines times samples per line) one chord march may take
+MAX_MARCH_SAMPLES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,10 @@ def longest_chord(spec: DomainSpec, t, direction, step: float | None = None) -> 
     s_lo = s_lo - tiny
     s_hi = s_hi + tiny
 
-    nsteps = np.ceil((s_hi - s_lo) / step).astype(np.int64)
+    nsteps = np.ceil((s_hi - s_lo) / step)
+    samples = bases.shape[0] * (nsteps.max() + 1)  # refused before any is allocated
+    if samples > MAX_MARCH_SAMPLES:
+        raise ValueError(f"step {step} marches {samples:.0f} samples, over {MAX_MARCH_SAMPLES}")
     j = np.arange(int(nsteps.max()) + 1)
     svals = s_lo[:, None] + j[None, :] * step
     # land the final sample exactly on the box face and repeat it as padding

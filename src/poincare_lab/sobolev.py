@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
 import numpy as np
@@ -205,6 +205,12 @@ def check_p(p: float) -> None:
         raise ValueError(f"p must be finite and at least 1, got {p}")
 
 
+def check_trials(trials: int) -> None:
+    """The package's one rule for a trial count: at least 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def lp_norm(arr, p: float, raster: RasterDomain) -> float:
     """L^p norm with cell-volume weights.  1D arrays are scalar fields;
     2D arrays (components, cells) are vector fields measured with the
@@ -241,6 +247,7 @@ class PoincareEstimate:
     eigenvector: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
     spread: float | None = None
     stagnation: bool = False
+    inner_iterations: int = 0  # CG steps over all levels; not reported
 
     def __post_init__(self):
         if not (self.constant > 0.0 and np.isfinite(self.constant)):
@@ -279,27 +286,71 @@ def _cg(matvec, b, rtol: float, maxiter: int):
     return x, it
 
 
+_COARSE_MIN_CELLS = 4096  # interior cells from which a coarse solve supplies the start
+_COARSE_TOL = 1e-4  # the tol of that coarse solve
+
+
+def _coarsen(raster: RasterDomain) -> RasterDomain:
+    """The raster on cells twice as wide, with the same origin: a coarse
+    cell is interior iff all of its 2^dim fine cells are, so it is still an
+    inner approximation, and the exterior apron carries over."""
+    inside = np.pad(raster.interior, [(0, c % 2) for c in raster.counts])
+    blocks = inside.reshape(sum(((c // 2, 2) for c in inside.shape), ()))
+    interior = blocks.all(axis=tuple(range(1, 2 * raster.dim, 2)))
+    return replace(raster, h=2.0 * raster.h, interior=interior, resolution=raster.resolution // 2)
+
+
+def _coarse_start(raster: RasterDomain):
+    """The start vector of ``poincare_p2`` on a raster, and the CG steps
+    spent on it; all ones when there is no coarse raster to solve."""
+    coarse = _coarsen(raster) if raster.interior_count >= _COARSE_MIN_CELLS else None
+    if coarse is None or coarse.empty:
+        return np.ones(raster.interior_count), 0
+    est = _inverse_iteration(coarse, _COARSE_TOL, 200)
+    grid = np.zeros(coarse.counts)
+    grid[coarse.interior] = est.eigenvector
+    for ax in range(raster.dim):
+        grid = np.repeat(grid, 2, axis=ax)
+    x = np.abs(grid[tuple(slice(0, c) for c in raster.counts)][raster.interior])
+    return x + 1e-3 * x.max(), est.inner_iterations
+
+
 def poincare_p2(
     raster: RasterDomain, tol: float = 1e-8, max_outer: int = 200
 ) -> PoincareEstimate:
     """Discrete Poincare constant for p = 2 as lambda_min(grad^T grad)^(-1/2).
 
-    Shifted inverse iteration with a conjugate-gradient inner solve and the
-    deterministic all-ones start vector.  The final eigenvalue is the
-    Rayleigh quotient of the returned eigenvector.
+    Shifted inverse iteration with a conjugate-gradient inner solve.  On a
+    raster of at least ``_COARSE_MIN_CELLS`` interior cells the start is the
+    eigenvector x_c of the raster coarsened by 2^dim blocks, solved the same
+    way to ``_COARSE_TOL``, prolonged by nearest coarse cell as
+    |P x_c| + 1e-3 max |P x_c| (nested iteration; the floor keeps the start
+    positive, so it cannot miss the first eigenvector); otherwise all ones.
+    Each CG solve stops at the relative residual min(1e-2, 0.1 res), and the
+    shift 0.9 lambda starts once res < 0.1.  The iteration stops when the
+    eigen-residual res = ||A x - lambda x|| / lambda is at most sqrt(tol) / 10,
+    so the Rayleigh quotient's relative error, about res^2 lambda / gap, is
+    far below ``tol``.  ``residual`` is that res, ``iterations`` counts the
+    fine level's outer steps (at most ``max_outer``) and ``inner_iterations``
+    the CG steps of every level.
     """
-    from scipy import sparse  # deferred: slow to import
-
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
-    op = build_gradient(raster)
-    A = op.laplacian()
+    return _inverse_iteration(raster, tol, max_outer)
+
+
+def _inverse_iteration(raster: RasterDomain, tol: float, max_outer: int) -> PoincareEstimate:
+    """``poincare_p2`` on a nonempty raster; recursive through ``_coarse_start``."""
+    from scipy import sparse  # deferred: slow to import
+
+    x, inner_total = _coarse_start(raster)
+    # assembled after the coarse solve, so no two levels' matrices coexist
+    A = build_gradient(raster).laplacian()
     n = A.shape[0]
-    x = np.ones(n) / math.sqrt(n)
+    x /= np.linalg.norm(x)
     lam = float(x @ (A @ x))
     shift = 0.0
-    inner_total = 0
-    rel_change = 1.0
+    res = 1.0
 
     def estimate(iterations: int) -> PoincareEstimate:
         return PoincareEstimate(
@@ -307,18 +358,18 @@ def poincare_p2(
             constant=lam ** (-0.5),
             method="inverse-iteration-cg",
             iterations=iterations,
-            residual=rel_change,
+            residual=res,
             tol=tol,
             h=raster.h,
             eigenvalue=lam,
             eigenvector=x,
+            inner_iterations=inner_total,
         )
 
     for outer in range(1, max_outer + 1):
         M = A if shift == 0.0 else A - shift * sparse.identity(n, format="csr")
-        inner_rtol = min(1e-2, max(0.1 * rel_change, 0.01 * tol))
         try:
-            y, it = _cg(lambda v: M @ v, x, rtol=inner_rtol, maxiter=20 * n)
+            y, it = _cg(lambda v: M @ v, x, rtol=min(1e-2, 0.1 * res), maxiter=20 * n)
         except ArithmeticError:
             shift *= 0.5
             continue
@@ -327,13 +378,13 @@ def poincare_p2(
         if ny == 0.0 or not np.isfinite(ny):
             raise SolverDivergedError("inverse iteration produced a zero vector")
         x = y / ny
-        lam_new = float(x @ (A @ x))
-        rel_change = abs(lam_new - lam) / max(lam_new, 1e-300)
-        lam = lam_new
-        # a conservative shift accelerates once the estimate settles
-        if outer >= 2:
+        Ax = A @ x
+        lam = float(x @ Ax)
+        res = float(np.linalg.norm(Ax - lam * x)) / lam
+        # a conservative shift accelerates once the eigenvector settles
+        if res < 0.1:
             shift = 0.9 * lam
-        if rel_change <= tol:
+        if res <= math.sqrt(tol) / 10.0:
             return estimate(outer)
     raise SolverDivergedError(
         f"inverse iteration did not reach tol={tol} in {max_outer} steps",
@@ -628,7 +679,7 @@ def verify_thickness_bound(
     T = thickness(spec, t, direction, step=step if step is not None else raster.h / 4.0)
     if math.isinf(T):
         raise UnboundedDirectionError(
-            f"fiber unbounded along direction {list(np.round(np.asarray(direction, float), 12))}"
+            f"fiber unbounded along direction {np.round(np.asarray(direction, float), 12).tolist()}"
         )
     if T <= 0.0:
         raise EmptyFiberError("zero thickness: no chord found")
@@ -663,8 +714,7 @@ def discrete_column_inequality(
     telescoping-and-Holder argument; each random trial is asserted at
     ratio <= 1.  Identically zero draws are skipped by convention.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_trials(trials)
     if raster.empty:
         raise EmptyFiberError("empty raster")
     op = build_gradient(raster)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from poincare_lab.cli import (
     exit_code_from_report,
     main,
 )
+from poincare_lab.raster import MAX_MARCH_SAMPLES
 
 
 def run(tmp_path, *argv):
@@ -369,37 +371,37 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "1ca7266e73fdcf1b733f8d3c19c0188acec48345b69f22befaae17196c6b717e",
+            "report.json": "4b93fa65d810eb23e4c8b5447032da78d1084240f2fd517f928fc901e97580da",
         },
     ),
     "sweep": (
         ["sweep", "--spec", "cusp", "--grid", "3", "--p", "2", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "feb037c427d8b325e1d6947ff7e00f1de6d7f02d1e9fd9c06a314913a76bf66a",
-            "plot_cp.dat": "bf7a5eb2f21842540e9ea370b67fb02d1d656aac4c45bc3e4d188004e2614391",
+            "fibers.csv": "af1f9efdaaff52c8bae4ebcadc982049c914bb7f777c22aa1cc58b5dfcc93899",
+            "plot_cp.dat": "8935fd7008706063fa538bea3bad65cab3dcfd2bfe74174eb3b536ade5518108",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "21d6d7191cc26085534d2e6a0e31866e2314e37e83a6c41900d5517ea8290105",
+            "report.json": "d23609aec7d4570fd0fa7d95cfaaa168e167ad2a17249537f41607e09c69608d",
         },
     ),
     "lemma": (
         ["lemma", "--spec", "cusp", "--grid", "3", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "feb037c427d8b325e1d6947ff7e00f1de6d7f02d1e9fd9c06a314913a76bf66a",
-            "plot_cp.dat": "bf7a5eb2f21842540e9ea370b67fb02d1d656aac4c45bc3e4d188004e2614391",
+            "fibers.csv": "af1f9efdaaff52c8bae4ebcadc982049c914bb7f777c22aa1cc58b5dfcc93899",
+            "plot_cp.dat": "8935fd7008706063fa538bea3bad65cab3dcfd2bfe74174eb3b536ade5518108",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "132cb9edde7050c2cd2f635468d7e15e75ce1ec85d9e9a62307cf0e3e7513688",
+            "report.json": "ac9a1272ea6311a4c8965068e407699bfe0c1e0fbbe9aff0e63b812117ba0783",
         },
     ),
     "uniform": (
         ["uniform", "--spec", "cusp", "--grid", "3", "--res", "48,96", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "dbb5aec749ed63f63f49fb53e341d09973025130c9a3aecb165806d874f2d4c5",
-            "plot_cp.dat": "93950c73ca3a66fc783c9259fca4d60cf0b5ece73f12cb90fb9798518f0da7b1",
+            "fibers.csv": "899fc66020da4734b12c2d910e4ea40f8d29cfba94b5d499bb2799ad9232425a",
+            "plot_cp.dat": "061b37601df1b689163d77d8618cb793874b5818238c07bdd0cb7940556a43cb",
             "plot_ratio.dat": "e4e25ded80640b3ef3008065059eed8dd081aa9f594192806c1e13de2a196de3",
-            "report.json": "44840eda87d7cbf942b49efbd056957478115ade9d080949a341b47c7e235211",
+            "report.json": "5ac60fa427c2f26aab21cf506b4db9c95c07e9a63a6766ed9ea6d7bf16f75d0b",
         },
     ),
     "thickness": (
@@ -463,10 +465,10 @@ GOLDEN = {
          "--dir", "e1", "--samples", "512"],
         0,
         {
-            "fibers.csv": "313be7cc9310432310e519a2fabfa2d56289dacbaa9a7049a6b3e2b6a9703a13",
-            "plot_cp.dat": "42d6ce78a79a74cc9024a36062967c638f74515ee667fe73c56581f4e01490a9",
+            "fibers.csv": "0639e69dece6556dc9be5d2c1e7a271ea5c55ad64797ae924537b3971835c51e",
+            "plot_cp.dat": "156468fa096befa69d08b92130c8a026995952be602a1131fe8ae7738fbf16ad",
             "plot_ratio.dat": "7400eb72c99cd34e28691ac6bd99634563e14f8428e6cc64481136e6d0bdd39b",
-            "report.json": "3d110e14176911c2d571af4489b6ba977d1968615920821fbd34ffd79ef4859d",
+            "report.json": "f0a1e304ae8802619dda00fb1417cb5bc067c05c23a45cec8c1fe84bdc689692",
         },
     ),
     "lemma-not-applicable": (
@@ -528,7 +530,7 @@ GOLDEN = {
          "--trials", "5"],
         0,
         {
-            "report.json": "bd1382629fb32e9e8416792f67ccc4cad680b9375681c068a01b70eadb7a7373",
+            "report.json": "b03e741613ab6621a946c5aede5b8c841cfcaee39276edc960d22ce06e5988ce",
         },
     ),
 }
@@ -690,15 +692,54 @@ def test_bad_step_is_usage_error(tmp_path, step):
     }
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if a command reaches either solver route."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the command ran past its input checks")
+
+    monkeypatch.setattr(sobolev, "poincare_p2", forbidden)
+    monkeypatch.setattr(sobolev, "poincare_general_p", forbidden)
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
-def test_bad_trials_is_usage_error(tmp_path, trials):
+def test_bad_trials_is_usage_error(tmp_path, trials, no_solve):
     code, report, _ = run(
-        tmp_path, "check", "--spec", "disk", "--res", "16", "--trials", trials
+        tmp_path, "check", "--spec", "disk", "--res", "256", "--trials", trials
     )
     assert code == 2
     assert report["error"] == {
         "type": "ValueError", "message": f"trials must be at least 1, got {trials}"
     }
+
+
+def test_oversized_march_is_usage_error(tmp_path):
+    # a step of 1e-9 would ask numpy for about 22 GiB of march samples; the
+    # march is refused before any of it is allocated
+    tracemalloc.start()
+    try:
+        code, report, _ = run(
+            tmp_path, "thickness", "--spec", "disk", "--dir", "e1", "--res", "32",
+            "--step", "1e-9",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"].endswith(f"samples, over {MAX_MARCH_SAMPLES}")
+    assert peak < 64 << 20
+
+
+def test_unbounded_message_has_plain_numbers(tmp_path):
+    code, report, _ = run(
+        tmp_path, "check", "--spec", "cusp", "--t", "0.5", "--res", "32", "--dir", "auto"
+    )
+    assert code == 1
+    message = report["error"]["message"]
+    assert message.startswith("fiber unbounded along direction [")
+    assert "np.float64" not in message
 
 
 def test_bad_samples_per_column_is_usage_error(tmp_path):

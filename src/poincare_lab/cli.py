@@ -211,11 +211,7 @@ def _cmd_check(args):
                                 count=DEFAULTS["samples"])[0]
     else:
         lam = unit_direction(spec.ambient_dim, direction)
-    checks = [
-        verify_thickness_bound(
-            spec, t, raster, args.p, lam, step=args.step, tol=args.tol, seed=args.seed
-        )
-    ]
+    checks = [verify_thickness_bound(spec, t, raster, args.p, lam, step=args.step, tol=args.tol)]
     for axis in range(spec.ambient_dim):
         checks.append(
             discrete_column_inequality(raster, axis, args.p, trials=args.trials, seed=args.seed)

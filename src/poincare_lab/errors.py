@@ -108,4 +108,7 @@ class StratumTooThinWarning(UserWarning):
 
 
 class StagnationWarning(UserWarning):
-    """Multi-start descent runs disagree beyond the accepted spread."""
+    """Multi-start descent runs disagree beyond the accepted spread.
+
+    No longer raised: the general-p descent runs one start per connected
+    component.  Kept because the benchmark's worker still imports it."""

@@ -173,14 +173,14 @@ def resolve_direction(
     return lam, "explicit", alpha
 
 
-def _sweep_fiber(spec, t, p, resolution, direction, tol, seed):
+def _sweep_fiber(spec, t, p, resolution, direction, tol):
     try:
         raster = rasterize(spec, t, resolution)
         if raster.empty:
             return FiberRecord(t=t, empty=True, volume=0.0)
         vol = volume(raster)
         try:
-            rec = verify_thickness_bound(spec, t, raster, p, direction, tol=tol, seed=seed)
+            rec = verify_thickness_bound(spec, t, raster, p, direction, tol=tol)
         except UnboundedDirectionError:
             return FiberRecord(
                 t=t,
@@ -250,7 +250,7 @@ def sweep(
     lam, mode, alpha = resolve_direction(
         spec, direction, t_values, seed=seed, dirs=dirs, count=count
     )
-    args = [(spec, t, p, resolution, lam, tol, seed) for t in t_values]
+    args = [(spec, t, p, resolution, lam, tol) for t in t_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_sweep_fiber_star, args))

@@ -2,12 +2,11 @@
 
 Fields live on interior cells and are implicitly extended by zero, which
 models the zero-trace condition.  The gradient is the forward difference
-quotient, applied as array stencils on the full raster grid to one field
-or to a batch of fields at once; only the p = 2 Laplacian is assembled as
-a sparse matrix.  On top of the operator this module computes discrete
-Poincare constants (exact eigensolve route for p = 2, multi-start
-Rayleigh-quotient descent for general p, its starts advanced in lockstep
-so that one batched ratio evaluation serves them all), verifies the
+quotient, applied as array stencils on the full raster grid; only the
+p = 2 Laplacian is assembled as a sparse matrix.  On top of the operator
+this module computes discrete Poincare constants (exact eigensolve route
+for p = 2, Rayleigh-quotient descent for general p, one trajectory per
+face-connected component from the p = 2 eigenvector), verifies the
 thickness bound C_p <= 2^(1/p) * |Omega|_dir, checks the sharper per-axis
 discrete inequality exactly, and estimates boundary-trace interpolation
 ratios.
@@ -16,7 +15,6 @@ ratios.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
@@ -27,7 +25,6 @@ from .errors import (
     DegenerateGeometryError,
     EmptyFiberError,
     SolverDivergedError,
-    StagnationWarning,
     UnboundedDirectionError,
     jsonable,
 )
@@ -61,15 +58,6 @@ class GradientOperator:
     interior cell off the grid edge, so that zero only ever meets exterior
     cells, and every interior cell's backward neighbour, which the adjoint
     reads, lies on the grid.
-
-    ``apply``, ``apply_axis`` and ``apply_transpose`` take leading batch
-    axes: interior fields of shape ``(..., n_interior)`` map to gradients
-    of shape ``(..., dim, n_full)`` and back.  Each row goes through the
-    same elementwise operations as it would alone, so a batched result is
-    byte-equal to its rows' results.
-    Internally the gradient is component-major, ``(dim, ..., n_full)``, so
-    that each component of a whole batch is one contiguous array; ``apply``
-    returns it as a view with the component axis moved behind the batch.
     """
 
     raster: RasterDomain
@@ -84,13 +72,10 @@ class GradientOperator:
 
     @cached_property
     def _axes(self) -> tuple:
-        """Per axis: its stride in flat cells and the index of its last
-        plane behind the batch axes."""
+        """Per axis: its stride in flat cells and the index of its last plane."""
         r = self.raster
         strides = np.cumprod((1,) + r.counts[:0:-1])[::-1].tolist()
-        return tuple(
-            (s, (Ellipsis,) + last) for s, (_, _, last, _) in zip(strides, face_slices(r.dim))
-        )
+        return tuple((s, last) for s, (_, _, last, _) in zip(strides, face_slices(r.dim)))
 
     @cached_property
     def _adjoint_index(self) -> np.ndarray:
@@ -106,64 +91,59 @@ class GradientOperator:
         return np.stack(index)
 
     def _scatter(self, values: np.ndarray, full: np.ndarray):
-        """Interior values times 1/h into ``full``, flat grids (..., n_full)
-        whose exterior cells are zero."""
-        full[..., self._flat_interior] = values * (1.0 / self.raster.h)
+        """Interior values times 1/h into ``full``, a flat grid whose
+        exterior cells are zero."""
+        full[self._flat_interior] = values * (1.0 / self.raster.h)
 
     def _forward_difference(self, full: np.ndarray, axis: int, out: np.ndarray):
         """Component ``axis`` of the gradient of the scattered ``full`` into
-        ``out``, both contiguous flat grids of shape (..., n_full)."""
+        ``out``, both contiguous flat grids."""
         s, last = self._axes[axis]
-        # one shifted difference runs over the whole batch; wherever it
-        # pairs a cell with the next line's (or the next row's) first cell,
-        # the cell is on the last plane
-        flat, flat_out = full.reshape(-1), out.reshape(-1)
-        np.subtract(flat[s:], flat[:-s], out=flat_out[:-s])
+        # one shifted difference; wherever it pairs a cell with the next
+        # line's first cell, the cell is on the last plane
+        np.subtract(full[s:], full[:-s], out=out[:-s])
         # there the forward neighbour is +0.0, as np.diff(append=0)
-        grid = full.shape[:-1] + self.raster.counts
+        grid = self.raster.counts
         np.subtract(0.0, full.reshape(grid)[last], out=out.reshape(grid)[last])
 
     def _gradient(self, values: np.ndarray, full: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Gradient of interior fields (..., n_interior) into ``out``, shape
-        (dim, ..., n_full), through the zero-exterior flat grids ``full``."""
+        """Gradient of an interior field into ``out``, shape (dim, n_full),
+        through the zero-exterior flat grid ``full``."""
         self._scatter(values, full)
         for ax in range(self.raster.dim):
             self._forward_difference(full, ax, out[ax])
         return out
 
     def _adjoint(self, comps) -> np.ndarray:
-        """Adjoint of ``_gradient``: component-major (dim, ..., n_full) to
-        interior values, minus the sum over axes of the backward
-        differences at the interior cells."""
+        """Adjoint of ``_gradient``: components (dim, n_full) to interior
+        values, minus the sum over axes of the backward differences at the
+        interior cells."""
         terms = []
         for c, index in zip(comps, self._adjoint_index):
-            c = c.take(index, axis=-1)
+            c = c[index]
             c *= 1.0 / self.raster.h
-            terms.append(c[..., 0, :] - c[..., 1, :])
+            terms.append(c[0] - c[1])
         out = -terms[0]
         for d in terms[1:]:
             out -= d
         return out
 
     def apply_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Gradient component ``axis`` of interior fields, shape (..., n_full_cells)."""
-        values = np.asarray(values)
-        full = np.zeros(values.shape[:-1] + (self.raster.interior.size,))
-        self._scatter(values, full)
+        """Gradient component ``axis`` of an interior field, shape (n_full_cells,)."""
+        full = np.zeros(self.raster.interior.size)
+        self._scatter(np.asarray(values), full)
         out = np.empty_like(full)
         self._forward_difference(full, axis, out)
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Gradient of interior fields, shape (..., dim, n_full_cells)."""
-        values = np.asarray(values)
-        full = np.zeros(values.shape[:-1] + (self.raster.interior.size,))
-        out = np.empty((self.raster.dim,) + full.shape)
-        return np.moveaxis(self._gradient(values, full, out), 0, -2)
+        """Gradient of an interior field, shape (dim, n_full_cells)."""
+        full = np.zeros(self.raster.interior.size)
+        return self._gradient(np.asarray(values), full, np.empty((self.raster.dim, full.size)))
 
     def apply_transpose(self, comps: np.ndarray) -> np.ndarray:
         """Adjoint of ``apply``: full-grid components to interior values."""
-        return self._adjoint(np.moveaxis(np.asarray(comps), -2, 0))
+        return self._adjoint(np.asarray(comps))
 
     def laplacian(self):
         """grad^T grad on interior cells, as a CSR matrix: the Dirichlet
@@ -245,6 +225,8 @@ class PoincareEstimate:
     h: float
     eigenvalue: float | None = None
     eigenvector: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
+    # 0.0 and False for general p, which has one start per component; kept
+    # because the benchmark's tracer reads them
     spread: float | None = None
     stagnation: bool = False
     inner_iterations: int = 0  # CG steps over all levels; not reported
@@ -396,98 +378,77 @@ def _inverse_iteration(raster: RasterDomain, tol: float, max_outer: int) -> Poin
 # general p: Rayleigh-quotient descent
 # ---------------------------------------------------------------------------
 
-_RESTARTS = 8  # seeded random start fields, besides the p = 2 eigenvector
 _STAGE_ITER = 300  # descent steps per annealed smoothing level
 _FINAL_ITER = 3000  # descent steps at the declared kink smoothing
 
 
-class _RatioBatch:
-    """Smoothed Rayleigh ratios R(u) = ||grad u||_p / ||u||_p of batches of
-    up to ``rows`` fields on one operator, at one p and field smoothing.
+class _Ratio:
+    """Smoothed Rayleigh ratio R(u) = ||grad u||_p / ||u||_p of one field
+    on one operator, at one p and field smoothing.
 
-    Each row u of a batch ``U`` (shape (k, n)) is smoothed by its own
-    gradient-magnitude ``eps_g[i]``, which the caller anneals; the field
-    smoothing eps_u stays at the declared kink scale, since inflating it
-    rescales the denominator and degenerates the functional.  The
-    elementwise work and the row sums run once on the whole batch; the
-    per-row scalars are finished as Python floats, whose ``**`` is libm
-    ``pow`` (numpy's can differ in the last bit), so each row gets exactly
-    the bits it would get alone.  The full-grid arrays live in scratch
-    buffers allocated once: fresh ones per batch fault their pages in again
-    whenever the allocator has handed the memory back in between.
+    The gradient magnitude is smoothed by ``eps_g``, which the caller
+    anneals; the field smoothing eps_u stays at the declared kink
+    scale, since inflating it rescales the denominator and degenerates the
+    functional.  The scalars are finished as Python floats, whose ``**`` is
+    libm ``pow`` (numpy's can differ in the last bit).  The full-grid
+    arrays live in scratch buffers allocated once: fresh ones per call
+    fault their pages in again whenever the allocator has handed the
+    memory back in between.
     """
 
-    def __init__(self, op: GradientOperator, p: float, eps_u: float, rows: int):
+    def __init__(self, op: GradientOperator, p: float, eps_u: float):
         r = op.raster
         self.op, self.p, self.eps_u = op, p, eps_u
         self.h_w = r.h**r.dim
-        cells = rows * r.interior.size
-        self._full = np.zeros(cells)  # only interior cells are ever written
-        self._grad = np.empty(r.dim * cells)
-        self._comps = np.empty(r.dim * cells)
-        self._m2 = np.empty(cells)
-        self._tmp = np.empty(cells)
+        self._full = np.zeros(r.interior.size)  # only interior cells are ever written
+        self._grad = np.empty((r.dim, r.interior.size))
+        self._comps = np.empty((r.dim, r.interior.size))
+        self._m2 = np.empty(r.interior.size)
+        self._tmp = np.empty(r.interior.size)
 
-    def _view(self, buf: np.ndarray, *shape) -> np.ndarray:
-        """A contiguous prefix of a scratch buffer, shaped."""
-        return buf[: math.prod(shape)].reshape(shape)
-
-    def ratio(self, U: np.ndarray, eps_g: np.ndarray):
-        """Lists of R and ||u||_p over the rows of ``U``, and the terms
-        ``ratio_and_grad`` reuses for the gradient."""
-        op, p, h_w = self.op, self.p, self.h_w
-        k, n_full = U.shape[0], op.raster.interior.size
-        G = op._gradient(
-            U, self._view(self._full, k, n_full), self._view(self._grad, op.raster.dim, k, n_full)
-        )
+    def _terms(self, u: np.ndarray, eps_g: float):
+        """R, ||u||_p and the terms ``value_and_grad`` reuses."""
+        p, h_w, tmp = self.p, self.h_w, self._tmp
+        G = self.op._gradient(u, self._full, self._grad)
         # squared components added in axis order, as (g * g).sum(axis=0)
-        M2 = np.multiply(G[0], G[0], out=self._view(self._m2, k, n_full))
-        tmp = self._view(self._tmp, k, n_full)
+        M2 = np.multiply(G[0], G[0], out=self._m2)
         for g in G[1:]:
             M2 += np.multiply(g, g, out=tmp)
-        M2 += (eps_g * eps_g)[:, None]
+        M2 += eps_g * eps_g
         np.copyto(tmp, M2)
         tmp **= p / 2.0  # in place, through the same scalar-power path as **
-        Ng = [(s * h_w) ** (1.0 / p) for s in tmp.sum(axis=-1).tolist()]
-        U2 = U * U + self.eps_u * self.eps_u
-        Nu = [(s * h_w) ** (1.0 / p) for s in (U2 ** (p / 2.0)).sum(axis=-1).tolist()]
-        R = [ng / nu for ng, nu in zip(Ng, Nu)]
-        return R, Nu, (G, M2, Ng, U2)
+        Ng = (float(tmp.sum()) * h_w) ** (1.0 / p)
+        U2 = u * u + self.eps_u * self.eps_u
+        Nu = (float((U2 ** (p / 2.0)).sum()) * h_w) ** (1.0 / p)
+        return Ng / Nu, Nu, (G, M2, Ng, U2)
 
-    def ratio_and_grad(self, U: np.ndarray, eps_g: np.ndarray, k: int):
-        """R and ||u||_p of every row of ``U``, and the gradient of R,
-        shape (k, n), for its first ``k`` rows only (None when k is 0)."""
-        R, Nu, (G, M2, Ng, U2) = self.ratio(U, eps_g)
-        if k == 0:
-            return R, None, Nu
-        op, p, h_w = self.op, self.p, self.h_w
-        n_full = M2.shape[-1]
-        W = self._view(self._tmp, k, n_full)
-        np.copyto(W, M2[:k])
+    def value(self, u: np.ndarray, eps_g: float):
+        """R and ||u||_p."""
+        R, Nu, _ = self._terms(u, eps_g)
+        return R, Nu
+
+    def value_and_grad(self, u: np.ndarray, eps_g: float):
+        """R, ||u||_p and the gradient of R."""
+        R, Nu, (G, M2, Ng, U2) = self._terms(u, eps_g)
+        p, h_w, W = self.p, self.h_w, self._tmp
+        np.copyto(W, M2)
         W **= p / 2.0 - 1.0
-        C = np.multiply(G[:, :k], W, out=self._view(self._comps, op.raster.dim, k, n_full))
-        cg = np.array([h_w * ng ** (1.0 - p) for ng in Ng[:k]])[:, None]
-        cu = np.array([h_w * nu ** (1.0 - p) for nu in Nu[:k]])[:, None]
-        dNg = op._adjoint(C) * cg
-        dNu = U[:k] * U2[:k] ** (p / 2.0 - 1.0) * cu
-        gradR = (dNg - np.array(R[:k])[:, None] * dNu) / np.array(Nu[:k])[:, None]
-        return R, gradR, Nu
+        dNg = self.op._adjoint(np.multiply(G, W, out=self._comps)) * (h_w * Ng ** (1.0 - p))
+        dNu = u * U2 ** (p / 2.0 - 1.0) * (h_w * Nu ** (1.0 - p))
+        return R, Nu, (dNg - R * dNu) / Nu
 
 
-def _descend(u0, eps_g, max_iter, rtol):
-    """Normalized gradient descent at one smoothing level, as a generator.
+def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
+    """Normalized gradient descent at one smoothing level.
 
-    Every ratio evaluation is a request ``yield (u, eps_g, want_grad)``,
-    answered with ``(R, ||u||_p, gradR)``, where gradR is None unless
-    asked for; ``poincare_general_p`` answers the requests of all starts
-    in one batched pass.  Barzilai-Borwein trial step with Armijo
-    backtracking; the line search asks for the ratio only, so just the
-    accepted point pays for the gradient.  The iterate is renormalized to
-    ||u||_p = 1 after every accepted step.  Returns the best ratio seen,
-    the final iterate, iterations used, and the relative change of R over
-    the last 10 iterations.
+    Barzilai-Borwein trial step with Armijo backtracking; the line search
+    asks for the ratio only, so just the accepted point pays for the
+    gradient.  The iterate is renormalized to ||u||_p = 1 after every
+    accepted step.  Returns the best ratio seen, the final iterate,
+    iterations used, and the relative change of R over the last 10
+    iterations.
     """
-    R, Nu, _ = yield u0, eps_g, False
+    R, Nu = ratio.value(u0, eps_g)
     u = u0 / Nu
     best = R
     step = 1.0
@@ -497,7 +458,7 @@ def _descend(u0, eps_g, max_iter, rtol):
     g_prev = None
     it = 0
     for it in range(1, max_iter + 1):
-        R, _, gR = yield u, eps_g, True
+        R, _, gR = ratio.value_and_grad(u, eps_g)
         gnorm2 = float(gR @ gR)
         if gnorm2 == 0.0:
             resid = 0.0
@@ -514,7 +475,7 @@ def _descend(u0, eps_g, max_iter, rtol):
         st = step
         for _ in range(50):
             cand = u - st * gR
-            Rc, Nuc, _ = yield cand, eps_g, False
+            Rc, Nuc = ratio.value(cand, eps_g)
             if Rc <= R - 1e-4 * st * gnorm2:
                 u = cand / Nuc
                 R = Rc
@@ -534,11 +495,12 @@ def _descend(u0, eps_g, max_iter, rtol):
 
 
 def _trajectory(op: GradientOperator, u0: np.ndarray, p: float, eps_u: float, tol: float):
-    """One start's descent, as a generator of ``_descend`` requests: stages
-    that anneal the gradient-magnitude smoothing geometrically from the
-    start field's RMS gradient down to the kink scale, then the polish at
-    the declared smoothing.  Returns the best ratio over all stages, the
-    polish's residual and the iterations used."""
+    """One start's descent: stages that anneal the gradient-magnitude
+    smoothing geometrically from the start field's RMS gradient down to the
+    kink scale, then the polish at the declared smoothing.  Returns the
+    best ratio over all stages, the polish's residual and the iterations
+    used."""
+    ratio = _Ratio(op, p, eps_u)
     un = u0 / max(lp_norm(u0, p, op.raster), 1e-300)
     g0 = op.apply(un)
     eps_g = float(np.sqrt(np.mean(np.sum(g0 * g0, axis=0)))) or 1.0
@@ -546,84 +508,47 @@ def _trajectory(op: GradientOperator, u0: np.ndarray, p: float, eps_u: float, to
     best = math.inf
     total_it = 0
     while eps_g > 10.0 * eps_u:
-        b, u, it, _ = yield from _descend(u, eps_g, _STAGE_ITER, 1e-8)
+        b, u, it, _ = _descend(ratio, u, eps_g, _STAGE_ITER, 1e-8)
         best = min(best, b)
         total_it += it
         eps_g *= 0.3
-    b, u, it, resid = yield from _descend(u, eps_u, _FINAL_ITER, tol)
+    b, u, it, resid = _descend(ratio, u, eps_u, _FINAL_ITER, tol)
     return min(best, b), resid, total_it + it
 
 
-def poincare_general_p(
-    raster: RasterDomain,
-    p: float,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> PoincareEstimate:
-    """Discrete Poincare constant for general p >= 1 by multi-start
-    normalized descent on the Rayleigh ratio ||grad u||_p / ||u||_p.
+def poincare_general_p(raster: RasterDomain, p: float, tol: float = 1e-6) -> PoincareEstimate:
+    """Discrete Poincare constant for general p >= 1 by normalized descent
+    on the Rayleigh ratio ||grad u||_p / ||u||_p, one trajectory per
+    face-connected component of the interior.
 
     The kink smoothing is 1e-9 * h.  Because the p = 1 landscape is
     piecewise linear, each trajectory anneals the gradient-magnitude
     smoothing geometrically from the start field's RMS gradient down to the
     kink scale before the final polish at the declared smoothing; this lets
     plateau-type optimizers form instead of jamming the line search at the
-    first kink.  Starts are eight seeded random fields plus the p = 2
-    eigenvector; the result is the best ratio over all trajectories, so the
-    constant is a certified lower bound for the discrete supremum.
-    A spread above 5 percent between restart outcomes is flagged as
-    stagnation (reported, not fatal).
-
-    The starts advance in lockstep.  Each start is a ``_trajectory``
-    generator that yields its ratio requests; each tick stacks the pending
-    request of every unfinished trajectory into one batch, gradient
-    requests first, answers them with one ``_RatioBatch.ratio_and_grad``
-    pass and sends every trajectory its own row.  Every trajectory still
-    runs exactly its own floating-point operations in its own order, so
-    the result equals that of running the starts one after another, and
-    a tick costs about as many numpy calls as one start's step.
+    first kink.  The gradient couples only face neighbours, so the problem
+    separates over the face-connected components, and on a connected domain
+    the first p-Laplacian eigenfunction is simple and positive (Lindqvist,
+    Proc. AMS 1990).  So each component gets one start: the p = 2
+    eigenvector restricted to it.  The result is the best ratio over the
+    trajectories; it comes from an explicit field, so the constant is a
+    certified lower bound for the discrete supremum.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
     check_p(p)
+    from scipy import ndimage  # deferred: slow to import
+
     op = build_gradient(raster)
     eps_u = 1e-9 * raster.h
-    rng = np.random.default_rng(seed)
-    n = raster.interior_count
-
-    starts = [rng.uniform(-1.0, 1.0, n) for _ in range(_RESTARTS)]
-    eig = poincare_p2(raster, tol=min(1e-6, tol))
-    starts.append(eig.eigenvector.copy())
-
-    trajectories = [_trajectory(op, u0, p, eps_u, tol) for u0 in starts]
-    batch = _RatioBatch(op, p, eps_u, rows=len(trajectories))
-    pending = {i: next(t) for i, t in enumerate(trajectories)}
-    outcomes = [None] * len(trajectories)
-    while pending:
-        live = sorted(pending, key=lambda i: not pending[i][2])
-        k = sum(pending[i][2] for i in live)
-        U = np.stack([pending[i][0] for i in live])
-        eps_g = np.array([pending[i][1] for i in live])
-        R, gradR, Nu = batch.ratio_and_grad(U, eps_g, k)
-        for j, i in enumerate(live):
-            try:
-                pending[i] = trajectories[i].send((R[j], Nu[j], gradR[j] if j < k else None))
-            except StopIteration as done:
-                outcomes[i] = done.value
-                del pending[i]
-
-    finals = [ratio for ratio, _, _ in outcomes]
-    best_R = math.inf
-    best_resid = 1.0
-    for ratio, resid, _ in outcomes:
-        if ratio < best_R:
-            best_R, best_resid = ratio, resid
-    spread = (max(finals) - min(finals)) / max(min(finals), 1e-300)
-    stagnation = spread > 0.05
-    if stagnation:
-        warnings.warn(
-            f"restart ratios disagree by {spread:.1%} for p={p}", StagnationWarning
-        )
+    labels, count = ndimage.label(raster.interior)  # face connectivity, as the gradient
+    labels = labels[raster.interior]
+    eig = poincare_p2(raster, tol=min(1e-6, tol)).eigenvector
+    outcomes = [
+        _trajectory(op, np.where(labels == k, eig, 0.0), p, eps_u, tol)
+        for k in range(1, count + 1)
+    ]
+    best_R, best_resid, _ = min(outcomes, key=lambda o: o[0])
     return PoincareEstimate(
         p=float(p),
         constant=1.0 / best_R,
@@ -632,16 +557,15 @@ def poincare_general_p(
         residual=best_resid,
         tol=tol,
         h=raster.h,
-        spread=spread,
-        stagnation=stagnation,
+        spread=0.0,
     )
 
 
-def poincare_constant(raster: RasterDomain, p: float, tol: float | None = None, seed: int = 0) -> PoincareEstimate:
+def poincare_constant(raster: RasterDomain, p: float, tol: float | None = None) -> PoincareEstimate:
     """Route to the eigensolve for p = 2, descent otherwise."""
     if abs(p - 2.0) < 1e-12:
         return poincare_p2(raster, tol=1e-8 if tol is None else tol)
-    return poincare_general_p(raster, p, tol=1e-6 if tol is None else tol, seed=seed)
+    return poincare_general_p(raster, p, tol=1e-6 if tol is None else tol)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +596,9 @@ def verify_thickness_bound(
 
     The discretization allowance is eta_h = 10 h / |Omega_t|_dir.  Raises
     ``UnboundedDirectionError`` when the fiber is unbounded along the
-    direction and ``EmptyFiberError`` for an empty raster.
+    direction and ``EmptyFiberError`` for an empty raster.  ``seed`` is
+    unused: the solvers draw no random numbers; it stays for callers that
+    still pass it.
     """
     if raster.empty:
         raise EmptyFiberError(f"empty fiber at t={list(raster.t)}")
@@ -683,7 +609,7 @@ def verify_thickness_bound(
         )
     if T <= 0.0:
         raise EmptyFiberError("zero thickness: no chord found")
-    est = poincare_constant(raster, p, tol=tol, seed=seed)
+    est = poincare_constant(raster, p, tol=tol)
     bound = 2.0 ** (1.0 / p) * T
     eta = 10.0 * raster.h / T
     passed = est.constant <= bound * (1.0 + eta)

@@ -72,7 +72,6 @@ def test_criterion_01_eigenvalue_targets(specs):
     print("[criterion 01] PASS eigenvalue targets: " + "; ".join(lines))
 
 
-@pytest.mark.filterwarnings("ignore::poincare_lab.errors.StagnationWarning")
 def test_criterion_02_per_fiber_bound(specs, corpus65):
     failures = []
     skipped = []

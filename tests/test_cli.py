@@ -83,7 +83,7 @@ def test_check_param_out_of_range_is_usage_error(tmp_path):
 def test_check_general_p_uses_route_tolerance(tmp_path, monkeypatch):
     seen = []
 
-    def spy(raster, p, tol=1e-6, seed=0):
+    def spy(raster, p, tol=1e-6):
         seen.append(tol)
         return sobolev.PoincareEstimate(
             p=p, constant=0.1, method="stub", iterations=0,
@@ -508,7 +508,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "ebcf4ec89419c680a5b2291c6e90c83bd52e62461a5372a4ef1d651bfb0f16e9",
+            "report.json": "b70d248f6df0ed6806eb94428f449c2d2882fb2738d8548f4a5c5895a53c6a1c",
         },
     ),
     "unknown-spec": (

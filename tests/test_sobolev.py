@@ -27,7 +27,6 @@ from poincare_lab.errors import (
     DegenerateGeometryError,
     EmptyFiberError,
     SolverDivergedError,
-    StagnationWarning,
     UnboundedDirectionError,
 )
 from poincare_lab.raster import RasterDomain
@@ -165,16 +164,6 @@ def test_stencils_match_sparse_reference(specs, name, t, res):
         assert g[ax].tobytes() == np.diff(full, axis=ax, append=0.0).tobytes()
         assert op.apply_axis(u, ax).tobytes() == g[ax].tobytes()
     assert np.array_equal(op.apply_transpose(c), sum(m.T @ ci for m, ci in zip(mats, c)))
-    # a leading batch axis runs every row through the same operations
-    U = rng.normal(size=(3, r.interior_count))
-    C = rng.normal(size=(3,) + c.shape)
-    rows = np.stack([op.apply(u) for u in U])
-    assert op.apply(U).tobytes() == rows.tobytes()
-    rows = np.stack([op.apply_transpose(ci) for ci in C])
-    assert op.apply_transpose(C).tobytes() == rows.tobytes()
-    for ax in range(r.dim):
-        rows = np.stack([op.apply_axis(u, ax) for u in U])
-        assert op.apply_axis(U, ax).tobytes() == rows.tobytes()
     ref = sum((m.T @ m).tocsr() for m in mats).tocsr()
     A = op.laplacian()
     ref.sort_indices()
@@ -301,7 +290,7 @@ def test_p2_matches_shift_invert_eigsh(specs, name, res):
 
 def _reference_ratio_and_grad(op, u, p, eps_g, eps_u):
     """The smoothed ratio, its gradient and ||u||_p of one field, written
-    out on the unbatched operator."""
+    out on the public operator."""
     h_w = op.h**op.raster.dim
     g = op.apply(u)
     m2 = (g * g).sum(axis=0) + eps_g * eps_g
@@ -316,60 +305,37 @@ def _reference_ratio_and_grad(op, u, p, eps_g, eps_u):
 
 @pytest.mark.parametrize("name,res", [("interval", 16), ("disk", 13), ("ball", 8)])
 def test_value_only_ratio_matches_ratio_and_grad(specs, name, res):
-    # a batch of k rows, the first k_grad asking for the gradient, equals
-    # k single-row calls and the one-field reference, bit for bit
+    # the value-only and the gradient path of the scratch-buffer ratio equal
+    # the one-field reference, bit for bit, on reused buffers
     r = rasterize(specs.get(name) or parse_domain(BALL), (), res)
     op = build_gradient(r)
     eps_u = 1e-9 * r.h
     rng = np.random.default_rng(res)
     for p in (1.0, 1.5, 3.0):
-        batch = sobolev._RatioBatch(op, p, eps_u, rows=9)
-        for k, k_grad in ((1, 0), (1, 1), (3, 2), (9, 4)):
-            U = rng.normal(size=(k, r.interior_count))
-            eps_g = rng.choice([eps_u, 1e-3, 0.5], size=k)
-            R, gradR, Nu = batch.ratio_and_grad(U, eps_g, k_grad)
-            assert len(R) == len(Nu) == k
-            assert (gradR is None) == (k_grad == 0)
-            R_val, Nu_val, _ = batch.ratio(U, eps_g)
-            assert R_val == R and Nu_val == Nu
-            for i in range(k):
-                R1, g1, Nu1 = batch.ratio_and_grad(U[i : i + 1].copy(), eps_g[i : i + 1], 1)
-                R_ref, g_ref, Nu_ref = _reference_ratio_and_grad(op, U[i], p, eps_g[i], eps_u)
-                assert R[i] == R1[0] == R_ref
-                assert Nu[i] == Nu1[0] == Nu_ref
-                assert g1[0].tobytes() == g_ref.tobytes()
-                if i < k_grad:
-                    assert gradR[i].tobytes() == g_ref.tobytes()
+        ratio = sobolev._Ratio(op, p, eps_u)
+        for eps_g in (eps_u, 1e-3, 0.5):
+            u = rng.normal(size=r.interior_count)
+            R_ref, g_ref, Nu_ref = _reference_ratio_and_grad(op, u, p, eps_g, eps_u)
+            R, Nu, g = ratio.value_and_grad(u, eps_g)
+            assert ratio.value(u, eps_g) == (R, Nu) == (R_ref, Nu_ref)
+            assert g.tobytes() == g_ref.tobytes()
 
 
 # Exact outputs of the descent: a change that alters its numerics on purpose
 # updates these and says so in CHANGES.md.
-@pytest.mark.filterwarnings("ignore::poincare_lab.errors.StagnationWarning")
 @pytest.mark.parametrize(
     "name,res,p,bits",
     [
-        (
-            "disk", 5, 1.0,
-            ("0x1.e4ea62112192ep-2", 8955, "0x1.cf89168f3d367p-32", "0x1.9436f3b271f5ep-22"),
-        ),
-        (
-            "square", 17, 3.0,
-            ("0x1.110fbb6daa69ep-2", 10301, "0x0.0p+0", "0x1.110fbb6daa69ep-53"),
-        ),
-        (
-            "ball", 8, 3.0,
-            ("0x1.c60f5c316ee14p-2", 7371, "0x1.c60f5c316ee14p-53", "0x1.c60f5c316ee14p-53"),
-        ),
-        (
-            "two_disks", 9, 1.5,
-            ("0x1.3dc4bf608b695p-2", 9206, "0x1.a76ecb8385c4bp-42", "0x1.5e0fd99bef004p-31"),
-        ),
+        ("disk", 5, 1.0, ("0x1.e4ea5eed0e693p-2", 790, "0x1.8309d8f863c8ep-31")),
+        ("square", 17, 3.0, ("0x1.110fbb6daa69ep-2", 887, "0x0.0p+0")),
+        ("ball", 8, 3.0, ("0x1.c60f5c316ee12p-2", 756, "0x0.0p+0")),
+        ("two_disks", 9, 1.5, ("0x1.3dc4bf608e7f0p-2", 1610, "0x0.0p+0")),
     ],
 )
 def test_general_p_golden_bits(specs, name, res, p, bits):
     spec = specs.get(name) or parse_domain(BALL)
-    est = poincare_general_p(rasterize(spec, (), res), p, seed=0)
-    assert (est.constant.hex(), est.iterations, est.residual.hex(), est.spread.hex()) == bits
+    est = poincare_general_p(rasterize(spec, (), res), p)
+    assert (est.constant.hex(), est.iterations, est.residual.hex()) == bits
 
 
 def test_general_p_agrees_with_eigensolve_at_p2(square64):
@@ -379,7 +345,6 @@ def test_general_p_agrees_with_eigensolve_at_p2(square64):
     assert not est.stagnation
 
 
-@pytest.mark.filterwarnings("ignore::poincare_lab.errors.StagnationWarning")
 def test_general_p1_interval_indicator_optimum(specs, interval64):
     # brute force over indicator and trapezoid profiles: total variation of
     # a nonnegative profile is at least twice its peak, and the indicator
@@ -416,20 +381,32 @@ def test_general_p_lower_bounds_supremum(square64, rng):
         assert ratio <= est.constant * (1.0 + 1e-6)
 
 
-def test_stagnation_warning_on_two_unequal_bars():
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("name,t,res", [("square", (), 17), ("annulus", (), 25), ("cusp", (0.5,), 25)])
+def test_random_starts_do_not_beat_the_eigenvector_start(specs, name, t, res, p):
+    # the evidence for one start per component: the same descent from
+    # random fields finds no larger constant on these connected fibers
+    r = rasterize(specs[name], t, res)
+    est = poincare_general_p(r, p)
+    op = build_gradient(r)
+    rng = np.random.default_rng(res)
+    for _ in range(2):
+        u0 = rng.uniform(-1.0, 1.0, r.interior_count)
+        ratio, _, _ = sobolev._trajectory(op, u0, p, 1e-9 * r.h, est.tol)
+        assert 1.0 / ratio <= est.constant * (1.0 + 1e-7)
+
+
+def test_general_p1_unequal_bars_finds_the_long_bar():
+    # two components: the start restricted to each one reaches the long
+    # bar's indicator profile, C_1 = 0.4 / 2
     spec = parse_domain(
         "dim 1\nbox [0,1]\nset: (x > 0 and 0.4 - x > 0) or (x - 0.7 > 0 and 1 - x > 0)\n"
     )
-    r = rasterize(spec, (), 128)
-    with pytest.warns(StagnationWarning):
-        est = poincare_general_p(r, 1.0)
-    assert est.stagnation
-    assert est.spread > 0.05
-    # the best trajectory still finds the long bar's indicator profile
-    assert est.constant == pytest.approx(0.2, rel=0.05)
+    est = poincare_general_p(rasterize(spec, (), 128), 1.0)
+    assert est.constant == pytest.approx(0.2, rel=0.01)
+    assert (est.spread, est.stagnation) == (0.0, False)
 
 
-@pytest.mark.filterwarnings("ignore::poincare_lab.errors.StagnationWarning")
 def test_poincare_constant_routes(specs, square64):
     assert poincare_constant(square64, 2.0).method == "inverse-iteration-cg"
     # a coarse raster reaches the descent route as well as square64 does

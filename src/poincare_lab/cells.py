@@ -17,7 +17,7 @@ interval rather than silently guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -32,6 +32,7 @@ _EDGE_DROP_TOL = 1e-8
 _REAL_IMAG_TOL = 1e-7
 _POINT_CLUSTER_TOL = 1e-6
 _PROBE_OFFSET = 1e-7
+SAMPLES_PER_COLUMN = 129  # default abscissae per open column
 
 INSIDE = "inside"
 BOUNDARY = "boundary"
@@ -104,13 +105,7 @@ class CellComplex2D:
 
     def inside_cell_count(self) -> int:
         """Number of inside-labeled band cells over open columns."""
-        return sum(
-            1
-            for col in self.columns
-            if col.kind == "open"
-            for b in col.bands
-            if b.label == INSIDE
-        )
+        return sum(1 for _ in self._inside_band_heights())
 
     def _inside_band_heights(self):
         """(x samples, xi_hi - xi_lo) for each inside band over an open
@@ -495,7 +490,7 @@ def _build_column(spec, t, mats, a, b, kind, samples):
 
 
 def cell_decompose_2d(
-    spec: DomainSpec, t, samples_per_column: int = 129
+    spec: DomainSpec, t, samples_per_column: int = SAMPLES_PER_COLUMN
 ) -> CellComplex2D:
     """Decompose the fiber at ``t`` into columns of graph and band cells."""
     if spec.ambient_dim != 2:
@@ -531,58 +526,35 @@ def cell_decompose_2d(
 
 def merge_vertical(complex_: CellComplex2D) -> CellComplex2D:
     """Merge vertically adjacent inside bands whose separating graph is not
-    part of the boundary closure; the spurious separator is removed."""
+    part of the boundary closure; the spurious separator is removed.
+
+    One upward pass per column: a merged band keeps the lower band's bottom
+    and takes the upper band's top and label, so it merges with the band
+    above exactly when the upper band alone would have.
+    """
     new_columns = []
     for col in complex_.columns:
-        bands = list(col.bands)
-        removed = set()
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(bands) - 1):
-                b1, b2 = bands[i], bands[i + 1]
-                sep = b1.upper
-                if (
-                    sep is not None
-                    and sep == b2.lower
-                    and b1.label == INSIDE
-                    and b2.label == INSIDE
-                    and col.graphs[sep].label == INSIDE
-                ):
-                    removed.add(sep)
-                    bands[i : i + 2] = [
-                        BandCell(lower=b1.lower, upper=b2.upper, label=INSIDE)
-                    ]
-                    changed = True
-                    break
+        bands, removed = [], set()
+        for b in col.bands:
+            sep = b.lower
+            if (
+                bands
+                and sep is not None
+                and bands[-1].upper == sep
+                and bands[-1].label == b.label == INSIDE
+                and col.graphs[sep].label == INSIDE
+            ):
+                removed.add(sep)
+                bands[-1] = replace(b, lower=bands[-1].lower)
+            else:
+                bands.append(b)
         if not removed:
             new_columns.append(col)
             continue
         keep = [i for i in range(len(col.graphs)) if i not in removed]
-        remap = {old: new for new, old in enumerate(keep)}
-        graphs = tuple(col.graphs[i] for i in keep)
-        bands = tuple(
-            BandCell(
-                lower=None if b.lower is None else remap[b.lower],
-                upper=None if b.upper is None else remap[b.upper],
-                label=b.label,
-            )
-            for b in bands
-        )
+        remap = {None: None, **{old: new for new, old in enumerate(keep)}}
+        bands = tuple(replace(b, lower=remap[b.lower], upper=remap[b.upper]) for b in bands)
         new_columns.append(
-            Column(
-                kind=col.kind,
-                x_lo=col.x_lo,
-                x_hi=col.x_hi,
-                x_samples=col.x_samples,
-                graphs=graphs,
-                bands=bands,
-            )
+            replace(col, graphs=tuple(col.graphs[i] for i in keep), bands=bands)
         )
-    return CellComplex2D(
-        spec=complex_.spec,
-        t=complex_.t,
-        criticals=complex_.criticals,
-        columns=tuple(new_columns),
-        samples_per_column=complex_.samples_per_column,
-    )
+    return replace(complex_, columns=tuple(new_columns))

@@ -11,12 +11,13 @@ alone adds the ``command`` and ``error`` keys, turns exceptions into
 error reports, and encodes the whole report once with
 ``errors.jsonable``.  ``--out`` is read ahead of the full parse, so an
 argparse error (a flag value that does not parse, an unknown flag) is
-reported there too.  All numeric defaults live in the DEFAULTS block
-below.  ``_FLAGS`` declares each flag once with its argparse keywords;
-one ``_COMMANDS`` row per command names its handler, its help, the flags
-it takes and the few keywords that differ there, and both the parser and
-the dispatch in ``main`` are built from those rows.  ``--seed 0 --jobs 1``
-runs are byte-reproducible.
+reported there too.  The DEFAULTS block below names every numeric
+default; each is defined once, in the module that uses it.  ``_FLAGS``
+declares each flag once with its argparse keywords; one ``_COMMANDS`` row
+per command names its handler, its help, the flags it takes and the few
+keywords that differ there, and both the parser and the dispatch in
+``main`` are built from those rows.  ``harness`` alone reads ``--dir``.
+``--seed 0 --jobs 1`` runs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
-from .cells import cell_decompose_2d, merge_vertical
+from .cells import SAMPLES_PER_COLUMN, cell_decompose_2d, merge_vertical
 from .corpus import corpus_path
 from .dsl import parse_domain, print_domain
 from .errors import (
@@ -59,24 +59,25 @@ from .raster import (
     write_pgm,
 )
 from .sobolev import (
+    TRIALS,
     check_trials,
     discrete_column_inequality,
     trace_ratio_battery,
     verify_thickness_bound,
 )
-from .tangent import find_regular_direction
+from .tangent import DIRECTIONS, SAMPLES, find_regular_direction
 
-# single source of truth for every numeric default; flags override 1:1
+# every numeric default of the command line; flags override 1:1
 DEFAULTS = {
     "tol": None,  # solver relative tolerance; None means each route's own default
     "step": None,  # chord-march step; None means h/4 of the fiber raster
-    "samples": 4096,  # boundary samples per fiber
-    "dirs": 512,  # candidate directions for the regular-direction search
+    "samples": SAMPLES,  # boundary samples per fiber
+    "dirs": DIRECTIONS,  # candidate directions for the regular-direction search
     "seed": 0,
     "resolution": 256,  # cells per axis
     "grid": 5,  # per-axis parameter grid count for sweeps
-    "samples_per_column": 129,  # abscissae per decomposition column
-    "trials": 100,  # random fields per exact-inequality check
+    "samples_per_column": SAMPLES_PER_COLUMN,  # abscissae per decomposition column
+    "trials": TRIALS,  # random fields per exact-inequality check
     "p": 2.0,
 }
 
@@ -85,7 +86,7 @@ _FLAGS = {
     "--spec": {"required": True, "help": "domain file or bundled name"},
     "--out": {"default": ".", "help": "output directory"},
     "--seed": {"type": int, "default": DEFAULTS["seed"]},
-    "--jobs": {"type": int, "default": None, "help": "worker cap (env POINCARE_LAB_JOBS)"},
+    "--jobs": {"type": int, "default": None, "help": "sweep worker processes (default 1)"},
     "--tol": {"type": float, "default": DEFAULTS["tol"]},
     "--t": {"default": "", "help": "comma-separated parameter values"},
     "--ts": {"default": None, "help": "semicolon-separated parameter tuples"},
@@ -117,13 +118,6 @@ def exit_code_from_report(report: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _jobs_default() -> int:
-    try:
-        return max(1, int(os.environ.get("POINCARE_LAB_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_spec(path_or_name: str):
     p = Path(path_or_name)
     if p.is_file():
@@ -147,15 +141,6 @@ def _fiber(args):
 
 def _parse_t_list(text: str) -> list:
     return [_parse_t(chunk) for chunk in text.split(";") if chunk.strip()]
-
-
-def _parse_direction(text: str):
-    """``auto``, an axis name like ``e2``, or a vector; ``harness`` gives
-    each its meaning."""
-    low = text.strip().lower()
-    if low == "auto" or (low.startswith("e") and low[1:].isdigit()):
-        return low
-    return tuple(float(v) for v in text.split(","))
 
 
 def _t_values(args, spec, grid: int = DEFAULTS["grid"]) -> list:
@@ -205,10 +190,11 @@ def _cmd_check(args):
     check_trials(args.trials)
     spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
-    direction = _parse_direction(args.dir if args.dir is not None else f"e{spec.ambient_dim}")
-    if direction == "auto":
-        lam = resolve_direction(spec, direction, [t], seed=args.seed, dirs=DEFAULTS["dirs"],
-                                count=DEFAULTS["samples"])[0]
+    direction = args.dir if args.dir is not None else f"e{spec.ambient_dim}"
+    # resolve_direction only to search: its margin sampling for an explicit
+    # direction gives an alpha that check does not report
+    if direction.strip().lower() == "auto":
+        lam = resolve_direction(spec, direction, [t], args.seed, DIRECTIONS, SAMPLES)[0]
     else:
         lam = unit_direction(spec.ambient_dim, direction)
     checks = [verify_thickness_bound(spec, t, raster, args.p, lam, step=args.step, tol=args.tol)]
@@ -236,9 +222,9 @@ def _sweep_report(args, spec, resolution):
         args.p,
         t_values,
         resolution,
-        direction=_parse_direction(args.dir),
+        direction=args.dir,
         seed=args.seed,
-        jobs=args.jobs if args.jobs else _jobs_default(),
+        jobs=args.jobs or 1,
         tol=args.tol,
         dirs=args.dirs,
         count=args.samples,
@@ -296,7 +282,7 @@ def _cmd_uniform(args):
 def _cmd_thickness(args):
     spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
-    lam = unit_direction(spec.ambient_dim, _parse_direction(args.dir))
+    lam = unit_direction(spec.ambient_dim, args.dir)
     step = args.step if args.step is not None else (raster.h / 4.0 if not raster.empty else None)
     T = thickness(spec, t, lam, step=step)
     discrete = {

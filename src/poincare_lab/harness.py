@@ -19,6 +19,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .raster import check_resolution, rasterize, unit_vector, volume
 from .sobolev import CheckRecord, check_p, verify_thickness_bound
-from .tangent import find_regular_direction, margin, sample_boundary
+from .tangent import DIRECTIONS, SAMPLES, find_regular_direction, margin, sample_boundary
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,14 @@ def axis_direction(dim: int, name: str):
 
 
 def unit_direction(dim: int, direction) -> tuple:
-    """Unit vector from an axis name like ``e2`` or, through
-    ``raster.unit_vector``, from a vector."""
+    """Unit vector from an axis name like ``e2`` (any case, blanks around
+    it allowed) or, through ``raster.unit_vector``, from comma-separated
+    components or a vector.  ``auto`` is refused here: it needs a search."""
     if isinstance(direction, str):
-        return axis_direction(dim, direction)
+        name = direction.strip().lower()
+        if name == "auto" or (name[:1] == "e" and name[1:].isdigit()):
+            return axis_direction(dim, name)
+        direction = tuple(float(v) for v in direction.split(","))
     return tuple(unit_vector(direction, dim).tolist())
 
 
@@ -137,27 +142,19 @@ def _coarse_subgrid(t_values):
     return [t_sorted[i] for i in sorted(picks)]
 
 
-def resolve_direction(
-    spec: DomainSpec,
-    direction,
-    t_values,
-    seed: int = 0,
-    dirs: int = 512,
-    count: int = 4096,
-):
+def resolve_direction(spec: DomainSpec, direction, t_values, seed: int, dirs: int, count: int):
     """Fix the family direction and its pooled margin.
 
-    ``direction`` is ``"auto"`` in any case (search once on a coarse
-    parameter sub-grid and keep that vector for every fiber), an axis
-    name, or an explicit vector.  This is the package's one direction
-    search for a family; an explicit direction goes through
-    ``unit_direction``.
+    ``direction`` is ``auto`` in any case and with blanks around it
+    (search once on a coarse parameter sub-grid and keep that vector for
+    every fiber), or anything ``unit_direction`` reads.  This is the
+    package's one direction search for a family.
     Returns (unit vector, mode, alpha).  Alpha is the pooled boundary
     margin of the sub-grid fibers at the chosen vector, 0.0 when no
     boundary samples exist.
     """
     sub = _coarse_subgrid(t_values)
-    if isinstance(direction, str) and direction.lower() == "auto":
+    if isinstance(direction, str) and direction.strip().lower() == "auto":
         rep = find_regular_direction(spec, sub, directions=dirs, seed=seed, count=count)
         return rep.direction, "auto", rep.alpha
     lam = unit_direction(spec.ambient_dim, direction)
@@ -232,15 +229,16 @@ def sweep(
     seed: int = 0,
     jobs: int = 1,
     tol: float | None = None,
-    dirs: int = 512,
-    count: int = 4096,
+    dirs: int = DIRECTIONS,
+    count: int = SAMPLES,
 ) -> SweepReport:
     """Run the per-fiber bound check across a parameter family.
 
     Records are ordered by lexicographic t.  A bad ``p``, resolution or
     direction is rejected before any fiber runs; after that, per-fiber
     failures of any kind land in the fiber's record and the sweep itself
-    never aborts.
+    never aborts.  Fibers run in ``min(jobs, fibers)`` worker processes,
+    in this process when that is 1.
     """
     check_p(p)
     check_resolution(resolution)
@@ -250,12 +248,13 @@ def sweep(
     lam, mode, alpha = resolve_direction(
         spec, direction, t_values, seed=seed, dirs=dirs, count=count
     )
-    args = [(spec, t, p, resolution, lam, tol) for t in t_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_sweep_fiber_star, args))
+    fiber = partial(_sweep_fiber, spec, p=p, resolution=resolution, direction=lam, tol=tol)
+    workers = min(jobs, len(t_values))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(fiber, t_values))
     else:
-        records = [_sweep_fiber(*a) for a in args]
+        records = list(map(fiber, t_values))
     sup_c, sup_t, arg_c, arg_t = recompute_aggregates(records, spec.ambient_dim)
     return SweepReport(
         domain=print_domain(spec),
@@ -272,10 +271,6 @@ def sweep(
         worst_constant_t=arg_c,
         worst_thickness_t=arg_t,
     )
-
-
-def _sweep_fiber_star(args):
-    return _sweep_fiber(*args)
 
 
 def lipschitz_bound_from_margin(alpha: float) -> float:

@@ -114,12 +114,12 @@ class GradientOperator:
             self._forward_difference(full, ax, out[ax])
         return out
 
-    def _adjoint(self, comps) -> np.ndarray:
-        """Adjoint of ``_gradient``: components (dim, n_full) to interior
+    def apply_transpose(self, comps: np.ndarray) -> np.ndarray:
+        """Adjoint of ``apply``: components (dim, n_full) to interior
         values, minus the sum over axes of the backward differences at the
         interior cells."""
         terms = []
-        for c, index in zip(comps, self._adjoint_index):
+        for c, index in zip(np.asarray(comps), self._adjoint_index):
             c = c[index]
             c *= 1.0 / self.raster.h
             terms.append(c[0] - c[1])
@@ -140,10 +140,6 @@ class GradientOperator:
         """Gradient of an interior field, shape (dim, n_full_cells)."""
         full = np.zeros(self.raster.interior.size)
         return self._gradient(np.asarray(values), full, np.empty((self.raster.dim, full.size)))
-
-    def apply_transpose(self, comps: np.ndarray) -> np.ndarray:
-        """Adjoint of ``apply``: full-grid components to interior values."""
-        return self._adjoint(np.asarray(comps))
 
     def laplacian(self):
         """grad^T grad on interior cells, as a CSR matrix: the Dirichlet
@@ -183,6 +179,9 @@ def check_p(p: float) -> None:
     """The package's one rule for an exponent: finite and at least 1."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be finite and at least 1, got {p}")
+
+
+TRIALS = 100  # default random fields per exact-inequality check
 
 
 def check_trials(trials: int) -> None:
@@ -270,6 +269,8 @@ def _cg(matvec, b, rtol: float, maxiter: int):
 
 _COARSE_MIN_CELLS = 4096  # interior cells from which a coarse solve supplies the start
 _COARSE_TOL = 1e-4  # the tol of that coarse solve
+_MAX_OUTER = 200  # inverse-iteration steps per level
+P2_TOL = 1e-8  # default tol of the p = 2 eigensolve
 
 
 def _coarsen(raster: RasterDomain) -> RasterDomain:
@@ -288,7 +289,7 @@ def _coarse_start(raster: RasterDomain):
     coarse = _coarsen(raster) if raster.interior_count >= _COARSE_MIN_CELLS else None
     if coarse is None or coarse.empty:
         return np.ones(raster.interior_count), 0
-    est = _inverse_iteration(coarse, _COARSE_TOL, 200)
+    est = _inverse_iteration(coarse, _COARSE_TOL)
     grid = np.zeros(coarse.counts)
     grid[coarse.interior] = est.eigenvector
     for ax in range(raster.dim):
@@ -297,9 +298,7 @@ def _coarse_start(raster: RasterDomain):
     return x + 1e-3 * x.max(), est.inner_iterations
 
 
-def poincare_p2(
-    raster: RasterDomain, tol: float = 1e-8, max_outer: int = 200
-) -> PoincareEstimate:
+def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     """Discrete Poincare constant for p = 2 as lambda_min(grad^T grad)^(-1/2).
 
     Shifted inverse iteration with a conjugate-gradient inner solve.  On a
@@ -313,15 +312,15 @@ def poincare_p2(
     eigen-residual res = ||A x - lambda x|| / lambda is at most sqrt(tol) / 10,
     so the Rayleigh quotient's relative error, about res^2 lambda / gap, is
     far below ``tol``.  ``residual`` is that res, ``iterations`` counts the
-    fine level's outer steps (at most ``max_outer``) and ``inner_iterations``
+    fine level's outer steps (at most ``_MAX_OUTER``) and ``inner_iterations``
     the CG steps of every level.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
-    return _inverse_iteration(raster, tol, max_outer)
+    return _inverse_iteration(raster, tol)
 
 
-def _inverse_iteration(raster: RasterDomain, tol: float, max_outer: int) -> PoincareEstimate:
+def _inverse_iteration(raster: RasterDomain, tol: float) -> PoincareEstimate:
     """``poincare_p2`` on a nonempty raster; recursive through ``_coarse_start``."""
     from scipy import sparse  # deferred: slow to import
 
@@ -348,7 +347,7 @@ def _inverse_iteration(raster: RasterDomain, tol: float, max_outer: int) -> Poin
             inner_iterations=inner_total,
         )
 
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         M = A if shift == 0.0 else A - shift * sparse.identity(n, format="csr")
         try:
             y, it = _cg(lambda v: M @ v, x, rtol=min(1e-2, 0.1 * res), maxiter=20 * n)
@@ -369,8 +368,8 @@ def _inverse_iteration(raster: RasterDomain, tol: float, max_outer: int) -> Poin
         if res <= math.sqrt(tol) / 10.0:
             return estimate(outer)
     raise SolverDivergedError(
-        f"inverse iteration did not reach tol={tol} in {max_outer} steps",
-        estimate=estimate(max_outer),
+        f"inverse iteration did not reach tol={tol} in {_MAX_OUTER} steps",
+        estimate=estimate(_MAX_OUTER),
     )
 
 
@@ -378,6 +377,7 @@ def _inverse_iteration(raster: RasterDomain, tol: float, max_outer: int) -> Poin
 # general p: Rayleigh-quotient descent
 # ---------------------------------------------------------------------------
 
+GENERAL_P_TOL = 1e-6  # default tol of the descent's final stage
 _STAGE_ITER = 300  # descent steps per annealed smoothing level
 _FINAL_ITER = 3000  # descent steps at the declared kink smoothing
 
@@ -433,7 +433,7 @@ class _Ratio:
         p, h_w, W = self.p, self.h_w, self._tmp
         np.copyto(W, M2)
         W **= p / 2.0 - 1.0
-        dNg = self.op._adjoint(np.multiply(G, W, out=self._comps)) * (h_w * Ng ** (1.0 - p))
+        dNg = self.op.apply_transpose(np.multiply(G, W, out=self._comps)) * (h_w * Ng ** (1.0 - p))
         dNu = u * U2 ** (p / 2.0 - 1.0) * (h_w * Nu ** (1.0 - p))
         return R, Nu, (dNg - R * dNu) / Nu
 
@@ -516,7 +516,9 @@ def _trajectory(op: GradientOperator, u0: np.ndarray, p: float, eps_u: float, to
     return min(best, b), resid, total_it + it
 
 
-def poincare_general_p(raster: RasterDomain, p: float, tol: float = 1e-6) -> PoincareEstimate:
+def poincare_general_p(
+    raster: RasterDomain, p: float, tol: float = GENERAL_P_TOL
+) -> PoincareEstimate:
     """Discrete Poincare constant for general p >= 1 by normalized descent
     on the Rayleigh ratio ||grad u||_p / ||u||_p, one trajectory per
     face-connected component of the interior.
@@ -564,8 +566,8 @@ def poincare_general_p(raster: RasterDomain, p: float, tol: float = 1e-6) -> Poi
 def poincare_constant(raster: RasterDomain, p: float, tol: float | None = None) -> PoincareEstimate:
     """Route to the eigensolve for p = 2, descent otherwise."""
     if abs(p - 2.0) < 1e-12:
-        return poincare_p2(raster, tol=1e-8 if tol is None else tol)
-    return poincare_general_p(raster, p, tol=1e-6 if tol is None else tol)
+        return poincare_p2(raster, tol=P2_TOL if tol is None else tol)
+    return poincare_general_p(raster, p, tol=GENERAL_P_TOL if tol is None else tol)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +635,7 @@ def verify_thickness_bound(
 
 
 def discrete_column_inequality(
-    raster: RasterDomain, axis: int, p: float, trials: int = 100, seed: int = 0
+    raster: RasterDomain, axis: int, p: float, trials: int = TRIALS, seed: int = 0
 ) -> CheckRecord:
     """Exact per-axis inequality ||u||_p <= T * ||D_axis u||_p with
     T the discrete thickness.  Holds with no slack for every field by a

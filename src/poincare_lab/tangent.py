@@ -33,6 +33,9 @@ ATOM_TOL_SCALE = 1e-7
 _MIN_GRAD_NORM = 1e-8
 # a best pooled margin below this is no regular direction
 _MIN_ALPHA = 1e-2
+# default boundary samples per fiber, and candidate directions per search
+SAMPLES = 4096
+DIRECTIONS = 512
 
 
 class BoundarySampleSet:
@@ -78,7 +81,7 @@ def _active_atoms(spec: DomainSpec, t, pts):
     return act
 
 
-def sample_boundary(spec: DomainSpec, t, count: int = 4096, seed: int = 0) -> BoundarySampleSet:
+def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) -> BoundarySampleSet:
     """Sample smooth boundary points of the fiber at ``t``.
 
     Scan lines run parallel to each axis at seeded-random transverse
@@ -217,9 +220,9 @@ class MarginReport:
 def find_regular_direction(
     spec: DomainSpec,
     t_samples,
-    directions: int = 512,
+    directions: int = DIRECTIONS,
     seed: int = 0,
-    count: int = 4096,
+    count: int = SAMPLES,
 ) -> MarginReport:
     """Search candidate directions for one regular for the whole family.
 

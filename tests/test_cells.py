@@ -11,6 +11,7 @@ from poincare_lab import (
     thickness_discrete,
 )
 from poincare_lab.cells import BOUNDARY, INSIDE, OUTSIDE
+from poincare_lab.dsl import parse_domain
 
 
 def test_disk_decomposition(specs):
@@ -153,6 +154,22 @@ def test_band_height_matches_discrete_thickness(specs):
     got = max(float(np.max(height)) for _, height in cx._inside_band_heights())
     ref = thickness_discrete(r, 1)
     assert abs(got - ref) <= 3.0 * r.h
+
+
+def test_chain_merge_is_one_pass_and_idempotent():
+    # a disk cut by two spurious separators, y = 0 and y = 1/2: in the
+    # middle column three inside bands merge into one
+    spec = parse_domain(
+        "dim 2\nbox [-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 > 0"
+        " and (y^2 > 0 or 1 - x^2 - y^2 > 0)"
+        " and ((y - 1/2)^2 > 0 or 1 - x^2 - y^2 > 0)\n"
+    )
+    cx = cell_decompose_2d(spec, ())
+    merged = merge_vertical(cx)
+    assert cx.inside_cell_count() == 11
+    assert merged.inside_cell_count() == 3
+    assert merge_vertical(merged).to_json_dict() == merged.to_json_dict()
+    assert abs(merged.inside_volume() - math.pi) < 1e-3
 
 
 def test_merge_preserves_volume(specs):

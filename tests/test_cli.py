@@ -99,7 +99,7 @@ def test_check_general_p_uses_route_tolerance(tmp_path, monkeypatch):
 
 
 def test_check_nonfinite_constant_is_solver_error(tmp_path, monkeypatch):
-    def nan_p2(raster, tol=1e-8, max_outer=200):
+    def nan_p2(raster, tol=1e-8):
         return sobolev.PoincareEstimate(
             p=2.0, constant=math.nan, method="stub", iterations=0,
             residual=0.0, tol=tol, h=raster.h,
@@ -670,6 +670,47 @@ def test_parse_matrix_golden(capsys):
     capsys.readouterr()
     text = json.dumps(outcomes, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGEST
+
+
+# --dir texts through main at --res 16 on the disk: exit code, direction and
+# error message.  Axis names and auto take any case and blanks around them;
+# anything else is comma-separated components.
+_NOT_FLOAT = "could not convert string to float: "
+_NO_AUTO = ("direction 'auto' is not an axis name like e1 or a vector; "
+            "auto applies only where a direction search runs")
+DIR_GRAMMAR = [
+    ("thickness", "E2", 0, [0.0, 1.0], None),
+    ("thickness", " e1 ", 0, [1.0, 0.0], None),
+    ("thickness", "0, 1", 0, [0.0, 1.0], None),
+    ("thickness", "-1,0", 0, [-1.0, 0.0], None),
+    ("thickness", "e3", 2, None, "axis name 'e3' out of range for dim 2"),
+    ("thickness", "abc", 2, None, _NOT_FLOAT + "'abc'"),
+    ("thickness", "0,0", 2, None, "direction must be a nonzero finite vector"),
+    ("thickness", "auto", 2, None, _NO_AUTO),
+    ("thickness", " AUTO ", 2, None, _NO_AUTO),
+    ("thickness", "e", 2, None, _NOT_FLOAT + "'e'"),
+    ("thickness", "e1.5", 2, None, _NOT_FLOAT + "'e1.5'"),
+    ("thickness", "", 2, None, _NOT_FLOAT + "''"),
+    ("thickness", "1,2,3", 2, None, "direction has 3 components, expected 2"),
+    ("thickness", "nan,1", 2, None, "direction must be a nonzero finite vector"),
+    ("check", "E2", 0, [0.0, 1.0], None),
+    ("check", " auto ", 0, [-0.6715589548470186, 0.7409511253549591], None),
+    ("check", "0,1", 0, [0.0, 1.0], None),
+    ("check", "e0", 2, None, "axis name 'e0' out of range for dim 2"),
+    ("check", "", 2, None, _NOT_FLOAT + "''"),
+]
+
+
+@pytest.mark.parametrize("command,text,code,direction,message", DIR_GRAMMAR)
+def test_dir_grammar(tmp_path, command, text, code, direction, message):
+    trials = ["--trials", "5"] if command == "check" else []
+    got, report, _ = run(
+        tmp_path, command, "--spec", "disk", "--res", "16", f"--dir={text}", *trials
+    )
+    assert got == code
+    assert report.get("direction") == direction
+    expected = None if message is None else {"type": "ValueError", "message": message}
+    assert report["error"] == expected
 
 
 def test_thickness_dir_auto_is_usage_error(tmp_path):

@@ -60,27 +60,25 @@ def test_lipschitz_bound_from_margin():
 
 
 def test_resolve_direction_modes(specs):
-    lam, mode, alpha = resolve_direction(
-        specs["strip"], "AUTO", [()], dirs=64, count=1024
-    )
+    lam, mode, alpha = resolve_direction(specs["strip"], "AUTO", [()], seed=0, dirs=64, count=1024)
     assert mode == "auto"
     assert lam == pytest.approx((0.0, 1.0), abs=1e-12)
     assert alpha == pytest.approx(1.0, abs=1e-12)
 
-    lam, mode, alpha = resolve_direction(specs["strip"], "e2", [()], count=1024)
+    lam, mode, alpha = resolve_direction(specs["strip"], "e2", [()], seed=0, dirs=64, count=1024)
     assert mode == "explicit"
     assert lam == (0.0, 1.0)
     assert alpha == pytest.approx(1.0, abs=1e-12)
 
     lam, mode, alpha = resolve_direction(
-        specs["cusp"], (0.0, 2.0), [(0.5,), (1.0,)], count=1024
+        specs["cusp"], (0.0, 2.0), [(0.5,), (1.0,)], seed=0, dirs=64, count=1024
     )
     assert lam == (0.0, 1.0)
     # pooled margin over the sub-grid fibers at e2: 1/sqrt(4 t^2 + 1) at t=1
     assert alpha == pytest.approx(1.0 / math.sqrt(5.0), abs=2e-3)
 
     with pytest.raises(ValueError):
-        resolve_direction(specs["strip"], (0.0, 0.0), [()])
+        resolve_direction(specs["strip"], (0.0, 0.0), [()], seed=0, dirs=64, count=1024)
 
 
 def test_cusp_sweep_analytics(cusp_sweep):
@@ -188,6 +186,36 @@ def test_sweep_deterministic_and_parallel(specs):
     b = sweep(specs["cusp"], **kw)
     c = sweep(specs["cusp"], jobs=2, **kw)
     assert a.to_json_dict() == b.to_json_dict() == c.to_json_dict()
+
+
+@pytest.mark.parametrize("jobs,t_values,workers", [
+    (8, [(0.3,), (0.65,), (1.0,)], [3]),
+    (2, [(0.3,), (0.65,), (1.0,)], [2]),
+    (8, [(0.5,)], []),
+    (1, [(0.3,), (0.65,), (1.0,)], []),
+])
+def test_sweep_pool_size_capped_by_fibers(specs, monkeypatch, jobs, t_values, workers):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("poincare_lab.harness.ProcessPoolExecutor", InProcessPool)
+    rep = sweep(
+        specs["cusp"], 2.0, t_values, resolution=16, direction=(0.0, 1.0), jobs=jobs, count=256
+    )
+    assert started == workers
+    assert len(rep.records) == len(t_values)
 
 
 def test_verify_thickness_volume_bound_cusp(specs, cusp_sweep):

@@ -228,48 +228,55 @@ class PoincareEstimate:
     # because the benchmark's tracer reads them
     spread: float | None = None
     stagnation: bool = False
-    inner_iterations: int = 0  # CG steps over all levels; not reported
+    inner_iterations: int = 0  # PCG steps; not reported
 
     def __post_init__(self):
         if not (self.constant > 0.0 and np.isfinite(self.constant)):
             raise SolverDivergedError("Poincare constant must be positive and finite")
 
 
-def _cg(matvec, b, rtol: float, maxiter: int):
-    """Plain conjugate gradients for SPD systems from a zero start; deterministic.
+def _pcg(A, b, precond, rtol: float, maxiter: int):
+    """Preconditioned conjugate gradients for an SPD matrix from a zero
+    start; deterministic.  Stops on the plain residual, ||r|| <= rtol ||b||.
 
-    The updates run in place through one scratch buffer; ``p *= beta;
-    p += r`` gives the bits of ``r + beta * p``, since IEEE addition and
-    multiplication commute."""
+    ``precond`` maps a residual to z = B r for a symmetric positive definite
+    B, and may return the same buffer on every call; when it is None, z is
+    r itself and the steps are plain CG's, bit for bit.  The updates run in
+    place through one scratch buffer; ``p *= beta; p += z`` gives the bits of
+    ``z + beta * p``, since IEEE addition and multiplication commute."""
     x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    tmp = np.empty_like(b)
-    rs = float(r @ r)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, 0
+    r = b.copy()
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    tmp = np.empty_like(b)
+    rz = float(r @ z)
+    rr = rz if precond is None else float(r @ r)
     tol2 = (rtol * bnorm) ** 2
     it = 0
-    while rs > tol2 and it < maxiter:
-        Ap = matvec(p)
+    while rr > tol2 and it < maxiter:
+        Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise ArithmeticError("matrix not positive definite in CG")
-        alpha = rs / pAp
+        alpha = rz / pAp
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, Ap, out=tmp)
-        rs_new = float(r @ r)
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
+        z = r if precond is None else precond(r)
+        rz_new = float(r @ z)
+        rr = rz_new if precond is None else float(r @ r)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
         it += 1
     return x, it
 
 
-_COARSE_MIN_CELLS = 4096  # interior cells from which a coarse solve supplies the start
-_COARSE_TOL = 1e-4  # the tol of that coarse solve
-_MAX_OUTER = 200  # inverse-iteration steps per level
+_COARSE_MIN_CELLS = 8192  # interior cells from which a V-cycle preconditions the inner solves
+_DIRECT_MAX_CELLS = 256  # the V-cycle's coarsest level, solved by a dense inverse
+_MAX_OUTER = 200  # inverse-iteration steps
 P2_TOL = 1e-8  # default tol of the p = 2 eigensolve
 
 
@@ -283,55 +290,125 @@ def _coarsen(raster: RasterDomain) -> RasterDomain:
     return replace(raster, h=2.0 * raster.h, interior=interior, resolution=raster.resolution // 2)
 
 
-def _coarse_start(raster: RasterDomain):
-    """The start vector of ``poincare_p2`` on a raster, and the CG steps
-    spent on it; all ones when there is no coarse raster to solve."""
-    coarse = _coarsen(raster) if raster.interior_count >= _COARSE_MIN_CELLS else None
-    if coarse is None or coarse.empty:
-        return np.ones(raster.interior_count), 0
-    est = _inverse_iteration(coarse, _COARSE_TOL)
-    grid = np.zeros(coarse.counts)
-    grid[coarse.interior] = est.eigenvector
-    for ax in range(raster.dim):
-        grid = np.repeat(grid, 2, axis=ax)
-    x = np.abs(grid[tuple(slice(0, c) for c in raster.counts)][raster.interior])
-    return x + 1e-3 * x.max(), est.inner_iterations
+class _Level:
+    """One level of the V-cycle: its Laplacian, the damped-Jacobi step
+    omega / diagonal, its iterate and residual buffers and, unless it is the
+    last level, the map to its coarse level and the buffer of the restricted
+    residual.  Every level vector has one slot past its cells, held at zero
+    in the iterate: ``parent`` sends there the fine cells whose coarse cell
+    is exterior."""
+
+    def __init__(self, raster: RasterDomain, A):
+        n = A.shape[0]
+        self.A = A
+        self.jacobi = 0.8 * raster.h**2 / (2 * raster.dim)
+        self.x = np.zeros(n + 1)
+        self.r = np.zeros(n + 1)
+        self.inverse = np.linalg.inv(A.toarray()) if n <= _DIRECT_MAX_CELLS else None
+        self.parent = None  # per cell, the index of its coarse cell
+        self.restricted = None
+
+    def smooth(self, b: np.ndarray, sweeps: int):
+        x, r = self.x[:-1], self.r[:-1]
+        for _ in range(sweeps):
+            np.subtract(b, self.A @ x, out=r)
+            r *= self.jacobi
+            x += r
+
+
+class _VCycle:
+    """One V-cycle of cell-centred multigrid on a raster's ``_coarsen``
+    hierarchy, as a preconditioner for its Laplacian ``A`` (Trottenberg,
+    Oosterlee and Schueller, *Multigrid*, 2001).
+
+    Each level's operator is that raster's own ``laplacian()``; the finest
+    is ``A`` itself, so a shift written into ``A``'s diagonal reaches the
+    cycle too.  Prolongation P injects each coarse cell's value into its
+    2^dim fine cells, and a fine cell whose coarse cell is exterior gets 0;
+    restriction is R = P^T / 2^dim.  The smoother is damped Jacobi
+    (omega = 0.8) on the constant diagonal 2 dim / h^2, two sweeps before
+    the coarse correction and two after.  Coarsening stops at a level of at
+    most ``_DIRECT_MAX_CELLS`` cells, solved by a dense inverse, or at a
+    level whose coarsening has no cells, which is only smoothed.  The
+    post-smoother is the pre-smoother's adjoint and R is a positive multiple
+    of P^T, so the cycle is symmetric positive definite.  The result is
+    returned in a buffer that the next call overwrites.
+    """
+
+    def __init__(self, raster: RasterDomain, A):
+        self.restriction_weight = 0.5**raster.dim  # R = P^T / 2^dim
+        self.levels = [_Level(raster, A)]
+        while self.levels[-1].inverse is None:
+            coarse = _coarsen(raster)
+            n = coarse.interior_count
+            if n == 0:
+                break
+            index = np.full(coarse.counts, n)
+            index[coarse.interior] = np.arange(n)
+            fine = self.levels[-1]
+            fine.parent = index[tuple(k // 2 for k in np.nonzero(raster.interior))]
+            fine.restricted = np.zeros(n + 1)
+            raster = coarse
+            self.levels.append(_Level(raster, build_gradient(raster).laplacian()))
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        return self._cycle(0, b)
+
+    def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
+        level = self.levels[k]
+        x, r = level.x[:-1], level.r[:-1]
+        if level.inverse is not None:
+            return np.matmul(level.inverse, b, out=x)
+        np.multiply(b, level.jacobi, out=x)  # the first sweep, from zero
+        level.smooth(b, 1)
+        if level.parent is not None:
+            np.subtract(b, level.A @ x, out=r)
+            level.restricted.fill(0.0)
+            np.add.at(level.restricted, level.parent, r)
+            level.restricted *= self.restriction_weight
+            self._cycle(k + 1, level.restricted[:-1])
+            x += np.take(self.levels[k + 1].x, level.parent, out=r)
+        level.smooth(b, 2)
+        return x
 
 
 def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     """Discrete Poincare constant for p = 2 as lambda_min(grad^T grad)^(-1/2).
 
-    Shifted inverse iteration with a conjugate-gradient inner solve.  On a
-    raster of at least ``_COARSE_MIN_CELLS`` interior cells the start is the
-    eigenvector x_c of the raster coarsened by 2^dim blocks, solved the same
-    way to ``_COARSE_TOL``, prolonged by nearest coarse cell as
-    |P x_c| + 1e-3 max |P x_c| (nested iteration; the floor keeps the start
-    positive, so it cannot miss the first eigenvector); otherwise all ones.
-    Each CG solve stops at the relative residual min(1e-2, 0.1 res), and the
+    Shifted inverse iteration from the all-ones start, each step solved by
+    preconditioned conjugate gradients (``_pcg``).  On a raster of at least
+    ``_COARSE_MIN_CELLS`` interior cells the preconditioner is one V-cycle
+    (``_VCycle``) on the hierarchy of ``_coarsen``ed rasters, built once per
+    solve: each level's own Laplacian, injection P with R = P^T / 2^dim,
+    two damped-Jacobi sweeps before and after the coarse correction, and a
+    dense inverse on the coarsest level.  Below the floor it is the identity,
+    which is plain CG bit for bit; there a V-cycle costs more than the CG
+    steps it saves.  The shift is written into the diagonal entries of the
+    Laplacian for each solve and taken out before the next product with it,
+    which gives the bits of A - shift I without assembling that matrix.
+    Each solve stops at the relative residual min(1e-2, 0.1 res), and the
     shift 0.9 lambda starts once res < 0.1.  The iteration stops when the
     eigen-residual res = ||A x - lambda x|| / lambda is at most sqrt(tol) / 10,
     so the Rayleigh quotient's relative error, about res^2 lambda / gap, is
-    far below ``tol``.  ``residual`` is that res, ``iterations`` counts the
-    fine level's outer steps (at most ``_MAX_OUTER``) and ``inner_iterations``
-    the CG steps of every level.
+    far below ``tol`` unless the gap is small and the start holds much of the
+    next eigenvector.  ``residual`` is that res, ``iterations`` counts the
+    outer steps (at most ``_MAX_OUTER``) and ``inner_iterations`` the PCG
+    steps.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
-    return _inverse_iteration(raster, tol)
-
-
-def _inverse_iteration(raster: RasterDomain, tol: float) -> PoincareEstimate:
-    """``poincare_p2`` on a nonempty raster; recursive through ``_coarse_start``."""
-    from scipy import sparse  # deferred: slow to import
-
-    x, inner_total = _coarse_start(raster)
-    # assembled after the coarse solve, so no two levels' matrices coexist
     A = build_gradient(raster).laplacian()
     n = A.shape[0]
+    # the diagonal entries of A, in its canonical CSR order
+    diagonal = np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
+    d0 = A.data[diagonal]
+    precond = _VCycle(raster, A) if n >= _COARSE_MIN_CELLS else None
+    x = np.ones(n)
     x /= np.linalg.norm(x)
     lam = float(x @ (A @ x))
     shift = 0.0
     res = 1.0
+    inner_total = 0
 
     def estimate(iterations: int) -> PoincareEstimate:
         return PoincareEstimate(
@@ -348,12 +425,14 @@ def _inverse_iteration(raster: RasterDomain, tol: float) -> PoincareEstimate:
         )
 
     for outer in range(1, _MAX_OUTER + 1):
-        M = A if shift == 0.0 else A - shift * sparse.identity(n, format="csr")
+        A.data[diagonal] = d0 - shift
         try:
-            y, it = _cg(lambda v: M @ v, x, rtol=min(1e-2, 0.1 * res), maxiter=20 * n)
+            y, it = _pcg(A, x, precond, rtol=min(1e-2, 0.1 * res), maxiter=20 * n)
         except ArithmeticError:
             shift *= 0.5
             continue
+        finally:
+            A.data[diagonal] = d0
         inner_total += it
         ny = float(np.linalg.norm(y))
         if ny == 0.0 or not np.isfinite(ny):

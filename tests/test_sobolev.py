@@ -264,12 +264,25 @@ def test_p2_divergence_attaches_estimate(disk128, monkeypatch):
     assert est.iterations == 1
 
 
-@pytest.mark.parametrize("name,res", [("interval", 4096), ("square", 128), ("cube", 17)])
-def test_p2_block_closed_form(specs, name, res):
+@pytest.mark.parametrize(
+    "name,res,vcycle",
+    [
+        pytest.param(name, res, vcycle, id=f"{name}-{res}")
+        for name, res, vcycle in [
+            ("interval", 4096, False),
+            ("interval", 8192, True),
+            ("square", 128, True),
+            ("cube", 17, False),
+            ("cube", 21, True),
+        ]
+    ],
+)
+def test_p2_block_closed_form(specs, name, res, vcycle):
     # a full block of m cells per axis has lambda = dim (4/h^2) sin^2(pi/(2(m+1)));
-    # each block is large enough for the solve to start from its coarse grid
+    # in 1D and 3D one block lies on each side of the V-cycle's floor
     r = rasterize(specs.get(name) or parse_domain(CUBE), (), res)
-    assert r.interior_count == res**r.dim >= sobolev._COARSE_MIN_CELLS
+    assert r.interior_count == res**r.dim
+    assert (r.interior_count >= sobolev._COARSE_MIN_CELLS) == vcycle
     exact = r.dim * 4.0 / r.h**2 * math.sin(math.pi / (2 * (res + 1))) ** 2
     est = poincare_p2(r)
     assert est.eigenvalue == pytest.approx(exact, rel=1e-10)
@@ -277,13 +290,66 @@ def test_p2_block_closed_form(specs, name, res):
     assert est.inner_iterations > est.iterations >= 1
 
 
-@pytest.mark.parametrize("name,res", [("disk", 128), ("two_disks", 256)])
+@pytest.mark.parametrize("name,res", [("disk", 128), ("two_disks", 256), ("annulus", 256)])
 def test_p2_matches_shift_invert_eigsh(specs, name, res):
-    # two_disks has two mirror components, so its first eigenvalue is double
+    # two_disks has two mirror components, so its first eigenvalue is double;
+    # the annulus has lambda_2 / lambda_1 = 1.049, a small gap for the
+    # eigen-residual stop
     r = rasterize(specs[name], (), res)
     A = build_gradient(r).laplacian()
     oracle = float(scipy.sparse.linalg.eigsh(A, k=1, sigma=0, return_eigenvectors=False)[0])
     assert poincare_p2(r).eigenvalue == pytest.approx(oracle, rel=1e-10)
+
+
+# three cells wide at res 4096: its second level, one cell wide, is too large
+# for the dense solve, and its coarsening is empty
+THIN_STRIP = "dim 2\nbox [0,1]x[0,1]\nset: x > 0 and 1 - x > 0 and y > 0 and 0.0008 - y > 0\n"
+
+
+@pytest.mark.parametrize(
+    "name,t,res",
+    [
+        ("disk", (), 128),
+        ("cusp", (0.05,), 512),
+        ("interval", (), 4096),
+        ("cube", (), 17),
+        ("thin_strip", (), 4096),
+    ],
+)
+def test_vcycle_is_symmetric_positive_definite(specs, name, t, res):
+    # the preconditioner must be SPD for PCG: u.Bv = v.Bu and u.Bu > 0
+    spec = specs.get(name) or parse_domain({"cube": CUBE, "thin_strip": THIN_STRIP}[name])
+    r = rasterize(spec, t, res)
+    cycle = sobolev._VCycle(r, build_gradient(r).laplacian())
+    if name == "cusp":
+        # the coarse levels drop the tip cells, whose correction is 0
+        assert (cycle.levels[0].parent == cycle.levels[1].A.shape[0]).any()
+    if name == "thin_strip":
+        # the last level is only smoothed
+        assert [lv.A.shape[0] for lv in cycle.levels] == [12288, 2047]
+        assert cycle.levels[-1].inverse is None
+    else:
+        assert cycle.levels[-1].inverse is not None
+    rng = np.random.default_rng(res)
+    for _ in range(3):
+        u, v = rng.normal(size=(2, r.interior_count))
+        Bu, Bv = cycle(u).copy(), cycle(v).copy()
+        assert u @ Bv == pytest.approx(v @ Bu, rel=1e-12)
+        assert u @ Bu > 0.0
+
+
+def test_p2_identity_path_bits_and_vcycle_work(specs):
+    # below the floor the preconditioner is the identity and the solve keeps
+    # the plain-CG bits recorded before the V-cycle existed
+    r = rasterize(specs["disk"], (), 60)
+    assert r.interior_count < sobolev._COARSE_MIN_CELLS
+    est = poincare_p2(r)
+    assert (est.constant.hex(), est.iterations, est.inner_iterations) == (
+        "0x1.b2fa708f4b6f5p-2", 5, 115
+    )
+    # above it the V-cycle bounds the work: plain CG from the coarse-grid
+    # start took 1038 steps on square@256
+    assert poincare_p2(rasterize(specs["square"], (), 256)).inner_iterations <= 80
 
 
 # -- general p descent ---------------------------------------------------------

@@ -128,14 +128,6 @@ class GradientOperator:
             out -= d
         return out
 
-    def apply_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Gradient component ``axis`` of an interior field, shape (n_full_cells,)."""
-        full = np.zeros(self.raster.interior.size)
-        self._scatter(np.asarray(values), full)
-        out = np.empty_like(full)
-        self._forward_difference(full, axis, out)
-        return out
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Gradient of an interior field, shape (dim, n_full_cells)."""
         full = np.zeros(self.raster.interior.size)
@@ -240,8 +232,7 @@ def _pcg(A, b, precond, rtol: float, maxiter: int):
     start; deterministic.  Stops on the plain residual, ||r|| <= rtol ||b||.
 
     ``precond`` maps a residual to z = B r for a symmetric positive definite
-    B, and may return the same buffer on every call; when it is None, z is
-    r itself and the steps are plain CG's, bit for bit.  The updates run in
+    B, and may return the same buffer on every call.  The updates run in
     place through one scratch buffer; ``p *= beta; p += z`` gives the bits of
     ``z + beta * p``, since IEEE addition and multiplication commute."""
     x = np.zeros_like(b)
@@ -249,11 +240,11 @@ def _pcg(A, b, precond, rtol: float, maxiter: int):
     if bnorm == 0.0:
         return x, 0
     r = b.copy()
-    z = r if precond is None else precond(r)
+    z = precond(r)
     p = z.copy()
     tmp = np.empty_like(b)
     rz = float(r @ z)
-    rr = rz if precond is None else float(r @ r)
+    rr = float(r @ r)
     tol2 = (rtol * bnorm) ** 2
     it = 0
     while rr > tol2 and it < maxiter:
@@ -264,9 +255,9 @@ def _pcg(A, b, precond, rtol: float, maxiter: int):
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, Ap, out=tmp)
-        z = r if precond is None else precond(r)
+        z = precond(r)
         rz_new = float(r @ z)
-        rr = rz_new if precond is None else float(r @ r)
+        rr = float(r @ r)
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -274,7 +265,6 @@ def _pcg(A, b, precond, rtol: float, maxiter: int):
     return x, it
 
 
-_COARSE_MIN_CELLS = 8192  # interior cells from which a V-cycle preconditions the inner solves
 _DIRECT_MAX_CELLS = 256  # the V-cycle's coarsest level, solved by a dense inverse
 _MAX_OUTER = 200  # inverse-iteration steps
 P2_TOL = 1e-8  # default tol of the p = 2 eigensolve
@@ -376,16 +366,15 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     """Discrete Poincare constant for p = 2 as lambda_min(grad^T grad)^(-1/2).
 
     Shifted inverse iteration from the all-ones start, each step solved by
-    preconditioned conjugate gradients (``_pcg``).  On a raster of at least
-    ``_COARSE_MIN_CELLS`` interior cells the preconditioner is one V-cycle
-    (``_VCycle``) on the hierarchy of ``_coarsen``ed rasters, built once per
-    solve: each level's own Laplacian, injection P with R = P^T / 2^dim,
-    two damped-Jacobi sweeps before and after the coarse correction, and a
-    dense inverse on the coarsest level.  Below the floor it is the identity,
-    which is plain CG bit for bit; there a V-cycle costs more than the CG
-    steps it saves.  The shift is written into the diagonal entries of the
-    Laplacian for each solve and taken out before the next product with it,
-    which gives the bits of A - shift I without assembling that matrix.
+    conjugate gradients (``_pcg``) preconditioned by one V-cycle (``_VCycle``)
+    on the hierarchy of ``_coarsen``ed rasters, built once per solve: each
+    level's own Laplacian, injection P with R = P^T / 2^dim, two
+    damped-Jacobi sweeps before and after the coarse correction, and a dense
+    inverse on the coarsest level, which on a raster of at most
+    ``_DIRECT_MAX_CELLS`` cells is the first.  The shift is written into the
+    diagonal entries of the Laplacian for each solve and taken out before the
+    next product with it, which gives the bits of A - shift I without
+    assembling that matrix.
     Each solve stops at the relative residual min(1e-2, 0.1 res), and the
     shift 0.9 lambda starts once res < 0.1.  The iteration stops when the
     eigen-residual res = ||A x - lambda x|| / lambda is at most sqrt(tol) / 10,
@@ -402,7 +391,7 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     # the diagonal entries of A, in its canonical CSR order
     diagonal = np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
     d0 = A.data[diagonal]
-    precond = _VCycle(raster, A) if n >= _COARSE_MIN_CELLS else None
+    precond = _VCycle(raster, A)
     x = np.ones(n)
     x /= np.linalg.norm(x)
     lam = float(x @ (A @ x))
@@ -736,7 +725,7 @@ def discrete_column_inequality(
         if nu == 0.0:
             skipped += 1
             continue
-        du = lp_norm(np.abs(op.apply_axis(u, axis))[None, :], p, raster)
+        du = lp_norm(np.abs(op.apply(u)[axis])[None, :], p, raster)
         ratio = nu / (T * du)
         worst = max(worst, ratio)
         if ratio > 1.0:
@@ -878,7 +867,8 @@ def trace_ratio_battery(
     over the extracted boundary (polyline segments in 2D, crossing points
     in 1D), where the function is evaluated once more.  When ``doubling``
     is set, the battery is re-run at twice the resolution and the
-    supremum's stability (within 10 percent) is recorded.
+    supremum's stability (within 10 percent) is recorded; it stays None
+    when both suprema are 0, which says nothing about the trace.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster")
@@ -920,7 +910,8 @@ def trace_ratio_battery(
         r2 = rasterize(raster.spec, raster.t, raster.resolution * 2)
         rep2 = trace_ratio_battery(r2, p, battery, doubling=False)
         doubled = rep2.supremum
-        stable = abs(doubled - sup) <= 0.1 * max(sup, 1e-300)
+        if max(sup, doubled) > 0.0:
+            stable = abs(doubled - sup) <= 0.1 * sup
     return TraceReport(
         p=float(p),
         battery=battery,

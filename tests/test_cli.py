@@ -371,37 +371,37 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "4b93fa65d810eb23e4c8b5447032da78d1084240f2fd517f928fc901e97580da",
+            "report.json": "d18314809921edf3d69ff56157d52f61655f980571eaca7e5de63f101e00c280",
         },
     ),
     "sweep": (
         ["sweep", "--spec", "cusp", "--grid", "3", "--p", "2", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "af1f9efdaaff52c8bae4ebcadc982049c914bb7f777c22aa1cc58b5dfcc93899",
-            "plot_cp.dat": "8935fd7008706063fa538bea3bad65cab3dcfd2bfe74174eb3b536ade5518108",
+            "fibers.csv": "8272bcfb77d3b89e53b9913ed994a1f949c87abb864418cae5bc6dafbce77280",
+            "plot_cp.dat": "704c62211256715508e085d5f74e661e76cab8d8ff785ae55940ca961892a308",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "d23609aec7d4570fd0fa7d95cfaaa168e167ad2a17249537f41607e09c69608d",
+            "report.json": "72fc7e35a2adbfe587e6ad3583b0119e2609815b957839c0d48030995708da6b",
         },
     ),
     "lemma": (
         ["lemma", "--spec", "cusp", "--grid", "3", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "af1f9efdaaff52c8bae4ebcadc982049c914bb7f777c22aa1cc58b5dfcc93899",
-            "plot_cp.dat": "8935fd7008706063fa538bea3bad65cab3dcfd2bfe74174eb3b536ade5518108",
+            "fibers.csv": "8272bcfb77d3b89e53b9913ed994a1f949c87abb864418cae5bc6dafbce77280",
+            "plot_cp.dat": "704c62211256715508e085d5f74e661e76cab8d8ff785ae55940ca961892a308",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "ac9a1272ea6311a4c8965068e407699bfe0c1e0fbbe9aff0e63b812117ba0783",
+            "report.json": "e6ad944596e0775e4071e90e6138c0db8ef2c6b9fe475d6dfa3ac0c59b67ba25",
         },
     ),
     "uniform": (
         ["uniform", "--spec", "cusp", "--grid", "3", "--res", "48,96", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "899fc66020da4734b12c2d910e4ea40f8d29cfba94b5d499bb2799ad9232425a",
-            "plot_cp.dat": "061b37601df1b689163d77d8618cb793874b5818238c07bdd0cb7940556a43cb",
+            "fibers.csv": "b6df4b342593917d97a3d67e2038f004b1aa79a001599e53f907752f2dc9419c",
+            "plot_cp.dat": "6437f685879a9bb1f2718215c8710d4e651a94a3e9cd9d2b207834e1415730c1",
             "plot_ratio.dat": "e4e25ded80640b3ef3008065059eed8dd081aa9f594192806c1e13de2a196de3",
-            "report.json": "5ac60fa427c2f26aab21cf506b4db9c95c07e9a63a6766ed9ea6d7bf16f75d0b",
+            "report.json": "2cc66947691b8e67b36bcb5912b5a747b0642c01e20d5e3f528ce0fbfd4634c4",
         },
     ),
     "thickness": (
@@ -465,10 +465,10 @@ GOLDEN = {
          "--dir", "e1", "--samples", "512"],
         0,
         {
-            "fibers.csv": "0639e69dece6556dc9be5d2c1e7a271ea5c55ad64797ae924537b3971835c51e",
-            "plot_cp.dat": "156468fa096befa69d08b92130c8a026995952be602a1131fe8ae7738fbf16ad",
+            "fibers.csv": "313be7cc9310432310e519a2fabfa2d56289dacbaa9a7049a6b3e2b6a9703a13",
+            "plot_cp.dat": "42d6ce78a79a74cc9024a36062967c638f74515ee667fe73c56581f4e01490a9",
             "plot_ratio.dat": "7400eb72c99cd34e28691ac6bd99634563e14f8428e6cc64481136e6d0bdd39b",
-            "report.json": "f0a1e304ae8802619dda00fb1417cb5bc067c05c23a45cec8c1fe84bdc689692",
+            "report.json": "3d110e14176911c2d571af4489b6ba977d1968615920821fbd34ffd79ef4859d",
         },
     ),
     "lemma-not-applicable": (
@@ -494,7 +494,7 @@ GOLDEN = {
         ["trace", "--spec", "disk", "--res", "32", "--battery", "bump"],
         0,
         {
-            "report.json": "800782cdf63bd779cd79faa6dfc4956b7ccc9769a94d194f720ff5921bc8dd29",
+            "report.json": "8482fb3cf543a7f3f6d3f45c604a3b78d2a677d9124a80c06dd00c5f25de8052",
         },
     ),
     "trace-1d": (
@@ -508,7 +508,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "b70d248f6df0ed6806eb94428f449c2d2882fb2738d8548f4a5c5895a53c6a1c",
+            "report.json": "e78b9c63d68329ddca34603387e331ec266c58281d286ac02a46f69ca0961c5e",
         },
     ),
     "unknown-spec": (
@@ -530,7 +530,7 @@ GOLDEN = {
          "--trials", "5"],
         0,
         {
-            "report.json": "b03e741613ab6621a946c5aede5b8c841cfcaee39276edc960d22ce06e5988ce",
+            "report.json": "7fdbc6ef82d7d41394d2ec9fd152b4fb9a1212614e2fc4526e4b83870bfceca0",
         },
     ),
 }

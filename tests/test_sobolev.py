@@ -157,12 +157,11 @@ def test_stencils_match_sparse_reference(specs, name, t, res):
     g = op.apply(u)
     assert np.array_equal(g, np.stack([m @ u for m in mats]))
     # bytes, not values: the zero-extended np.diff stencils fix the sign of
-    # every zero, and the single-axis stencil must repeat apply exactly
+    # every zero
     full = np.zeros(r.counts)
     full[r.interior] = u * (1.0 / r.h)
     for ax in range(r.dim):
         assert g[ax].tobytes() == np.diff(full, axis=ax, append=0.0).tobytes()
-        assert op.apply_axis(u, ax).tobytes() == g[ax].tobytes()
     assert np.array_equal(op.apply_transpose(c), sum(m.T @ ci for m, ci in zip(mats, c)))
     ref = sum((m.T @ m).tocsr() for m in mats).tocsr()
     A = op.laplacian()
@@ -265,24 +264,13 @@ def test_p2_divergence_attaches_estimate(disk128, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,res,vcycle",
-    [
-        pytest.param(name, res, vcycle, id=f"{name}-{res}")
-        for name, res, vcycle in [
-            ("interval", 4096, False),
-            ("interval", 8192, True),
-            ("square", 128, True),
-            ("cube", 17, False),
-            ("cube", 21, True),
-        ]
-    ],
+    "name,res",
+    [("interval", 4096), ("interval", 8192), ("square", 128), ("cube", 17), ("cube", 21)],
 )
-def test_p2_block_closed_form(specs, name, res, vcycle):
-    # a full block of m cells per axis has lambda = dim (4/h^2) sin^2(pi/(2(m+1)));
-    # in 1D and 3D one block lies on each side of the V-cycle's floor
+def test_p2_block_closed_form(specs, name, res):
+    # a full block of m cells per axis has lambda = dim (4/h^2) sin^2(pi/(2(m+1)))
     r = rasterize(specs.get(name) or parse_domain(CUBE), (), res)
     assert r.interior_count == res**r.dim
-    assert (r.interior_count >= sobolev._COARSE_MIN_CELLS) == vcycle
     exact = r.dim * 4.0 / r.h**2 * math.sin(math.pi / (2 * (res + 1))) ** 2
     est = poincare_p2(r)
     assert est.eigenvalue == pytest.approx(exact, rel=1e-10)
@@ -338,18 +326,18 @@ def test_vcycle_is_symmetric_positive_definite(specs, name, t, res):
         assert u @ Bu > 0.0
 
 
-def test_p2_identity_path_bits_and_vcycle_work(specs):
-    # below the floor the preconditioner is the identity and the solve keeps
-    # the plain-CG bits recorded before the V-cycle existed
-    r = rasterize(specs["disk"], (), 60)
-    assert r.interior_count < sobolev._COARSE_MIN_CELLS
-    est = poincare_p2(r)
+def test_p2_vcycle_bits_and_work(specs):
+    # exact outputs of the V-cycle-preconditioned solve on a raster small
+    # enough for a few coarse levels
+    est = poincare_p2(rasterize(specs["disk"], (), 60))
     assert (est.constant.hex(), est.iterations, est.inner_iterations) == (
-        "0x1.b2fa708f4b6f5p-2", 5, 115
+        "0x1.b2fa708f4b6afp-2", 5, 34
     )
-    # above it the V-cycle bounds the work: plain CG from the coarse-grid
-    # start took 1038 steps on square@256
+    # the V-cycle bounds the work: plain CG from the coarse-grid start took
+    # 1038 steps on square@256, and plain CG from the all-ones start 3533 on
+    # interval@2048, where the step count grows with the extent in cells
     assert poincare_p2(rasterize(specs["square"], (), 256)).inner_iterations <= 80
+    assert poincare_p2(rasterize(specs["interval"], (), 2048)).inner_iterations <= 60
 
 
 # -- general p descent ---------------------------------------------------------
@@ -393,10 +381,10 @@ def test_value_only_ratio_matches_ratio_and_grad(specs, name, res):
 @pytest.mark.parametrize(
     "name,res,p,bits",
     [
-        ("disk", 5, 1.0, ("0x1.e4ea5eed0e693p-2", 790, "0x1.8309d8f863c8ep-31")),
+        ("disk", 5, 1.0, ("0x1.e4ea5eb532417p-2", 926, "0x1.83a6dbbee0695p-31")),
         ("square", 17, 3.0, ("0x1.110fbb6daa69ep-2", 887, "0x0.0p+0")),
         ("ball", 8, 3.0, ("0x1.c60f5c316ee12p-2", 756, "0x0.0p+0")),
-        ("two_disks", 9, 1.5, ("0x1.3dc4bf608e7f0p-2", 1610, "0x0.0p+0")),
+        ("two_disks", 9, 1.5, ("0x1.3dc4bf608e7f0p-2", 1890, "0x0.0p+0")),
     ],
 )
 def test_general_p_golden_bits(specs, name, res, p, bits):
@@ -572,6 +560,10 @@ def test_trace_bump_battery_vanishes(specs):
     # bump profiles vanish near the boundary, so every ratio is exactly zero
     assert rep.supremum == 0.0
     assert rep.doubled_supremum is None
+    assert rep.stable is None
+    # two zero suprema say nothing about stability
+    rep = trace_ratio_battery(rasterize(specs["disk"], (), 64), 2.0, battery="bump")
+    assert rep.supremum == rep.doubled_supremum == 0.0
     assert rep.stable is None
 
 

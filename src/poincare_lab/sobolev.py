@@ -270,6 +270,23 @@ _MAX_OUTER = 200  # inverse-iteration steps
 P2_TOL = 1e-8  # default tol of the p = 2 eigensolve
 
 
+def _spd_inverse(M: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, X^T X for X = L^-1
+    and L its Cholesky factor, summed in einsum's own loops: LAPACK and BLAS
+    split their sums by the thread count and the shape, and so their bits."""
+    n = len(M)
+    L, X, inverse = np.zeros((n, n)), np.zeros((n, n)), np.empty((n, n))
+    for j in range(n):  # L by columns, X by rows once its row of L is done
+        v = M[j:, j] - np.einsum("ik,k->i", L[j:, :j], L[j, :j])
+        L[j:, j] = v / np.sqrt(v[0])
+        X[j, :j] = -np.einsum("k,kj->j", L[j, :j], X[:j, :j]) / L[j, j]
+        X[j, j] = 1.0 / L[j, j]
+    for i in range(n):  # the lower triangle of X^T X by rows; X is lower too
+        inverse[i, : i + 1] = np.einsum("k,kj->j", X[i:, i], X[i:, : i + 1])
+        inverse[:i, i] = inverse[i, :i]
+    return inverse
+
+
 def _coarsen(raster: RasterDomain) -> RasterDomain:
     """The raster on cells twice as wide, with the same origin: a coarse
     cell is interior iff all of its 2^dim fine cells are, so it is still an
@@ -294,7 +311,7 @@ class _Level:
         self.jacobi = 0.8 * raster.h**2 / (2 * raster.dim)
         self.x = np.zeros(n + 1)
         self.r = np.zeros(n + 1)
-        self.inverse = np.linalg.inv(A.toarray()) if n <= _DIRECT_MAX_CELLS else None
+        self.inverse = _spd_inverse(A.toarray()) if n <= _DIRECT_MAX_CELLS else None
         self.parent = None  # per cell, the index of its coarse cell
         self.restricted = None
 
@@ -318,11 +335,12 @@ class _VCycle:
     restriction is R = P^T / 2^dim.  The smoother is damped Jacobi
     (omega = 0.8) on the constant diagonal 2 dim / h^2, two sweeps before
     the coarse correction and two after.  Coarsening stops at a level of at
-    most ``_DIRECT_MAX_CELLS`` cells, solved by a dense inverse, or at a
-    level whose coarsening has no cells, which is only smoothed.  The
-    post-smoother is the pre-smoother's adjoint and R is a positive multiple
-    of P^T, so the cycle is symmetric positive definite.  The result is
-    returned in a buffer that the next call overwrites.
+    most ``_DIRECT_MAX_CELLS`` cells, solved by its dense inverse
+    (``_spd_inverse``), or at a level whose coarsening has no cells, which
+    is only smoothed.  The post-smoother is the pre-smoother's adjoint and R
+    is a positive multiple of P^T, so the cycle is symmetric positive
+    definite.  The result is returned in a buffer that the next call
+    overwrites.
     """
 
     def __init__(self, raster: RasterDomain, A):
@@ -348,7 +366,7 @@ class _VCycle:
         level = self.levels[k]
         x, r = level.x[:-1], level.r[:-1]
         if level.inverse is not None:
-            return np.matmul(level.inverse, b, out=x)
+            return np.einsum("ij,j->i", level.inverse, b, out=x)
         np.multiply(b, level.jacobi, out=x)  # the first sweep, from zero
         level.smooth(b, 1)
         if level.parent is not None:

@@ -371,37 +371,37 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "d18314809921edf3d69ff56157d52f61655f980571eaca7e5de63f101e00c280",
+            "report.json": "902ec5ecb9646c2bdb2401e8e60b026b33cd3ae129f51ae2c913708b00b5295a",
         },
     ),
     "sweep": (
         ["sweep", "--spec", "cusp", "--grid", "3", "--p", "2", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "8272bcfb77d3b89e53b9913ed994a1f949c87abb864418cae5bc6dafbce77280",
-            "plot_cp.dat": "704c62211256715508e085d5f74e661e76cab8d8ff785ae55940ca961892a308",
+            "fibers.csv": "557f5f8a34547c2ec8b9c4d4dd86094d4555c7c80adc2ea934bd3ce845bb3aec",
+            "plot_cp.dat": "a8a4cea7ec004b1414a5ad8b39cddf91ed22c25b0b02c73d7a8aab5854ec6b39",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "72fc7e35a2adbfe587e6ad3583b0119e2609815b957839c0d48030995708da6b",
+            "report.json": "94c1a856baadc119acf281f82acc23dc5a8b5461d77a6921bacb0f4cadc438fb",
         },
     ),
     "lemma": (
         ["lemma", "--spec", "cusp", "--grid", "3", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "8272bcfb77d3b89e53b9913ed994a1f949c87abb864418cae5bc6dafbce77280",
-            "plot_cp.dat": "704c62211256715508e085d5f74e661e76cab8d8ff785ae55940ca961892a308",
+            "fibers.csv": "557f5f8a34547c2ec8b9c4d4dd86094d4555c7c80adc2ea934bd3ce845bb3aec",
+            "plot_cp.dat": "a8a4cea7ec004b1414a5ad8b39cddf91ed22c25b0b02c73d7a8aab5854ec6b39",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "e6ad944596e0775e4071e90e6138c0db8ef2c6b9fe475d6dfa3ac0c59b67ba25",
+            "report.json": "9892cc9e89fbdcc302d34c9dfc1277b08494154e794601d79a917c92dca4e68b",
         },
     ),
     "uniform": (
         ["uniform", "--spec", "cusp", "--grid", "3", "--res", "48,96", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "b6df4b342593917d97a3d67e2038f004b1aa79a001599e53f907752f2dc9419c",
-            "plot_cp.dat": "6437f685879a9bb1f2718215c8710d4e651a94a3e9cd9d2b207834e1415730c1",
+            "fibers.csv": "cd9ba33734d61c9b733cbe4051d36fc4324c12118f48c76dd67eb52da0e511db",
+            "plot_cp.dat": "7b8378fad3eeab02c59bbd80195dc71ae92bba59a0e67eb0e6155fcc93fa36d2",
             "plot_ratio.dat": "e4e25ded80640b3ef3008065059eed8dd081aa9f594192806c1e13de2a196de3",
-            "report.json": "2cc66947691b8e67b36bcb5912b5a747b0642c01e20d5e3f528ce0fbfd4634c4",
+            "report.json": "c4b5e988851bca0be104f24dcb6644fb72aefad4f49404294a53842f9374d488",
         },
     ),
     "thickness": (
@@ -508,7 +508,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "e78b9c63d68329ddca34603387e331ec266c58281d286ac02a46f69ca0961c5e",
+            "report.json": "b70d248f6df0ed6806eb94428f449c2d2882fb2738d8548f4a5c5895a53c6a1c",
         },
     ),
     "unknown-spec": (
@@ -530,7 +530,7 @@ GOLDEN = {
          "--trials", "5"],
         0,
         {
-            "report.json": "7fdbc6ef82d7d41394d2ec9fd152b4fb9a1212614e2fc4526e4b83870bfceca0",
+            "report.json": "b8bde0602ccc721fc46a801ad0e9fd909a365867b003c917287887e21bde4dd2",
         },
     ),
 }

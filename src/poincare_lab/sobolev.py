@@ -220,66 +220,32 @@ class PoincareEstimate:
     # because the benchmark's tracer reads them
     spread: float | None = None
     stagnation: bool = False
-    inner_iterations: int = 0  # PCG steps; not reported
 
     def __post_init__(self):
         if not (self.constant > 0.0 and np.isfinite(self.constant)):
             raise SolverDivergedError("Poincare constant must be positive and finite")
 
 
-def _pcg(A, b, precond, rtol: float, maxiter: int):
-    """Preconditioned conjugate gradients for an SPD matrix from a zero
-    start; deterministic.  Stops on the plain residual, ||r|| <= rtol ||b||.
-
-    ``precond`` maps a residual to z = B r for a symmetric positive definite
-    B, and may return the same buffer on every call.  The updates run in
-    place through one scratch buffer; ``p *= beta; p += z`` gives the bits of
-    ``z + beta * p``, since IEEE addition and multiplication commute."""
-    x = np.zeros_like(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x, 0
-    r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    tmp = np.empty_like(b)
-    rz = float(r @ z)
-    rr = float(r @ r)
-    tol2 = (rtol * bnorm) ** 2
-    it = 0
-    while rr > tol2 and it < maxiter:
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise ArithmeticError("matrix not positive definite in CG")
-        alpha = rz / pAp
-        x += np.multiply(alpha, p, out=tmp)
-        r -= np.multiply(alpha, Ap, out=tmp)
-        z = precond(r)
-        rz_new = float(r @ z)
-        rr = float(r @ r)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-        it += 1
-    return x, it
-
-
 _DIRECT_MAX_CELLS = 256  # the V-cycle's coarsest level, solved by a dense inverse
-_MAX_OUTER = 200  # inverse-iteration steps
+_MAX_OUTER = 200  # LOBPCG steps
 P2_TOL = 1e-8  # default tol of the p = 2 eigensolve
 
 
 def _spd_inverse(M: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, X^T X for X = L^-1
     and L its Cholesky factor, summed in einsum's own loops: LAPACK and BLAS
-    split their sums by the thread count and the shape, and so their bits."""
+    split their sums by the thread count and the shape, and so their bits.
+    L keeps the band of M, w = max |i - j| over its nonzero entries, so the
+    sums that form L and X run over w terms."""
     n = len(M)
+    rows, cols = np.nonzero(M)
+    w = int((rows - cols).max())
     L, X, inverse = np.zeros((n, n)), np.zeros((n, n)), np.empty((n, n))
     for j in range(n):  # L by columns, X by rows once its row of L is done
-        v = M[j:, j] - np.einsum("ik,k->i", L[j:, :j], L[j, :j])
-        L[j:, j] = v / np.sqrt(v[0])
-        X[j, :j] = -np.einsum("k,kj->j", L[j, :j], X[:j, :j]) / L[j, j]
+        lo, hi = max(0, j - w), j + w + 1
+        v = M[j:hi, j] - np.einsum("ik,k->i", L[j:hi, lo:j], L[j, lo:j])
+        L[j:hi, j] = v / np.sqrt(v[0])
+        X[j, :j] = -np.einsum("k,kj->j", L[j, lo:j], X[lo:j, :j]) / L[j, j]
         X[j, j] = 1.0 / L[j, j]
     for i in range(n):  # the lower triangle of X^T X by rows; X is lower too
         inverse[i, : i + 1] = np.einsum("k,kj->j", X[i:, i], X[i:, : i + 1])
@@ -329,8 +295,7 @@ class _VCycle:
     Oosterlee and Schueller, *Multigrid*, 2001).
 
     Each level's operator is that raster's own ``laplacian()``; the finest
-    is ``A`` itself, so a shift written into ``A``'s diagonal reaches the
-    cycle too.  Prolongation P injects each coarse cell's value into its
+    is ``A`` itself.  Prolongation P injects each coarse cell's value into its
     2^dim fine cells, and a fine cell whose coarse cell is exterior gets 0;
     restriction is R = P^T / 2^dim.  The smoother is damped Jacobi
     (omega = 0.8) on the constant diagonal 2 dim / h^2, two sweeps before
@@ -380,81 +345,108 @@ class _VCycle:
         return x
 
 
+def _orthonormalize(v: np.ndarray, Av: np.ndarray, basis: list, tmp: np.ndarray) -> bool:
+    """Make ``v`` orthogonal to the orthonormal vectors of ``basis``, a list
+    of (u, A u), and of unit norm, in place, with ``Av`` following it.  False,
+    leaving both unscaled, when less than 1e-10 of ``v``'s norm is left."""
+    norm0 = float(np.linalg.norm(v))
+    for u, Au in basis:
+        c = float(u @ v)
+        v -= np.multiply(u, c, out=tmp)
+        Av -= np.multiply(Au, c, out=tmp)
+    norm = float(np.linalg.norm(v))
+    if norm <= 1e-10 * norm0:
+        return False
+    v /= norm
+    Av /= norm
+    return True
+
+
 def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     """Discrete Poincare constant for p = 2 as lambda_min(grad^T grad)^(-1/2).
 
-    Shifted inverse iteration from the all-ones start, each step solved by
-    conjugate gradients (``_pcg``) preconditioned by one V-cycle (``_VCycle``)
-    on the hierarchy of ``_coarsen``ed rasters, built once per solve: each
-    level's own Laplacian, injection P with R = P^T / 2^dim, two
-    damped-Jacobi sweeps before and after the coarse correction, and a dense
-    inverse on the coarsest level, which on a raster of at most
-    ``_DIRECT_MAX_CELLS`` cells is the first.  The shift is written into the
-    diagonal entries of the Laplacian for each solve and taken out before the
-    next product with it, which gives the bits of A - shift I without
-    assembling that matrix.
-    Each solve stops at the relative residual min(1e-2, 0.1 res), and the
-    shift 0.9 lambda starts once res < 0.1.  The iteration stops when the
-    eigen-residual res = ||A x - lambda x|| / lambda is at most sqrt(tol) / 10,
-    so the Rayleigh quotient's relative error, about res^2 lambda / gap, is
-    far below ``tol`` unless the gap is small and the start holds much of the
-    next eigenvector.  ``residual`` is that res, ``iterations`` counts the
-    outer steps (at most ``_MAX_OUTER``) and ``inner_iterations`` the PCG
-    steps.
+    Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) from the
+    all-ones start.  Each step takes w, one V-cycle (``_VCycle``) applied to
+    the residual A x - lambda x, and p, the previous step's direction; it
+    orthonormalizes w against x and then p against both, drops either when
+    less than 1e-10 of its norm is left (a single cell, a converged iterate),
+    and takes the lowest Ritz pair of A on what is left.  The Ritz vector is
+    the next x, with a coefficient on x of at least 0, and its part outside
+    x the next p.  The V-cycle runs on the hierarchy of ``_coarsen``ed
+    rasters, built once per solve: each level's own Laplacian, injection P
+    with R = P^T / 2^dim, two damped-Jacobi sweeps before and after the
+    coarse correction, and a dense inverse on the coarsest level, which on a
+    raster of at most ``_DIRECT_MAX_CELLS`` cells is the first.  The
+    iteration stops when the eigen-residual res = ||A x - lambda x|| / lambda
+    is at most sqrt(tol) / 10, so the Rayleigh quotient's relative error,
+    about res^2 lambda / gap, is far below ``tol`` unless the gap is small
+    and the start holds much of the next eigenvector.  ``residual`` is that
+    res and ``iterations`` counts the steps, each one V-cycle and one
+    product with A (at most ``_MAX_OUTER``).
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
     A = build_gradient(raster).laplacian()
-    n = A.shape[0]
-    # the diagonal entries of A, in its canonical CSR order
-    diagonal = np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
-    d0 = A.data[diagonal]
     precond = _VCycle(raster, A)
-    x = np.ones(n)
+    # apart, so that the returned eigenvector holds no other buffer; p = 0 is
+    # dropped at the first step
+    x, Ax, w, Aw, p, Ap, tmp = (np.zeros(A.shape[0]) for _ in range(7))
+    x += 1.0
     x /= np.linalg.norm(x)
-    lam = float(x @ (A @ x))
-    shift = 0.0
-    res = 1.0
-    inner_total = 0
+    np.copyto(Ax, A @ x)
+    lam = float(x @ Ax)
+    np.subtract(Ax, np.multiply(x, lam, out=w), out=w)
+    res = float(np.linalg.norm(w)) / lam
 
     def estimate(iterations: int) -> PoincareEstimate:
         return PoincareEstimate(
             p=2.0,
             constant=lam ** (-0.5),
-            method="inverse-iteration-cg",
+            method="lobpcg-vcycle",
             iterations=iterations,
             residual=res,
             tol=tol,
             h=raster.h,
             eigenvalue=lam,
             eigenvector=x,
-            inner_iterations=inner_total,
         )
 
     for outer in range(1, _MAX_OUTER + 1):
-        A.data[diagonal] = d0 - shift
-        try:
-            y, it = _pcg(A, x, precond, rtol=min(1e-2, 0.1 * res), maxiter=20 * n)
-        except ArithmeticError:
-            shift *= 0.5
-            continue
-        finally:
-            A.data[diagonal] = d0
-        inner_total += it
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0 or not np.isfinite(ny):
-            raise SolverDivergedError("inverse iteration produced a zero vector")
-        x = y / ny
-        Ax = A @ x
+        np.copyto(w, precond(w))
+        np.copyto(Aw, A @ w)
+        basis = [(x, Ax)]
+        kept = [0]
+        for k, (v, Av) in enumerate(((w, Aw), (p, Ap)), 1):
+            if _orthonormalize(v, Av, basis, tmp):
+                basis.append((v, Av))
+                kept.append(k)
+        # A projected on the kept basis; eigh reads its lower triangle only
+        gram = np.array([[u @ Av for _, Av in basis] for u, _ in basis])
+        y = np.zeros(3)  # the Ritz vector on (x, w, p), 0 where dropped
+        y[kept] = np.linalg.eigh(gram)[1][:, 0]
+        if y[0] < 0.0:
+            y = -y
+        # p <- y1 w + y2 p and x <- y0 x + p, Ap and Ax alike
+        p *= y[2]
+        p += np.multiply(w, y[1], out=tmp)
+        Ap *= y[2]
+        Ap += np.multiply(Aw, y[1], out=tmp)
+        x *= y[0]
+        x += p
+        Ax *= y[0]
+        Ax += Ap
+        nx = float(np.linalg.norm(x))
+        x /= nx
+        Ax /= nx
         lam = float(x @ Ax)
-        res = float(np.linalg.norm(Ax - lam * x)) / lam
-        # a conservative shift accelerates once the eigenvector settles
-        if res < 0.1:
-            shift = 0.9 * lam
+        np.subtract(Ax, np.multiply(x, lam, out=w), out=w)
+        res = float(np.linalg.norm(w)) / lam
+        if not math.isfinite(res):
+            raise SolverDivergedError("LOBPCG produced a non-finite iterate")
         if res <= math.sqrt(tol) / 10.0:
             return estimate(outer)
     raise SolverDivergedError(
-        f"inverse iteration did not reach tol={tol} in {_MAX_OUTER} steps",
+        f"LOBPCG did not reach tol={tol} in {_MAX_OUTER} steps",
         estimate=estimate(_MAX_OUTER),
     )
 

@@ -371,37 +371,37 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "902ec5ecb9646c2bdb2401e8e60b026b33cd3ae129f51ae2c913708b00b5295a",
+            "report.json": "381c1f274afe57ed4e8b8267b389a8ceb1d8ba4f130c82b51d8f080f3b85a67e",
         },
     ),
     "sweep": (
         ["sweep", "--spec", "cusp", "--grid", "3", "--p", "2", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "557f5f8a34547c2ec8b9c4d4dd86094d4555c7c80adc2ea934bd3ce845bb3aec",
-            "plot_cp.dat": "a8a4cea7ec004b1414a5ad8b39cddf91ed22c25b0b02c73d7a8aab5854ec6b39",
+            "fibers.csv": "d17037dc3a57b9d5279d32cacc23708a399d6e913d42978f613e0035917846d3",
+            "plot_cp.dat": "3b0a0672214d3734ffb840d5c6421adfa6b09d65a30746f977b4e106d0ab6d4a",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "94c1a856baadc119acf281f82acc23dc5a8b5461d77a6921bacb0f4cadc438fb",
+            "report.json": "e4fd2e35bcc2e35a876a27fb6c07a77c3774a0cf27b7df67bb607486e04d3234",
         },
     ),
     "lemma": (
         ["lemma", "--spec", "cusp", "--grid", "3", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "557f5f8a34547c2ec8b9c4d4dd86094d4555c7c80adc2ea934bd3ce845bb3aec",
-            "plot_cp.dat": "a8a4cea7ec004b1414a5ad8b39cddf91ed22c25b0b02c73d7a8aab5854ec6b39",
+            "fibers.csv": "d17037dc3a57b9d5279d32cacc23708a399d6e913d42978f613e0035917846d3",
+            "plot_cp.dat": "3b0a0672214d3734ffb840d5c6421adfa6b09d65a30746f977b4e106d0ab6d4a",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "9892cc9e89fbdcc302d34c9dfc1277b08494154e794601d79a917c92dca4e68b",
+            "report.json": "ef490e5454120a854232d2c6ff1d01dc91119390c36ad277cbdc25600457f395",
         },
     ),
     "uniform": (
         ["uniform", "--spec", "cusp", "--grid", "3", "--res", "48,96", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "cd9ba33734d61c9b733cbe4051d36fc4324c12118f48c76dd67eb52da0e511db",
-            "plot_cp.dat": "7b8378fad3eeab02c59bbd80195dc71ae92bba59a0e67eb0e6155fcc93fa36d2",
+            "fibers.csv": "72e38d16051f7786a3c1a39d80ec00318abaffa0a2f4e2de7fd92c4021dd5964",
+            "plot_cp.dat": "194c6e9fccc1100f2d6b50c830eb98a1108c0c7f35ad5fe13409c4a486649647",
             "plot_ratio.dat": "e4e25ded80640b3ef3008065059eed8dd081aa9f594192806c1e13de2a196de3",
-            "report.json": "c4b5e988851bca0be104f24dcb6644fb72aefad4f49404294a53842f9374d488",
+            "report.json": "b1c8cca87d25af7810081217a4060d3654172d7a83f659ab575a841a800b3f55",
         },
     ),
     "thickness": (
@@ -465,10 +465,10 @@ GOLDEN = {
          "--dir", "e1", "--samples", "512"],
         0,
         {
-            "fibers.csv": "313be7cc9310432310e519a2fabfa2d56289dacbaa9a7049a6b3e2b6a9703a13",
-            "plot_cp.dat": "42d6ce78a79a74cc9024a36062967c638f74515ee667fe73c56581f4e01490a9",
+            "fibers.csv": "8aed02bddaee66e123d80e3478ad3f6d030ec431e179a709ce18cbfa5464fa1b",
+            "plot_cp.dat": "4fbbeb67510edb44ef6c5fa5cd1441036ab8bc48c10e02ded31281526ef11ebf",
             "plot_ratio.dat": "7400eb72c99cd34e28691ac6bd99634563e14f8428e6cc64481136e6d0bdd39b",
-            "report.json": "3d110e14176911c2d571af4489b6ba977d1968615920821fbd34ffd79ef4859d",
+            "report.json": "226d4e99bb59d836ba35e0c696d90dc1ae75d06cafb681f8fd57e09e97450b60",
         },
     ),
     "lemma-not-applicable": (
@@ -508,7 +508,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "b70d248f6df0ed6806eb94428f449c2d2882fb2738d8548f4a5c5895a53c6a1c",
+            "report.json": "e78b9c63d68329ddca34603387e331ec266c58281d286ac02a46f69ca0961c5e",
         },
     ),
     "unknown-spec": (
@@ -530,7 +530,7 @@ GOLDEN = {
          "--trials", "5"],
         0,
         {
-            "report.json": "b8bde0602ccc721fc46a801ad0e9fd909a365867b003c917287887e21bde4dd2",
+            "report.json": "b8b32fac08f7b419a4e12fe19dd08c9c59c070da343bb83c6b695a8a674754c3",
         },
     ),
 }

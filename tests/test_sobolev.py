@@ -239,7 +239,7 @@ def test_p2_matches_dense_eigensolve(specs):
         oracle = float(scipy.linalg.eigvalsh(A)[0]) ** -0.5
         est = poincare_p2(r)
         assert est.constant == pytest.approx(oracle, rel=1e-9)
-        assert est.method == "inverse-iteration-cg"
+        assert est.method == "lobpcg-vcycle"
 
 
 def test_p2_interval_continuum_limit(specs):
@@ -278,14 +278,17 @@ def test_p2_block_closed_form(specs, name, res):
     est = poincare_p2(r)
     assert est.eigenvalue == pytest.approx(exact, rel=1e-10)
     assert est.residual <= math.sqrt(est.tol) / 10.0
-    assert est.inner_iterations > est.iterations >= 1
+    assert est.iterations >= 1
 
 
-@pytest.mark.parametrize("name,res", [("disk", 128), ("two_disks", 256), ("annulus", 256)])
+@pytest.mark.parametrize(
+    "name,res", [("disk", 128), ("two_disks", 256), ("annulus", 128), ("annulus", 256)]
+)
 def test_p2_matches_shift_invert_eigsh(specs, name, res):
     # two_disks has two mirror components, so its first eigenvalue is double;
     # the annulus has lambda_2 / lambda_1 = 1.049, a small gap for the
-    # eigen-residual stop
+    # eigen-residual stop, and the V-cycle's coarse levels are not mirror
+    # symmetric, so its iterates hold some of the double angular mode
     r = rasterize(specs[name], (), res)
     A = build_gradient(r).laplacian()
     oracle = float(scipy.sparse.linalg.eigsh(A, k=1, sigma=0, return_eigenvectors=False)[0])
@@ -308,7 +311,7 @@ THIN_STRIP = "dim 2\nbox [0,1]x[0,1]\nset: x > 0 and 1 - x > 0 and y > 0 and 0.0
     ],
 )
 def test_vcycle_is_symmetric_positive_definite(specs, name, t, res):
-    # the preconditioner must be SPD for PCG: u.Bv = v.Bu and u.Bu > 0
+    # the preconditioner must be SPD: u.Bv = v.Bu and u.Bu > 0
     spec = specs.get(name) or parse_domain({"cube": CUBE, "thin_strip": THIN_STRIP}[name])
     r = rasterize(spec, t, res)
     cycle = sobolev._VCycle(r, build_gradient(r).laplacian())
@@ -333,14 +336,11 @@ def test_p2_vcycle_bits_and_work(specs):
     # exact outputs of the V-cycle-preconditioned solve on a raster small
     # enough for a few coarse levels
     est = poincare_p2(rasterize(specs["disk"], (), 60))
-    assert (est.constant.hex(), est.iterations, est.inner_iterations) == (
-        "0x1.b2fa708f4b6b0p-2", 5, 34
-    )
-    # the V-cycle bounds the work: plain CG from the coarse-grid start took
-    # 1038 steps on square@256, and plain CG from the all-ones start 3533 on
-    # interval@2048, where the step count grows with the extent in cells
-    assert poincare_p2(rasterize(specs["square"], (), 256)).inner_iterations <= 80
-    assert poincare_p2(rasterize(specs["interval"], (), 2048)).inner_iterations <= 60
+    assert (est.constant.hex(), est.iterations) == ("0x1.b2fa708f4b670p-2", 9)
+    # one V-cycle per step bounds the work: shifted inverse iteration with
+    # inner PCG took 60 V-cycles on square@256 and 37 on interval@2048
+    assert poincare_p2(rasterize(specs["square"], (), 256)).iterations <= 24
+    assert poincare_p2(rasterize(specs["interval"], (), 2048)).iterations <= 20
 
 
 
@@ -352,7 +352,7 @@ def test_p2_bits_do_not_depend_on_blas_threads():
         "from poincare_lab import load_corpus, poincare_p2, rasterize\n"
         "for name, t, res in [('disk', (), 17), ('cusp', (0.5,), 64)]:\n"
         "    e = poincare_p2(rasterize(load_corpus(name), t, res))\n"
-        "    print(e.constant.hex(), e.inner_iterations)\n"
+        "    print(e.constant.hex(), e.iterations)\n"
     )
     outs = {
         subprocess.run(
@@ -404,10 +404,10 @@ def test_value_only_ratio_matches_ratio_and_grad(specs, name, res):
 @pytest.mark.parametrize(
     "name,res,p,bits",
     [
-        ("disk", 5, 1.0, ("0x1.e4ea60946ad49p-2", 1238, "0x1.83ec0fd0120e6p-31")),
-        ("square", 17, 3.0, ("0x1.110fbb6daa69ep-2", 887, "0x0.0p+0")),
-        ("ball", 8, 3.0, ("0x1.c60f5c316ee14p-2", 756, "0x0.0p+0")),
-        ("two_disks", 9, 1.5, ("0x1.3dc4bf608e7efp-2", 1357, "0x0.0p+0")),
+        ("disk", 5, 1.0, ("0x1.e4ea5f1682283p-2", 1311, "0x1.827e3d4f91577p-31")),
+        ("square", 17, 3.0, ("0x1.110fbb6daa69ep-2", 915, "0x0.0p+0")),
+        ("ball", 8, 3.0, ("0x1.c60f5c316ee12p-2", 756, "0x1.c60f5c316ee10p-53")),
+        ("two_disks", 9, 1.5, ("0x1.3dc4bf608e7f0p-2", 1134, "0x1.3dc4bf608e7efp-52")),
     ],
 )
 def test_general_p_golden_bits(specs, name, res, p, bits):
@@ -486,7 +486,7 @@ def test_general_p1_unequal_bars_finds_the_long_bar():
 
 
 def test_poincare_constant_routes(specs, square64):
-    assert poincare_constant(square64, 2.0).method == "inverse-iteration-cg"
+    assert poincare_constant(square64, 2.0).method == "lobpcg-vcycle"
     # a coarse raster reaches the descent route as well as square64 does
     square9 = rasterize(specs["square"], (), 9)
     assert poincare_constant(square9, 1.5, tol=1e-4).method == "rayleigh-descent"

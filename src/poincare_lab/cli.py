@@ -224,7 +224,7 @@ def _sweep_report(args, spec, resolution):
         resolution,
         direction=args.dir,
         seed=args.seed,
-        jobs=args.jobs or 1,
+        jobs=1 if args.jobs is None else args.jobs,
         tol=args.tol,
         dirs=args.dirs,
         count=args.samples,

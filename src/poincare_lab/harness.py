@@ -31,7 +31,7 @@ from .errors import (
     jsonable,
 )
 from .raster import check_resolution, rasterize, unit_vector, volume
-from .sobolev import CheckRecord, check_p, verify_thickness_bound
+from .sobolev import CheckRecord, check_p, check_tol, verify_thickness_bound
 from .tangent import DIRECTIONS, SAMPLES, find_regular_direction, margin, sample_boundary
 
 
@@ -234,14 +234,18 @@ def sweep(
 ) -> SweepReport:
     """Run the per-fiber bound check across a parameter family.
 
-    Records are ordered by lexicographic t.  A bad ``p``, resolution or
-    direction is rejected before any fiber runs; after that, per-fiber
-    failures of any kind land in the fiber's record and the sweep itself
-    never aborts.  Fibers run in ``min(jobs, fibers)`` worker processes,
-    in this process when that is 1.
+    Records are ordered by lexicographic t.  A bad ``p``, resolution,
+    ``jobs``, ``tol`` or direction is rejected before any fiber runs; after
+    that, per-fiber failures of any kind land in the fiber's record and the
+    sweep itself never aborts.  Fibers run in ``min(jobs, fibers)`` worker
+    processes, in this process when that is 1.
     """
     check_p(p)
     check_resolution(resolution)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if tol is not None:
+        check_tol(tol)
     t_values = sorted(spec.check_params(t) for t in t_values)
     if not t_values:
         raise ValueError("need at least one parameter value")

@@ -182,6 +182,12 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
+def check_tol(tol: float) -> None:
+    """The package's one rule for a solver tolerance: finite and above 0."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and greater than 0, got {tol}")
+
+
 def lp_norm(arr, p: float, raster: RasterDomain) -> float:
     """L^p norm with cell-volume weights.  1D arrays are scalar fields;
     2D arrays (components, cells) are vector fields measured with the
@@ -226,31 +232,8 @@ class PoincareEstimate:
             raise SolverDivergedError("Poincare constant must be positive and finite")
 
 
-_DIRECT_MAX_CELLS = 256  # the V-cycle's coarsest level, solved by a dense inverse
 _MAX_OUTER = 200  # LOBPCG steps
 P2_TOL = 1e-8  # default tol of the p = 2 eigensolve
-
-
-def _spd_inverse(M: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, X^T X for X = L^-1
-    and L its Cholesky factor, summed in einsum's own loops: LAPACK and BLAS
-    split their sums by the thread count and the shape, and so their bits.
-    L keeps the band of M, w = max |i - j| over its nonzero entries, so the
-    sums that form L and X run over w terms."""
-    n = len(M)
-    rows, cols = np.nonzero(M)
-    w = int((rows - cols).max())
-    L, X, inverse = np.zeros((n, n)), np.zeros((n, n)), np.empty((n, n))
-    for j in range(n):  # L by columns, X by rows once its row of L is done
-        lo, hi = max(0, j - w), j + w + 1
-        v = M[j:hi, j] - np.einsum("ik,k->i", L[j:hi, lo:j], L[j, lo:j])
-        L[j:hi, j] = v / np.sqrt(v[0])
-        X[j, :j] = -np.einsum("k,kj->j", L[j, lo:j], X[lo:j, :j]) / L[j, j]
-        X[j, j] = 1.0 / L[j, j]
-    for i in range(n):  # the lower triangle of X^T X by rows; X is lower too
-        inverse[i, : i + 1] = np.einsum("k,kj->j", X[i:, i], X[i:, : i + 1])
-        inverse[:i, i] = inverse[i, :i]
-    return inverse
 
 
 def _coarsen(raster: RasterDomain) -> RasterDomain:
@@ -277,7 +260,6 @@ class _Level:
         self.jacobi = 0.8 * raster.h**2 / (2 * raster.dim)
         self.x = np.zeros(n + 1)
         self.r = np.zeros(n + 1)
-        self.inverse = _spd_inverse(A.toarray()) if n <= _DIRECT_MAX_CELLS else None
         self.parent = None  # per cell, the index of its coarse cell
         self.restricted = None
 
@@ -299,19 +281,18 @@ class _VCycle:
     2^dim fine cells, and a fine cell whose coarse cell is exterior gets 0;
     restriction is R = P^T / 2^dim.  The smoother is damped Jacobi
     (omega = 0.8) on the constant diagonal 2 dim / h^2, two sweeps before
-    the coarse correction and two after.  Coarsening stops at a level of at
-    most ``_DIRECT_MAX_CELLS`` cells, solved by its dense inverse
-    (``_spd_inverse``), or at a level whose coarsening has no cells, which
-    is only smoothed.  The post-smoother is the pre-smoother's adjoint and R
-    is a positive multiple of P^T, so the cycle is symmetric positive
-    definite.  The result is returned in a buffer that the next call
-    overwrites.
+    the coarse correction and two after.  Coarsening goes on until it
+    leaves no interior cell; the last level is only smoothed.  The
+    post-smoother is the pre-smoother's adjoint and R is a positive
+    multiple of P^T, so the cycle is symmetric positive definite, which is
+    all that LOBPCG asks of a preconditioner.  The result is returned in a
+    buffer that the next call overwrites.
     """
 
     def __init__(self, raster: RasterDomain, A):
         self.restriction_weight = 0.5**raster.dim  # R = P^T / 2^dim
         self.levels = [_Level(raster, A)]
-        while self.levels[-1].inverse is None:
+        while True:
             coarse = _coarsen(raster)
             n = coarse.interior_count
             if n == 0:
@@ -330,8 +311,6 @@ class _VCycle:
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         level = self.levels[k]
         x, r = level.x[:-1], level.r[:-1]
-        if level.inverse is not None:
-            return np.einsum("ij,j->i", level.inverse, b, out=x)
         np.multiply(b, level.jacobi, out=x)  # the first sweep, from zero
         level.smooth(b, 1)
         if level.parent is not None:
@@ -375,9 +354,8 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     x the next p.  The V-cycle runs on the hierarchy of ``_coarsen``ed
     rasters, built once per solve: each level's own Laplacian, injection P
     with R = P^T / 2^dim, two damped-Jacobi sweeps before and after the
-    coarse correction, and a dense inverse on the coarsest level, which on a
-    raster of at most ``_DIRECT_MAX_CELLS`` cells is the first.  The
-    iteration stops when the eigen-residual res = ||A x - lambda x|| / lambda
+    coarse correction, down to the last level whose coarsening has no
+    cells.  The iteration stops when the eigen-residual res = ||A x - lambda x|| / lambda
     is at most sqrt(tol) / 10, so the Rayleigh quotient's relative error,
     about res^2 lambda / gap, is far below ``tol`` unless the gap is small
     and the start holds much of the next eigenvector.  ``residual`` is that
@@ -386,6 +364,7 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
+    check_tol(tol)
     A = build_gradient(raster).laplacian()
     precond = _VCycle(raster, A)
     # apart, so that the returned eigenvector holds no other buffer; p = 0 is
@@ -617,6 +596,7 @@ def poincare_general_p(
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
     check_p(p)
+    check_tol(tol)
     from scipy import ndimage  # deferred: slow to import
 
     op = build_gradient(raster)

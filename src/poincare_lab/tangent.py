@@ -54,12 +54,6 @@ class BoundarySampleSet:
     def __len__(self):
         return self.points.shape[0]
 
-    def subset(self, mask) -> "BoundarySampleSet":
-        mask = np.asarray(mask, dtype=bool)
-        return BoundarySampleSet(
-            self.points[mask], self.normals[mask], self.atom_ids[mask], self.t
-        )
-
 
 def _atom_coords(spec: DomainSpec, t, pts):
     """Stack point coordinates with broadcast parameter rows, (nvars, n)."""

@@ -34,7 +34,7 @@ from poincare_lab import (
 )
 from poincare_lab.errors import UnboundedDirectionError
 from poincare_lab.sobolev import _battery_functions
-from poincare_lab.tangent import margin, sample_boundary
+from poincare_lab.tangent import BoundarySampleSet, margin, sample_boundary
 
 # the fixed test corpus: every bounded 2D shape plus three cusp fibers
 CORPUS = [
@@ -149,9 +149,8 @@ def test_criterion_05_regular_directions(specs):
     assert not rep.found
 
     s = sample_boundary(specs["cusp"], (1.0,), count=16384, seed=0)
-    graph = s.subset(
-        (s.atom_ids == 2) & (s.points[:, 0] > 0.0) & (s.points[:, 0] < 1.0)
-    )
+    on = (s.atom_ids == 2) & (s.points[:, 0] > 0.0) & (s.points[:, 0] < 1.0)
+    graph = BoundarySampleSet(s.points[on], s.normals[on], s.atom_ids[on], s.t)
     a = margin(graph, (0.0, 1.0))
     exact = 1.0 / math.sqrt(5.0)
     assert abs(a - exact) <= 1e-3, (a, exact)

@@ -371,37 +371,37 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "381c1f274afe57ed4e8b8267b389a8ceb1d8ba4f130c82b51d8f080f3b85a67e",
+            "report.json": "f6d56f44ce0946b6312cadd52a9a04644241d232cff21890a90f15b52ff65b69",
         },
     ),
     "sweep": (
         ["sweep", "--spec", "cusp", "--grid", "3", "--p", "2", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "d17037dc3a57b9d5279d32cacc23708a399d6e913d42978f613e0035917846d3",
-            "plot_cp.dat": "3b0a0672214d3734ffb840d5c6421adfa6b09d65a30746f977b4e106d0ab6d4a",
+            "fibers.csv": "44e720043ced2e3378b36abae9f5b8a484727a72fe6e9730e6a3fe0b2442b984",
+            "plot_cp.dat": "8a5d7090181db5fc68d67d06e80f655756a7aa3b92caba76c98707e8ccfd54ca",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "e4fd2e35bcc2e35a876a27fb6c07a77c3774a0cf27b7df67bb607486e04d3234",
+            "report.json": "a73a3c86fd4b3a3baa0fc3807b0f538bf6bfda77dab6f2d0f289d19c54f2c98d",
         },
     ),
     "lemma": (
         ["lemma", "--spec", "cusp", "--grid", "3", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "d17037dc3a57b9d5279d32cacc23708a399d6e913d42978f613e0035917846d3",
-            "plot_cp.dat": "3b0a0672214d3734ffb840d5c6421adfa6b09d65a30746f977b4e106d0ab6d4a",
+            "fibers.csv": "44e720043ced2e3378b36abae9f5b8a484727a72fe6e9730e6a3fe0b2442b984",
+            "plot_cp.dat": "8a5d7090181db5fc68d67d06e80f655756a7aa3b92caba76c98707e8ccfd54ca",
             "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "ef490e5454120a854232d2c6ff1d01dc91119390c36ad277cbdc25600457f395",
+            "report.json": "66093f3dbf5265785f38e220ea861fb1961076e3fd6877d72345b2e0965a43c8",
         },
     ),
     "uniform": (
         ["uniform", "--spec", "cusp", "--grid", "3", "--res", "48,96", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "72e38d16051f7786a3c1a39d80ec00318abaffa0a2f4e2de7fd92c4021dd5964",
-            "plot_cp.dat": "194c6e9fccc1100f2d6b50c830eb98a1108c0c7f35ad5fe13409c4a486649647",
+            "fibers.csv": "233b745a86c86a37695ad5232f08080bfbb376c9c23e13d77eb2b7e96b14f6db",
+            "plot_cp.dat": "008c1e2f634be25e8b642717c02e92a85b2cabb517fcaa4e2a6b5b4783185e12",
             "plot_ratio.dat": "e4e25ded80640b3ef3008065059eed8dd081aa9f594192806c1e13de2a196de3",
-            "report.json": "b1c8cca87d25af7810081217a4060d3654172d7a83f659ab575a841a800b3f55",
+            "report.json": "6a757d9d48989cfb9249e54604bf8cc24c79fbbf8b0ecaa8fa4a9b588cbe40d9",
         },
     ),
     "thickness": (
@@ -465,10 +465,10 @@ GOLDEN = {
          "--dir", "e1", "--samples", "512"],
         0,
         {
-            "fibers.csv": "8aed02bddaee66e123d80e3478ad3f6d030ec431e179a709ce18cbfa5464fa1b",
-            "plot_cp.dat": "4fbbeb67510edb44ef6c5fa5cd1441036ab8bc48c10e02ded31281526ef11ebf",
+            "fibers.csv": "934a71aa4f0741f7ba9baee9948fe7393241a54cf91b40561f16832be74bfd71",
+            "plot_cp.dat": "eccce30f3cc4c7832508e25776027e8c42f8a8838de96c3f04e37baca2a62546",
             "plot_ratio.dat": "7400eb72c99cd34e28691ac6bd99634563e14f8428e6cc64481136e6d0bdd39b",
-            "report.json": "226d4e99bb59d836ba35e0c696d90dc1ae75d06cafb681f8fd57e09e97450b60",
+            "report.json": "8a96ab591008cfe142e01477a3eb94cc213406ede0c222b04f3c0fbe98f10da2",
         },
     ),
     "lemma-not-applicable": (
@@ -530,7 +530,7 @@ GOLDEN = {
          "--trials", "5"],
         0,
         {
-            "report.json": "b8b32fac08f7b419a4e12fe19dd08c9c59c070da343bb83c6b695a8a674754c3",
+            "report.json": "4d97311d9b1e2a3d415ab61697ca354cb09277b8795b96e7a53e80e519035ea1",
         },
     ),
 }
@@ -597,15 +597,18 @@ def test_family_bad_p_is_usage_error(tmp_path, command, p, no_fiber_work):
     }
 
 
-@pytest.mark.parametrize("direction", ["nan,1", "0,0", "1,0,0"])
-def test_sweep_bad_direction_is_usage_error(tmp_path, direction, no_fiber_work):
+@pytest.mark.parametrize(
+    "flag",
+    ["--dir=nan,1", "--dir=0,0", "--dir=1,0,0", "--jobs=0", "--jobs=-3", "--tol=-1", "--tol=0"],
+)
+def test_sweep_bad_flag_is_usage_error(tmp_path, flag, no_fiber_work):
     code, report, _ = run(
-        tmp_path, "sweep", "--spec", "cusp", "--grid", "3", "--res", "32",
-        f"--dir={direction}",
+        tmp_path, "sweep", "--spec", "cusp", "--grid", "3", "--res", "32", flag
     )
     assert code == 2
     assert report["status"] == "usage_error"
     assert report["error"]["type"] == "ValueError"
+    assert "sweep" not in report
 
 
 def test_trace_3d_is_usage_error(tmp_path):

@@ -295,8 +295,8 @@ def test_p2_matches_shift_invert_eigsh(specs, name, res):
     assert poincare_p2(r).eigenvalue == pytest.approx(oracle, rel=1e-10)
 
 
-# three cells wide at res 4096: its second level, one cell wide, is too large
-# for the dense solve, and its coarsening is empty
+# three cells wide at res 4096: its second level is one cell wide, so its
+# coarsening is empty
 THIN_STRIP = "dim 2\nbox [0,1]x[0,1]\nset: x > 0 and 1 - x > 0 and y > 0 and 0.0008 - y > 0\n"
 
 
@@ -318,12 +318,13 @@ def test_vcycle_is_symmetric_positive_definite(specs, name, t, res):
     if name == "cusp":
         # the coarse levels drop the tip cells, whose correction is 0
         assert (cycle.levels[0].parent == cycle.levels[1].A.shape[0]).any()
+    # the hierarchy ends where coarsening leaves no cell
+    assert cycle.levels[-1].parent is None
+    assert all(lv.parent is not None for lv in cycle.levels[:-1])
     if name == "thin_strip":
-        # the last level is only smoothed
         assert [lv.A.shape[0] for lv in cycle.levels] == [12288, 2047]
-        assert cycle.levels[-1].inverse is None
-    else:
-        assert cycle.levels[-1].inverse is not None
+    if name == "interval":
+        assert cycle.levels[-1].A.shape[0] == 1
     rng = np.random.default_rng(res)
     for _ in range(3):
         u, v = rng.normal(size=(2, r.interior_count))
@@ -336,7 +337,7 @@ def test_p2_vcycle_bits_and_work(specs):
     # exact outputs of the V-cycle-preconditioned solve on a raster small
     # enough for a few coarse levels
     est = poincare_p2(rasterize(specs["disk"], (), 60))
-    assert (est.constant.hex(), est.iterations) == ("0x1.b2fa708f4b670p-2", 9)
+    assert (est.constant.hex(), est.iterations) == ("0x1.b2fa708f4ada6p-2", 9)
     # one V-cycle per step bounds the work: shifted inverse iteration with
     # inner PCG took 60 V-cycles on square@256 and 37 on interval@2048
     assert poincare_p2(rasterize(specs["square"], (), 256)).iterations <= 24
@@ -345,9 +346,9 @@ def test_p2_vcycle_bits_and_work(specs):
 
 
 def test_p2_bits_do_not_depend_on_blas_threads():
-    # the dense inverse of the V-cycle's coarsest level: LAPACK's LU gave
-    # other bits at two BLAS threads than at one on both fibers (101 cells
-    # at the first level, 683 cells over a 138-cell coarsest one)
+    # the solve keeps LAPACK out of its bits: LAPACK's LU splits its sums by
+    # the thread count, and a coarse inverse formed by it gave other bits at
+    # two BLAS threads than at one on both fibers (101 and 683 cells)
     probe = (
         "from poincare_lab import load_corpus, poincare_p2, rasterize\n"
         "for name, t, res in [('disk', (), 17), ('cusp', (0.5,), 64)]:\n"
@@ -404,10 +405,10 @@ def test_value_only_ratio_matches_ratio_and_grad(specs, name, res):
 @pytest.mark.parametrize(
     "name,res,p,bits",
     [
-        ("disk", 5, 1.0, ("0x1.e4ea5f1682283p-2", 1311, "0x1.827e3d4f91577p-31")),
-        ("square", 17, 3.0, ("0x1.110fbb6daa69ep-2", 915, "0x0.0p+0")),
-        ("ball", 8, 3.0, ("0x1.c60f5c316ee12p-2", 756, "0x1.c60f5c316ee10p-53")),
-        ("two_disks", 9, 1.5, ("0x1.3dc4bf608e7f0p-2", 1134, "0x1.3dc4bf608e7efp-52")),
+        ("disk", 5, 1.0, ("0x1.e4ea60f005f47p-2", 765, "0x1.82fbad493c789p-31")),
+        ("square", 17, 3.0, ("0x1.110fbb6daa69ep-2", 977, "0x1.110fbb6daa69dp-53")),
+        ("ball", 8, 3.0, ("0x1.c60f5c316ee12p-2", 625, "0x1.c60f5c316ee10p-53")),
+        ("two_disks", 9, 1.5, ("0x1.3dc4bf608e7f0p-2", 1068, "0x0.0p+0")),
     ],
 )
 def test_general_p_golden_bits(specs, name, res, p, bits):
@@ -492,6 +493,11 @@ def test_poincare_constant_routes(specs, square64):
     assert poincare_constant(square9, 1.5, tol=1e-4).method == "rayleigh-descent"
     with pytest.raises(ValueError):
         poincare_constant(square64, 0.9)
+    # one rule for a tolerance on both routes, checked before any work
+    for p in (2.0, 1.5):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be finite and greater than 0"):
+                poincare_constant(square64, p, tol=tol)
 
 
 # -- the thickness bound -------------------------------------------------------

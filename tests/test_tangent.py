@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poincare_lab import (
+    BoundarySampleSet,
     candidate_directions,
     find_regular_direction,
     margin,
@@ -66,7 +67,8 @@ def test_margin_circle_small_everywhere(specs):
 def test_margin_cusp_graph_stratum(specs):
     spec = specs["cusp"]
     s = sample_boundary(spec, (1.0,), count=8192, seed=0)
-    graph = s.subset(s.atom_ids == 2)
+    on = s.atom_ids == 2
+    graph = BoundarySampleSet(s.points[on], s.normals[on], s.atom_ids[on], s.t)
     assert len(graph) > 100
     got = margin(graph, (0.0, 1.0))
     assert abs(got - 1.0 / math.sqrt(5.0)) < 1e-3
@@ -85,7 +87,8 @@ def test_margin_symmetry_and_lipschitz(specs, rng):
 
 def test_margin_superset_monotone(specs):
     s = sample_boundary(specs["annulus"], (), count=2048, seed=6)
-    inner = s.subset(s.atom_ids == 1)
+    on = s.atom_ids == 1
+    inner = BoundarySampleSet(s.points[on], s.normals[on], s.atom_ids[on], s.t)
     assert 0 < len(inner) < len(s)
     d = np.array([0.6, 0.8])
     assert margin(s, d) <= margin(inner, d) + 1e-15

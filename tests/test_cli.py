@@ -597,10 +597,19 @@ def test_family_bad_p_is_usage_error(tmp_path, command, p, no_fiber_work):
     }
 
 
-@pytest.mark.parametrize(
-    "flag",
-    ["--dir=nan,1", "--dir=0,0", "--dir=1,0,0", "--jobs=0", "--jobs=-3", "--tol=-1", "--tol=0"],
-)
+@pytest.mark.parametrize("direction", ["nan,1", "0,0", "1,0,0"])
+def test_sweep_bad_direction_is_usage_error(tmp_path, direction, no_fiber_work):
+    code, report, _ = run(
+        tmp_path, "sweep", "--spec", "cusp", "--grid", "3", "--res", "32",
+        f"--dir={direction}",
+    )
+    assert code == 2
+    assert report["status"] == "usage_error"
+    assert report["error"]["type"] == "ValueError"
+    assert "sweep" not in report
+
+
+@pytest.mark.parametrize("flag", ["--jobs=0", "--jobs=-3", "--tol=-1", "--tol=0"])
 def test_sweep_bad_flag_is_usage_error(tmp_path, flag, no_fiber_work):
     code, report, _ = run(
         tmp_path, "sweep", "--spec", "cusp", "--grid", "3", "--res", "32", flag

@@ -40,6 +40,7 @@ from .errors import (
     jsonable,
 )
 from .harness import (
+    check_jobs,
     fibers_csv_text,
     grid_points,
     plot_data_texts,
@@ -70,10 +71,10 @@ from .tangent import DIRECTIONS, SAMPLES, find_regular_direction
 # every numeric default of the command line; flags override 1:1
 DEFAULTS = {
     "tol": None,  # solver relative tolerance; None means each route's own default
-    "step": None,  # chord-march step; None means h/4 of the fiber raster
     "samples": SAMPLES,  # boundary samples per fiber
     "dirs": DIRECTIONS,  # candidate directions for the regular-direction search
     "seed": 0,
+    "jobs": 1,  # sweep worker processes
     "resolution": 256,  # cells per axis
     "grid": 5,  # per-axis parameter grid count for sweeps
     "samples_per_column": SAMPLES_PER_COLUMN,  # abscissae per decomposition column
@@ -86,7 +87,7 @@ _FLAGS = {
     "--spec": {"required": True, "help": "domain file or bundled name"},
     "--out": {"default": ".", "help": "output directory"},
     "--seed": {"type": int, "default": DEFAULTS["seed"]},
-    "--jobs": {"type": int, "default": None, "help": "sweep worker processes (default 1)"},
+    "--jobs": {"type": int, "default": DEFAULTS["jobs"], "help": "sweep worker processes"},
     "--tol": {"type": float, "default": DEFAULTS["tol"]},
     "--t": {"default": "", "help": "comma-separated parameter values"},
     "--ts": {"default": None, "help": "semicolon-separated parameter tuples"},
@@ -96,7 +97,6 @@ _FLAGS = {
     "--dir": {"default": "auto", "help": "axis name, vector, or auto (search)"},
     "--dirs": {"type": int, "default": DEFAULTS["dirs"]},
     "--samples": {"type": int, "default": DEFAULTS["samples"]},
-    "--step": {"type": float, "default": DEFAULTS["step"]},
     "--trials": {"type": int, "default": DEFAULTS["trials"]},
     "--samples-per-column": {"type": int, "default": DEFAULTS["samples_per_column"]},
     "--no-merge": {"action": "store_true", "help": "export the raw stacks"},
@@ -197,7 +197,7 @@ def _cmd_check(args):
         lam = resolve_direction(spec, direction, [t], args.seed, DIRECTIONS, SAMPLES)[0]
     else:
         lam = unit_direction(spec.ambient_dim, direction)
-    checks = [verify_thickness_bound(spec, t, raster, args.p, lam, step=args.step, tol=args.tol)]
+    checks = [verify_thickness_bound(spec, t, raster, args.p, lam, tol=args.tol)]
     for axis in range(spec.ambient_dim):
         checks.append(
             discrete_column_inequality(raster, axis, args.p, trials=args.trials, seed=args.seed)
@@ -224,7 +224,7 @@ def _sweep_report(args, spec, resolution):
         resolution,
         direction=args.dir,
         seed=args.seed,
-        jobs=1 if args.jobs is None else args.jobs,
+        jobs=args.jobs,
         tol=args.tol,
         dirs=args.dirs,
         count=args.samples,
@@ -283,12 +283,8 @@ def _cmd_thickness(args):
     spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
     lam = unit_direction(spec.ambient_dim, args.dir)
-    step = args.step if args.step is not None else (raster.h / 4.0 if not raster.empty else None)
-    T = thickness(spec, t, lam, step=step)
-    discrete = {
-        f"axis{a}": (thickness_discrete(raster, a) if not raster.empty else 0.0)
-        for a in range(spec.ambient_dim)
-    }
+    T = thickness(spec, t, lam)
+    discrete = {f"axis{a}": thickness_discrete(raster, a) for a in range(spec.ambient_dim)}
     report = {
         "domain": print_domain(spec),
         "t": t,
@@ -393,12 +389,12 @@ def _cmd_raster(args):
 _FAMILY = "--tol --ts --grid --p --res --dir --dirs --samples"
 _COMMANDS = {
     "check": (_cmd_check, "single-fiber bound check plus exact discrete inequality",
-              "--tol --t --p --res --dir --step --trials", {"--dir": {"default": None}}),
+              "--tol --t --p --res --dir --trials", {"--dir": {"default": None}}),
     "sweep": (_cmd_sweep, "bound check across a parameter family", _FAMILY, {}),
     "lemma": (_cmd_lemma, "sweep plus thickness-volume ratio bound", _FAMILY + " --K", {}),
     "uniform": (_cmd_uniform, "multi-resolution sweep refinement trend", _FAMILY, {
         "--res": {"type": str, "default": "256,512", "help": "comma-separated resolutions"}}),
-    "thickness": (_cmd_thickness, "directional thickness of one fiber", "--t --res --dir --step",
+    "thickness": (_cmd_thickness, "directional thickness of one fiber", "--t --res --dir",
                   {"--dir": {"required": True, "help": "axis name or vector"}}),
     "regdir": (_cmd_regdir, "regular-direction search", "--ts --grid --dirs --samples", {}),
     "cells": (_cmd_cells, "2D cell decomposition export",
@@ -434,6 +430,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args is not None:
+            check_jobs(args.jobs)
             report, files = _COMMANDS[command][0](args)
     except SolverDivergedError as exc:
         report, error = {"status": "solver_error"}, exc

@@ -220,6 +220,12 @@ def recompute_aggregates(records, dim: int):
     return sup_c, sup_t, arg_c, arg_t
 
 
+def check_jobs(jobs: int) -> None:
+    """The package's one rule for a worker-process count: at least 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def sweep(
     spec: DomainSpec,
     p: float,
@@ -242,8 +248,7 @@ def sweep(
     """
     check_p(p)
     check_resolution(resolution)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_jobs(jobs)
     if tol is not None:
         check_tol(tol)
     t_values = sorted(spec.check_params(t) for t in t_values)

@@ -8,8 +8,9 @@ chord in a given direction) and discrete per-axis thickness, and serializes
 masks for external tools.  ``unit_vector`` is the package's one direction
 normaliser: every direction a caller passes in is checked and scaled there.
 
-``line_crossings`` is the package's one line-march-and-bisect kernel: it
-samples membership along many lines at once and bisects every flip.
+``line_cuts`` is the package's one line kernel: on a line every atom is a
+polynomial in the line parameter, so membership is constant between the
+atoms' real roots, which it finds exactly for many lines at once.
 Thickness (``longest_chord``) and boundary sampling
 (``tangent.sample_boundary``) are both built on it.
 
@@ -32,8 +33,6 @@ from .dsl import DomainSpec
 from .errors import EmptyFiberError, jsonable
 
 DEFAULT_SEED_RESOLUTION = {1: 1024, 2: 256, 3: 48}
-# the most samples (lines times samples per line) one chord march may take
-MAX_MARCH_SAMPLES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -192,22 +191,15 @@ def unit_vector(direction, dim: int) -> np.ndarray:
 def _perp_basis(lam: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to lam,
     shape (dim, dim-1)."""
-    dim = lam.size
-    if dim == 1:
-        return np.zeros((1, 0))
     # Householder reflection mapping e_1 to lam; remaining columns span lam-perp.
-    e = np.zeros(dim)
-    e[0] = 1.0
-    v = lam - e if lam[0] >= 0 else lam + e
+    eye = np.eye(lam.size)
+    v = lam - eye[0] if lam[0] >= 0 else lam + eye[0]
     nv = np.linalg.norm(v)
     if nv < 1e-15:
-        H = np.eye(dim)
-    else:
-        v = v / nv
-        H = np.eye(dim) - 2.0 * np.outer(v, v)
-        if lam[0] < 0:
-            H = -H
-    return H[:, 1:]
+        return eye[:, 1:]
+    v = v / nv
+    H = eye - 2.0 * np.outer(v, v)
+    return (H if lam[0] >= 0 else -H)[:, 1:]
 
 
 def _line_seeds(raster: RasterDomain) -> np.ndarray:
@@ -230,137 +222,159 @@ def _line_seeds(raster: RasterDomain) -> np.ndarray:
 def _ray_box_span(P: np.ndarray, lam: np.ndarray, box) -> tuple:
     """Parameter range for which P + s*lam stays inside the box; vectorized
     over rows of P.  Lines that miss the box get an empty range."""
-    s_lo = np.full(P.shape[0], -np.inf)
-    s_hi = np.full(P.shape[0], np.inf)
+    s_lo, s_hi = np.full(P.shape[0], -np.inf), np.full(P.shape[0], np.inf)
     ok = np.ones(P.shape[0], dtype=bool)
     for i, (lo, hi) in enumerate(box):
         d = lam[i]
         if abs(d) < 1e-14:
             ok &= (P[:, i] >= lo) & (P[:, i] <= hi)
             continue
-        a = (lo - P[:, i]) / d
-        b = (hi - P[:, i]) / d
+        a, b = (lo - P[:, i]) / d, (hi - P[:, i]) / d
         s_lo = np.maximum(s_lo, np.minimum(a, b))
         s_hi = np.minimum(s_hi, np.maximum(a, b))
     ok &= s_lo < s_hi
     return s_lo, s_hi, ok
 
 
-def line_crossings(spec: DomainSpec, t, origins, direction, svals, rounds: int):
-    """Membership flips along the lines ``origins[i] + s*direction``.
+@cache
+def _chebyshev_fit(degree: int) -> tuple:
+    """The ``degree + 1`` Chebyshev points of the first kind on [-1, 1], and
+    the matrix that maps values there to the Chebyshev coefficients of the
+    interpolating polynomial (discrete orthogonality of the T_j)."""
+    theta = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+    fit = np.cos(np.outer(np.arange(degree + 1), theta)) * (2.0 / (degree + 1))
+    fit[0] /= 2.0
+    return np.cos(theta), fit
 
-    ``svals`` holds ascending sample parameters, one row per line or one
-    row shared by all lines; a line with fewer samples repeats its last
-    one as padding, which adds no flip.  Membership is evaluated at every
-    sample in one call, and every flip between neighbouring samples is
-    bisected ``rounds`` times, all flips together.  Returns
-    ``(line, seg, s, status)``: for each flip in line-major order its line,
-    the index of the sample before it and its refined parameter, plus the
-    membership at every sample, shape ``(n_lines, n_samples)``.
+
+@cache
+def _colleague(degree: int) -> tuple:
+    """The colleague matrix of the series T_degree, in the symmetric form of
+    numpy's ``chebcompanion``, and the weights by which its last column
+    takes ``-c[:-1] / c[-1]`` for a series ``c``."""
+    half = np.full(degree - 1, 0.5)
+    mat, weights = np.diag(half, 1) + np.diag(half, -1), np.full(degree, 0.5)
+    if degree == 1:
+        return mat, np.ones(1)
+    mat[0, 1] = mat[1, 0] = weights[0] = math.sqrt(0.5)
+    return mat, weights
+
+
+def _series_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real parts in (-1, 1) of the roots of one Chebyshev series per row,
+    NaN-padded.  A row's degree is that of its last coefficient above 1e-13
+    of its largest (the rest changes it by no more on [-1, 1]); its roots
+    are the eigenvalues of its colleague matrix, one batch per degree."""
+    rows, degree = coeffs.shape[0], coeffs.shape[1] - 1
+    out = np.full((rows, degree), np.nan)
+    big = np.abs(coeffs) > 1e-13 * np.abs(coeffs).max(axis=1, keepdims=True)
+    own = np.where(big.any(axis=1), degree - np.argmax(big[:, ::-1], axis=1), 0)
+    for k in np.unique(own[own > 0]):
+        sel = np.nonzero(own == k)[0]
+        mat, weights = _colleague(int(k))
+        mats = np.repeat(mat[None], sel.size, axis=0)
+        mats[:, :, -1] -= coeffs[sel, :k] / coeffs[sel, k : k + 1] * weights
+        u = np.linalg.eigvals(mats).real
+        out[sel, :k] = np.where(np.abs(u) < 1.0, u, np.nan)
+    return out
+
+
+def line_cuts(spec: DomainSpec, t, origins, direction, s_lo, s_hi) -> tuple:
+    """Exact membership along the lines ``origins[i] + s*direction``, ``s``
+    in ``[s_lo[i], s_hi[i]]`` widened by ``1e-9 (1 + length)`` on both
+    sides so that a cut on a box face falls inside.
+
+    On a line an atom of ambient degree ``d`` is a polynomial of degree at
+    most ``d``; its values at ``d + 1`` Chebyshev points give its Chebyshev
+    coefficients, and the real parts of its roots (``_series_roots``) are
+    the cuts, whatever their imaginary parts: a tangent line's double root
+    may come back as a complex pair.  Returns ``(cuts, inside)``: each row
+    of ``cuts`` ascends from the widened ``s_lo`` to the widened ``s_hi``,
+    repeated as padding, and ``inside[i, j]`` is the membership in the
+    middle of the piece ``cuts[i, j] .. cuts[i, j + 1]``.  A padding piece
+    repeats the membership before it, so it adds no flip.
     """
     origins = np.asarray(origins, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    svals = np.asarray(svals, dtype=np.float64)
-    pts = origins[:, None, :] + svals[..., None] * direction
-    status = spec.member_points(t, pts.reshape(-1, origins.shape[1])).reshape(pts.shape[:2])
-    svals = np.broadcast_to(svals, status.shape)
-    line, seg = np.nonzero(status[:, :-1] != status[:, 1:])
-    lo = svals[line, seg]
-    hi = svals[line, seg + 1]
-    lo_status = status[line, seg]
-    base = origins[line]
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        same = spec.member_points(t, base + mid[:, None] * direction) == lo_status
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return line, seg, 0.5 * (lo + hi), status
+    lam = np.asarray(direction, dtype=np.float64)
+    pad = 1e-9 * (1.0 + np.abs(s_hi - s_lo))
+    s_lo, s_hi = s_lo - pad, s_hi + pad
+    mid, half = 0.5 * (s_lo + s_hi)[:, None], 0.5 * (s_hi - s_lo)[:, None]
+    roots = [np.empty((origins.shape[0], 0))]
+    for atom in spec.atoms:
+        degree = max(sum(exps[: spec.ambient_dim]) for exps, _ in atom.coeffs)
+        nodes, fit = _chebyshev_fit(degree)
+        pts = origins[:, None, :] + (mid + half * nodes)[..., None] * lam
+        roots.append(_series_roots(atom.values(spec._coords(t, pts)) @ fit.T))
+    u = np.sort(np.concatenate(roots, axis=1), axis=1)
+    count = np.count_nonzero(~np.isnan(u), axis=1)
+    u = u[:, : count.max()]
+    cuts = np.concatenate([s_lo[:, None], np.where(np.isnan(u), s_hi[:, None], mid + half * u),
+                           s_hi[:, None]], axis=1)
+    middle = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+    inside = spec.member_points(t, origins[:, None, :] + middle[..., None] * lam)
+    last = inside[np.arange(inside.shape[0]), count][:, None]
+    return cuts, np.where(np.arange(inside.shape[1]) > count[:, None], last, inside)
 
 
-def longest_chord(spec: DomainSpec, t, direction, step: float | None = None) -> Chord:
+def longest_chord(spec: DomainSpec, t, direction) -> Chord:
     """Longest open chord of the fiber in the given direction.
 
     Chord lines are taken through interior cell centers and boundary-adjacent
-    face midpoints of a seed raster at ``DEFAULT_SEED_RESOLUTION``; each line
-    is marched at ``step`` and run endpoints are refined by bisection to
-    ``step/64``.  A run that reaches the bounding box while still inside the
-    set yields an infinite chord.
+    face midpoints of a seed raster at ``DEFAULT_SEED_RESOLUTION``, one line
+    per half cell of transverse offset.  ``line_cuts`` splits each line into
+    pieces of constant membership, and a chord is a run of inside pieces.
+    A run that reaches the bounding box yields an infinite chord.
     """
-    if step is not None and not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
     t = spec.check_params(t)
     dim = spec.ambient_dim
     lam = unit_vector(direction, dim)
     raster = rasterize(spec, t, DEFAULT_SEED_RESOLUTION[dim])
     if raster.empty:
         raise EmptyFiberError(f"empty fiber at t={list(t)}")
-    if step is None:
-        step = raster.h / 4.0
-
-    seeds = _line_seeds(raster)
-    B = _perp_basis(lam)
-    if dim == 1:
-        bases = np.zeros((1, 1))
-    else:
-        q = raster.h / 2.0
-        offsets = seeds @ B
-        quant = np.unique(np.round(offsets / q).astype(np.int64), axis=0)
-        bases = (quant * q) @ B.T
+    # one line per half cell of offset across lam (in 1D, the axis itself)
+    B, q = _perp_basis(lam), raster.h / 2.0
+    quant = np.unique(np.round(_line_seeds(raster) @ B / q).astype(np.int64), axis=0)
+    bases = (quant * q) @ B.T
 
     s_lo, s_hi, ok = _ray_box_span(bases, lam, spec.bounding_box)
     bases, s_lo, s_hi = bases[ok], s_lo[ok], s_hi[ok]
     if bases.shape[0] == 0:
         raise EmptyFiberError("no chord line meets the bounding box")
-    # push the end samples just past the box faces: a face sample computed
-    # in floating point can land one ulp inside the box and make a chord
-    # that merely touches the face look like an escape
-    tiny = 1e-9 * (1.0 + np.abs(s_hi - s_lo))
-    s_lo = s_lo - tiny
-    s_hi = s_hi + tiny
-
-    nsteps = np.ceil((s_hi - s_lo) / step)
-    samples = bases.shape[0] * (nsteps.max() + 1)  # refused before any is allocated
-    if samples > MAX_MARCH_SAMPLES:
-        raise ValueError(f"step {step} marches {samples:.0f} samples, over {MAX_MARCH_SAMPLES}")
-    j = np.arange(int(nsteps.max()) + 1)
-    svals = s_lo[:, None] + j[None, :] * step
-    # land the final sample exactly on the box face and repeat it as padding
-    svals = np.where(j[None, :] >= nsteps[:, None], s_hi[:, None], svals)
-    line, seg, s, inside = line_crossings(spec, t, bases, lam, svals, rounds=6)
+    cuts, inside = line_cuts(spec, t, bases, lam, s_lo, s_hi)
+    # runs of inside pieces: a run starts at piece j where the edge is +1
+    # and ends at cut j where it is -1
+    edge = np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    line, start = np.nonzero(edge == 1)
+    end = np.nonzero(edge == -1)[1]
 
     escaping = np.nonzero(inside[:, 0] | inside[:, -1])[0]
     if escaping.size:
-        # report the last escaping run, from its first inside sample
+        # report the last escaping run, from its start
         r = escaping[-1]
-        segs = seg[line == r]
-        a = segs[-1] + 1 if inside[r, -1] and segs.size else 0
-        return Chord(tuple(bases[r] + svals[r, a] * lam), tuple(lam), math.inf)
-    if s.size == 0:
-        raise EmptyFiberError("no chord found along any sampled line")
-    # no line escapes, so its flips pair up as (entry, exit)
-    lengths = s[1::2] - s[0::2]
+        a = start[line == r][-1 if inside[r, -1] else 0]
+        return Chord(tuple(bases[r] + cuts[r, a] * lam), tuple(lam), math.inf)
+    if line.size == 0:
+        raise EmptyFiberError("no chord found along any line")
+    lengths = cuts[line, end] - cuts[line, start]
     i = int(np.argmax(lengths))
-    start = bases[line[2 * i]] + s[2 * i] * lam
-    return Chord(tuple(start), tuple(lam), float(max(lengths[i], 0.0)))
+    start_point = bases[line[i]] + cuts[line[i], start[i]] * lam
+    return Chord(tuple(start_point), tuple(lam), float(lengths[i]))
 
 
-def thickness(spec: DomainSpec, t, direction, step: float | None = None) -> float:
+def thickness(spec: DomainSpec, t, direction) -> float:
     """Directional thickness: supremum of open chord lengths along
     ``direction``.  Returns ``0.0`` for an empty fiber and ``math.inf``
     when a chord escapes through the bounding box."""
     try:
-        chord = longest_chord(spec, t, direction, step=step)
+        return longest_chord(spec, t, direction).length
     except EmptyFiberError:
         return 0.0
-    return chord.length
 
 
 def thickness_discrete(raster: RasterDomain, axis: int) -> float:
     """Longest run of consecutive interior cells along a grid axis, times h."""
     if not 0 <= axis < raster.dim:
         raise ValueError(f"axis {axis} out of range for dim {raster.dim}")
-    if raster.empty:
-        return 0.0
     m = np.moveaxis(raster.interior, axis, -1)
     flat = m.reshape(-1, m.shape[-1])
     # separate rows with an always-false column, then scan globally

@@ -648,7 +648,6 @@ def verify_thickness_bound(
     raster: RasterDomain,
     p: float,
     direction,
-    step: float | None = None,
     tol: float | None = None,
     seed: int = 0,
 ) -> CheckRecord:
@@ -662,7 +661,7 @@ def verify_thickness_bound(
     """
     if raster.empty:
         raise EmptyFiberError(f"empty fiber at t={list(raster.t)}")
-    T = thickness(spec, t, direction, step=step if step is not None else raster.h / 4.0)
+    T = thickness(spec, t, direction)
     if math.isinf(T):
         raise UnboundedDirectionError(
             f"fiber unbounded along direction {np.round(np.asarray(direction, float), 12).tolist()}"

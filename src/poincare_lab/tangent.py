@@ -1,8 +1,8 @@
 """Boundary sampling, regular-direction margins, and direction search.
 
-Boundary points are found where membership flips along axis-parallel scan
-lines and refined by bisection; the scan runs on ``raster.line_crossings``,
-the line kernel that thickness is measured with too.  A point is kept only
+Boundary points are the cuts where membership flips along axis-parallel
+scan lines; the cuts come from ``raster.line_cuts``, the exact line kernel
+that thickness is measured with too.  A point is kept only
 when exactly one atom is active there with a usable gradient, which
 restricts attention to smooth codimension-one strata; corners, cusp tips,
 and degenerate atoms (vanishing gradients) are excluded.  The margin of a
@@ -21,12 +21,8 @@ import numpy as np
 
 from .dsl import DomainSpec
 from .errors import EmptySamplesError, StratumTooThinWarning, jsonable
-from .raster import line_crossings
+from .raster import line_cuts
 
-# scan-line samples per box width, and the bisection refinement of a
-# membership flip, in coordinates
-_SCAN_STEPS = 1024
-_BISECT_TOL = 1e-10
 # an atom counts as active when |value| <= ATOM_TOL_SCALE * its value scale
 ATOM_TOL_SCALE = 1e-7
 # gradients shorter than this give no reliable normal
@@ -79,8 +75,8 @@ def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) ->
     """Sample smooth boundary points of the fiber at ``t``.
 
     Scan lines run parallel to each axis at seeded-random transverse
-    offsets inside the bounding box; each is sampled at ``_SCAN_STEPS``
-    steps and its membership flips are bisected to 1e-10.  Points where
+    offsets inside the bounding box; the cuts of ``raster.line_cuts`` where
+    membership flips are the candidate points.  Points where
     exactly one atom is active (scaled tolerance) and its gradient norm is
     at least 1e-8 become samples with the normalized gradient as normal.
     A ``StratumTooThinWarning`` is raised when fewer than count/10 samples
@@ -96,45 +92,34 @@ def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) ->
     lines_per_axis = 1 if dim == 1 else max(1, count // (2 * dim))
 
     all_pts = []
-    for axis in range(dim):
+    for axis, direction in enumerate(np.eye(dim)):
         origins = np.empty((lines_per_axis, dim))
         for j in range(dim):
             lo, hi = box[j]
             origins[:, j] = lo if j == axis else rng.uniform(lo, hi, lines_per_axis)
-        direction = np.zeros(dim)
-        direction[axis] = 1.0
-        svals = np.linspace(0.0, box[axis][1] - box[axis][0], _SCAN_STEPS + 1)
-        rounds = max(1, math.ceil(math.log2(np.diff(svals).max() / _BISECT_TOL)))
-        line, _, s, _ = line_crossings(spec, t, origins, direction, svals, rounds)
-        if line.size:
-            all_pts.append(origins[line] + s[:, None] * direction)
+        width = np.full(lines_per_axis, box[axis][1] - box[axis][0])
+        cuts, inside = line_cuts(spec, t, origins, direction, np.zeros(lines_per_axis), width)
+        line, piece = np.nonzero(inside[:, 1:] != inside[:, :-1])
+        all_pts.append(origins[line] + cuts[line, piece + 1][:, None] * direction)
 
-    if all_pts:
-        pts = np.concatenate(all_pts, axis=0)
-    else:
-        pts = np.zeros((0, dim))
-
-    if pts.shape[0]:
-        act = _active_atoms(spec, t, pts)
-        single = act.sum(axis=1) == 1
-        pts = pts[single]
-        atom_ids = np.argmax(act[single], axis=1)
-        grads = np.zeros_like(pts)
-        keep = np.zeros(pts.shape[0], dtype=bool)
-        for j, atom in enumerate(spec.atoms):
-            rows = atom_ids == j
-            if not rows.any():
-                continue
-            g = atom.gradient_values(_atom_coords(spec, t, pts[rows])).T
-            norms = np.linalg.norm(g, axis=1)
-            ok = norms >= _MIN_GRAD_NORM
-            g[ok] /= norms[ok][:, None]
-            grads[rows] = g
-            keep[rows] = ok
-        pts, grads, atom_ids = pts[keep], grads[keep], atom_ids[keep]
-    else:
-        grads = np.zeros((0, dim))
-        atom_ids = np.zeros(0, dtype=np.int64)
+    pts = np.concatenate(all_pts, axis=0)
+    act = _active_atoms(spec, t, pts)
+    single = act.sum(axis=1) == 1
+    pts = pts[single]
+    atom_ids = np.argmax(act[single], axis=1)
+    grads = np.zeros_like(pts)
+    keep = np.zeros(pts.shape[0], dtype=bool)
+    for j, atom in enumerate(spec.atoms):
+        rows = atom_ids == j
+        if not rows.any():
+            continue
+        g = atom.gradient_values(_atom_coords(spec, t, pts[rows])).T
+        norms = np.linalg.norm(g, axis=1)
+        ok = norms >= _MIN_GRAD_NORM
+        g[ok] /= norms[ok][:, None]
+        grads[rows] = g
+        keep[rows] = ok
+    pts, grads, atom_ids = pts[keep], grads[keep], atom_ids[keep]
 
     if pts.shape[0] < count / 10:
         msg = (

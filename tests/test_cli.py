@@ -3,7 +3,6 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from poincare_lab.cli import (
     exit_code_from_report,
     main,
 )
-from poincare_lab.raster import MAX_MARCH_SAMPLES
 
 
 def run(tmp_path, *argv):
@@ -357,7 +355,7 @@ def test_byte_determinism(tmp_path):
 
 def test_defaults_complete():
     expected = {
-        "tol", "step", "samples", "dirs", "seed", "resolution",
+        "tol", "samples", "dirs", "seed", "jobs", "resolution",
         "grid", "samples_per_column", "trials", "p",
     }
     assert set(DEFAULTS) == expected
@@ -371,51 +369,51 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "f6d56f44ce0946b6312cadd52a9a04644241d232cff21890a90f15b52ff65b69",
+            "report.json": "bde2d5391de7b2a3c399feb72b470a09d33565ad23f0b0862efa9fbf8e68f5a9",
         },
     ),
     "sweep": (
         ["sweep", "--spec", "cusp", "--grid", "3", "--p", "2", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "44e720043ced2e3378b36abae9f5b8a484727a72fe6e9730e6a3fe0b2442b984",
+            "fibers.csv": "5c2678938cf4a52122b9fe807866754a79e2fa3aba07a72eb935b3aea4808bf1",
             "plot_cp.dat": "8a5d7090181db5fc68d67d06e80f655756a7aa3b92caba76c98707e8ccfd54ca",
-            "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "a73a3c86fd4b3a3baa0fc3807b0f538bf6bfda77dab6f2d0f289d19c54f2c98d",
+            "plot_ratio.dat": "b80f217c437a310370de77656005a72ed84c1d4a0b53f54a4b72bed51cb22b07",
+            "report.json": "45f9041ee395bae5d3efa6f77a0169bd40d5b493a635d7714b2778d4998de58d",
         },
     ),
     "lemma": (
         ["lemma", "--spec", "cusp", "--grid", "3", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "44e720043ced2e3378b36abae9f5b8a484727a72fe6e9730e6a3fe0b2442b984",
+            "fibers.csv": "5c2678938cf4a52122b9fe807866754a79e2fa3aba07a72eb935b3aea4808bf1",
             "plot_cp.dat": "8a5d7090181db5fc68d67d06e80f655756a7aa3b92caba76c98707e8ccfd54ca",
-            "plot_ratio.dat": "0c9cab6e2014ff18f4a33a1492526e70765036b5456a6b6ed0efdb2c5b6eaa74",
-            "report.json": "66093f3dbf5265785f38e220ea861fb1961076e3fd6877d72345b2e0965a43c8",
+            "plot_ratio.dat": "b80f217c437a310370de77656005a72ed84c1d4a0b53f54a4b72bed51cb22b07",
+            "report.json": "b1aab5be337c319f51800a714119fb50221ca76a004bf5a5a4734bdfce276862",
         },
     ),
     "uniform": (
         ["uniform", "--spec", "cusp", "--grid", "3", "--res", "48,96", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "233b745a86c86a37695ad5232f08080bfbb376c9c23e13d77eb2b7e96b14f6db",
+            "fibers.csv": "92e3fde54d10d9e61569a7bbb9bee59f45b9a8c41cfb7ecf8983badd438f0ab3",
             "plot_cp.dat": "008c1e2f634be25e8b642717c02e92a85b2cabb517fcaa4e2a6b5b4783185e12",
-            "plot_ratio.dat": "e4e25ded80640b3ef3008065059eed8dd081aa9f594192806c1e13de2a196de3",
-            "report.json": "6a757d9d48989cfb9249e54604bf8cc24c79fbbf8b0ecaa8fa4a9b588cbe40d9",
+            "plot_ratio.dat": "5e227414ecd0a63d717a17c74617bcd3df2cf40960321fff88ee9af0d270e8a0",
+            "report.json": "fc331103e82842b561c3861c0a6dee3cd22ad76f46f48d44c12043a1756413e2",
         },
     ),
     "thickness": (
         ["thickness", "--spec", "disk", "--dir", "0,1", "--res", "64"],
         0,
         {
-            "report.json": "a59141b65e33ed42f6bc08ce322e320caa219386ee745eccbee319fbf218c33c",
+            "report.json": "f3e0973988aa289ac3eb0b6941be4fbf94f6a0efb28e166c206b37a1e550283a",
         },
     ),
     "regdir": (
         ["regdir", "--spec", "cusp", "--grid", "3"],
         0,
         {
-            "report.json": "2003bef5a541bda0442438b800d84e34426df1200585f88f0b7ccfcf3a075d49",
+            "report.json": "7e446b0f41ca8e4ba09b80c2a325f1dd16b5b5281250a4e2fb3443cb2cf9bc54",
         },
     ),
     "cells": (
@@ -465,10 +463,10 @@ GOLDEN = {
          "--dir", "e1", "--samples", "512"],
         0,
         {
-            "fibers.csv": "934a71aa4f0741f7ba9baee9948fe7393241a54cf91b40561f16832be74bfd71",
+            "fibers.csv": "5240db8d705d6636cd9ad864ea861238af72d3fbb6dc89e01bb5ee3dac0b3a53",
             "plot_cp.dat": "eccce30f3cc4c7832508e25776027e8c42f8a8838de96c3f04e37baca2a62546",
-            "plot_ratio.dat": "7400eb72c99cd34e28691ac6bd99634563e14f8428e6cc64481136e6d0bdd39b",
-            "report.json": "8a96ab591008cfe142e01477a3eb94cc213406ede0c222b04f3c0fbe98f10da2",
+            "plot_ratio.dat": "464e4ce052b767d86f9af6a1f0aff6e9e208a0e6ab685cb3b83693405131a6ef",
+            "report.json": "b652821eff4420eabff5707161a056d4cd3af0a00241e2df081e1e2774249ee6",
         },
     ),
     "lemma-not-applicable": (
@@ -508,7 +506,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "e78b9c63d68329ddca34603387e331ec266c58281d286ac02a46f69ca0961c5e",
+            "report.json": "9a2c16126d2d575f647f2403e1ea6a297f59ad117ff3e6ec4a489c5a84aab730",
         },
     ),
     "unknown-spec": (
@@ -530,7 +528,7 @@ GOLDEN = {
          "--trials", "5"],
         0,
         {
-            "report.json": "4d97311d9b1e2a3d415ab61697ca354cb09277b8795b96e7a53e80e519035ea1",
+            "report.json": "38e603e88bcb1b24b88ac124924634e4c2624375fe3377f25beb944af6a39a28",
         },
     ),
 }
@@ -620,6 +618,22 @@ def test_sweep_bad_flag_is_usage_error(tmp_path, flag, no_fiber_work):
     assert "sweep" not in report
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--spec", "disk", "--res", "16", "--trials", "5", "--jobs=0"],
+    ["check", "--spec", "disk", "--res", "16", "--trials", "5", "--jobs=-3"],
+    ["raster", "--spec", "disk", "--res", "16", "--jobs=0"],
+])
+def test_bad_jobs_is_usage_error_on_every_command(tmp_path, argv):
+    code, report, out = run(tmp_path, *argv)
+    assert code == 2
+    jobs = argv[-1].split("=")[1]
+    assert report["error"] == {
+        "type": "ValueError", "message": f"jobs must be at least 1, got {jobs}"
+    }
+    assert "checks" not in report
+    assert not (out / "mask.bin").exists()
+
+
 def test_trace_3d_is_usage_error(tmp_path):
     ball = tmp_path / "ball.dom"
     ball.write_text(
@@ -640,7 +654,7 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-# The parse matrix: every command bare, then with each of the 20 flags
+# The parse matrix: every command bare, then with each of the 19 flags
 # given a valid value and, when the flag takes one, the value "abc", then
 # with an unknown flag; plus a missing and an unknown subcommand.  Each
 # outcome is the parsed namespace or argparse's error message, together
@@ -651,11 +665,11 @@ PARSE_COMMANDS = ["check", "sweep", "lemma", "uniform", "thickness", "regdir", "
 PARSE_VALUES = {
     "--spec": "cusp", "--out": "o", "--seed": "3", "--jobs": "2", "--tol": "1e-3",
     "--t": "0.5", "--ts": "0.5;1", "--grid": "3", "--p": "3", "--res": "64",
-    "--dir": "e1", "--dirs": "128", "--samples": "1024", "--step": "0.01",
-    "--trials": "5", "--samples-per-column": "33", "--no-merge": None,
+    "--dir": "e1", "--dirs": "128", "--samples": "1024", "--trials": "5",
+    "--samples-per-column": "33", "--no-merge": None,
     "--battery": "bump", "--no-doubling": None, "--K": "2",
 }
-PARSE_DIGEST = "8afad33ab9921f74e442bcbfbf897a20fe190b24471d6ebe5c9d1ee89e743002"
+PARSE_DIGEST = "074f66e80ca4c1a8a83b6e56c562ea82d7e9b8de7721352ebfd826db34533d6c"
 
 
 def _parse_outcome(argv):
@@ -677,7 +691,7 @@ def test_parse_matrix_golden(capsys):
             if value is not None:
                 cases.append(base + [flag, "abc"])
         cases.append([command, "--spec", "disk", "--nonsense"])
-    assert len(cases) == 362
+    assert len(cases) == 344
     outcomes = [[argv, _parse_outcome(argv)] for argv in cases]
     capsys.readouterr()
     text = json.dumps(outcomes, sort_keys=True)
@@ -733,18 +747,6 @@ def test_thickness_dir_auto_is_usage_error(tmp_path):
     assert "auto applies only where a direction search runs" in report["error"]["message"]
 
 
-@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
-def test_bad_step_is_usage_error(tmp_path, step):
-    code, report, _ = run(
-        tmp_path, "thickness", "--spec", "disk", "--dir", "e1", "--res", "32", "--step", step
-    )
-    assert code == 2
-    assert report["error"] == {
-        "type": "ValueError",
-        "message": f"step must be positive and finite, got {float(step)}",
-    }
-
-
 @pytest.fixture
 def no_solve(monkeypatch):
     """Fail the test if a command reaches either solver route."""
@@ -765,24 +767,6 @@ def test_bad_trials_is_usage_error(tmp_path, trials, no_solve):
     assert report["error"] == {
         "type": "ValueError", "message": f"trials must be at least 1, got {trials}"
     }
-
-
-def test_oversized_march_is_usage_error(tmp_path):
-    # a step of 1e-9 would ask numpy for about 22 GiB of march samples; the
-    # march is refused before any of it is allocated
-    tracemalloc.start()
-    try:
-        code, report, _ = run(
-            tmp_path, "thickness", "--spec", "disk", "--dir", "e1", "--res", "32",
-            "--step", "1e-9",
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert report["error"]["type"] == "ValueError"
-    assert report["error"]["message"].endswith(f"samples, over {MAX_MARCH_SAMPLES}")
-    assert peak < 64 << 20
 
 
 def test_unbounded_message_has_plain_numbers(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from poincare_lab import (
     write_pgm,
 )
 from poincare_lab.errors import EmptyFiberError
-from poincare_lab.raster import line_crossings
+from poincare_lab.raster import line_cuts
 
 
 def test_raster_matches_pointwise_membership(specs):
@@ -71,14 +74,16 @@ def test_volume_error_shrinks_with_resolution(specs):
 
 
 def test_thickness_disk_any_direction(specs):
+    # exact chords on seed lines half a cell apart: the line nearest the
+    # centre is at most q = h/2 off it, which shortens the chord by q^2
     spec = specs["disk"]
     for d in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7)]:
-        assert abs(thickness(spec, (), d) - 2.0) < 1e-3
+        assert abs(thickness(spec, (), d) - 2.0) < 1e-4
 
 
 def test_thickness_square_diagonal(specs):
     got = thickness(specs["square"], (), (1.0, 1.0))
-    assert abs(got - math.sqrt(2.0)) < 1e-3
+    assert abs(got - math.sqrt(2.0)) < 1e-12
 
 
 def test_thickness_annulus(specs):
@@ -89,21 +94,22 @@ def test_thickness_annulus(specs):
 
 def test_thickness_rect_axes(specs):
     spec = specs["rect2x1"]
-    assert abs(thickness(spec, (), (0.0, 1.0)) - 1.0) < 1e-3
-    assert abs(thickness(spec, (), (1.0, 0.0)) - 2.0) < 1e-3
+    assert abs(thickness(spec, (), (0.0, 1.0)) - 1.0) < 1e-12
+    assert abs(thickness(spec, (), (1.0, 0.0)) - 2.0) < 1e-12
 
 
 def test_thickness_cusp_vertical(specs):
-    # vertical chords of {0 < y < t x^2} have length t x^2, sup = t
+    # vertical chords of {0 < y < t x^2} have length t x^2, sup = t, taken
+    # on the seed line through the face midpoints at x = 1
     for t in (0.3, 1.0):
         got = thickness(specs["cusp"], (t,), (0.0, 1.0))
-        assert abs(got - t) < 2e-3
+        assert abs(got - t) < 1e-12
 
 
 def test_thickness_unbounded_strip(specs):
     assert thickness(specs["strip"], (), (1.0, 0.0)) == math.inf
     got = thickness(specs["strip"], (), (0.0, 1.0))
-    assert abs(got - 1.0) < 1e-3
+    assert abs(got - 1.0) < 1e-12
 
 
 def test_thickness_empty_fiber_is_zero(specs):
@@ -112,26 +118,100 @@ def test_thickness_empty_fiber_is_zero(specs):
 
 def test_longest_chord_reports_start_and_direction(specs):
     chord = longest_chord(specs["disk"], (), (1.0, 0.0))
-    assert chord.length == pytest.approx(2.0, abs=1e-3)
+    assert chord.length == pytest.approx(2.0, abs=1e-4)
     # the winning chord is the diameter through the center
     assert abs(chord.start[1]) < 0.05
     assert chord.direction == pytest.approx((1.0, 0.0))
 
 
-def test_line_crossings_disk_lines_of_unequal_span(specs):
+def _inside_pieces(cuts, inside, row):
+    return [(cuts[row, j], cuts[row, j + 1]) for j in np.nonzero(inside[row])[0]]
+
+
+def test_line_cuts_disk_lines_of_unequal_span(specs):
     # horizontal lines through the unit disk, each ending at its own x past
-    # the disk, so the shorter rows are padded with their last sample
+    # the disk, so the rows have spans of unequal length
     offsets = np.array([0.0, 0.3, -0.55, 0.8, 0.97])
-    step = 1.0 / 256.0
     ends = 2.6 + 0.2 * np.arange(offsets.size)
-    j = np.arange(int(np.ceil(ends.max() / step)) + 1)
-    svals = np.minimum(j[None, :] * step, ends[:, None])
     origins = np.stack([np.full(offsets.size, -1.5), offsets], axis=1)
-    line, _, s, status = line_crossings(specs["disk"], (), origins, (1.0, 0.0), svals, 6)
-    assert not (status[:, 0] | status[:, -1]).any()
-    assert np.array_equal(line, np.repeat(np.arange(offsets.size), 2))
-    lengths = s[1::2] - s[0::2]
-    assert np.abs(lengths - 2.0 * np.sqrt(1.0 - offsets**2)).max() <= step / 64
+    cuts, inside = line_cuts(
+        specs["disk"], (), origins, (1.0, 0.0), np.zeros(offsets.size), ends
+    )
+    assert not (inside[:, 0] | inside[:, -1]).any()
+    assert np.all(np.diff(cuts, axis=1) >= 0.0)
+    for row, y in enumerate(offsets):
+        (a, b), = _inside_pieces(cuts, inside, row)
+        x = np.sqrt(1.0 - y * y)
+        assert abs((b - a) - 2.0 * x) <= 1e-12
+        assert abs(a - 1.5 + x) <= 1e-12
+
+
+def test_line_cuts_atom_vanishing_on_the_line(specs):
+    # along y = 0 the atom y^2 of the slit disk is 0 everywhere, so it holds
+    # nowhere there and only x < 0 admits the line
+    cuts, inside = line_cuts(
+        specs["slit_disk"], (), [[-1.5, 0.0]], (1.0, 0.0), np.zeros(1), np.full(1, 3.0)
+    )
+    (a, b), = _inside_pieces(cuts, inside, 0)
+    assert (a - 1.5, b - 1.5) == pytest.approx((-1.0, 0.0), abs=1e-12)
+
+
+def test_line_cuts_tangent_line(specs):
+    # y = 1 touches the disk at one point, which is outside the open set
+    origins = [[-1.5, 1.0], [-1.5, 0.999]]
+    cuts, inside = line_cuts(
+        specs["disk"], (), origins, (1.0, 0.0), np.zeros(2), np.full(2, 3.0)
+    )
+    assert _inside_pieces(cuts, inside, 0) == []
+    (a, b), = _inside_pieces(cuts, inside, 1)
+    assert abs((b - a) - 2.0 * math.sqrt(1.0 - 0.999**2)) <= 1e-12
+
+
+def test_line_cuts_line_of_lower_degree(specs):
+    # along e2 the cusp's atom t x^2 - y is linear in the line parameter
+    t, xs = 0.5, np.array([0.2, 0.6, 1.0])
+    origins = np.stack([xs, np.zeros(3)], axis=1)
+    cuts, inside = line_cuts(specs["cusp"], (t,), origins, (0.0, 1.0), np.zeros(3), np.ones(3))
+    for row, x in enumerate(xs):
+        (a, b), = _inside_pieces(cuts, inside, row)
+        assert abs(a) <= 1e-12
+        assert abs(b - t * x * x) <= 1e-12
+
+
+def test_line_cuts_two_bars(specs):
+    # the 1D union (0, 0.4) or (0.6, 1): two inside pieces
+    cuts, inside = line_cuts(specs["two_bars"], (), [[0.0]], (1.0,), np.zeros(1), np.ones(1))
+    pieces = _inside_pieces(cuts, inside, 0)
+    assert np.abs(np.array(pieces) - [(0.0, 0.4), (0.6, 1.0)]).max() <= 1e-12
+
+
+def test_thickness_disk_diagonal_is_exact(specs):
+    # the seed lines along (1, 1) include the one through the centre
+    assert abs(thickness(specs["disk"], (), (1.0, 1.0)) - 2.0) <= 1e-12
+
+
+def test_line_kernel_bits_do_not_depend_on_blas_threads():
+    # the roots come from LAPACK's eigvals, whose bits must not follow the
+    # BLAS thread count
+    probe = (
+        "import hashlib\n"
+        "from poincare_lab import load_corpus, longest_chord, sample_boundary\n"
+        "for name, t, d in [('disk', (), (0.3, 1.0)), ('cusp', (0.5,), (0.0, 1.0)),\n"
+        "                   ('ellipse', (1.3,), (1.0, 2.0)), ('annulus', (), (0.3, 1.0))]:\n"
+        "    spec = load_corpus(name)\n"
+        "    chord = longest_chord(spec, t, d)\n"
+        "    b = sample_boundary(spec, t, 1024, 0)\n"
+        "    digest = hashlib.sha256(b.points.tobytes() + b.normals.tobytes()).hexdigest()\n"
+        "    print(chord.length.hex(), len(b), digest)\n"
+    )
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n},
+        ).stdout
+        for n in ("1", "2")
+    }
+    assert len(outs) == 1
 
 
 def test_longest_chord_escaping_slanted_line(specs):
@@ -139,12 +219,6 @@ def test_longest_chord_escaping_slanted_line(specs):
     chord = longest_chord(specs["strip"], (), (1.0, 0.05))
     assert chord.length == math.inf
     assert specs["strip"].member_points((), chord.start)
-
-
-@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
-def test_longest_chord_rejects_bad_step(specs, step):
-    with pytest.raises(ValueError, match="step must be positive and finite"):
-        longest_chord(specs["disk"], (), (1.0, 0.0), step=step)
 
 
 def test_boundary_adjacent_derived_from_interior(specs):

@@ -11,7 +11,7 @@ from poincare_lab import (
     sample_boundary,
 )
 from poincare_lab.errors import EmptySamplesError, StratumTooThinWarning
-from poincare_lab.tangent import line_crossings
+from poincare_lab.raster import line_cuts
 
 
 def test_disk_samples_radial(specs):
@@ -175,17 +175,14 @@ def test_find_regular_direction_validates_inputs(specs):
         find_regular_direction(specs["disk"], [])
 
 
-def test_line_crossings_strip(specs):
+def test_line_cuts_strip(specs):
     spec = specs["strip"]
     origins = np.array([[-3.0, -0.5], [0.25, -0.5], [7.5, -0.5]])
-    samples = np.linspace(0.0, 2.0, 1025)
-    idx, _, svals, _ = line_crossings(spec, (), origins, np.array([0.0, 1.0]), samples, 25)
-    assert idx.shape == svals.shape
+    cuts, inside = line_cuts(spec, (), origins, np.array([0.0, 1.0]), np.zeros(3), np.full(3, 2.0))
     for r in range(3):
-        hits = np.sort(svals[idx == r])
-        assert hits.shape == (2,)
+        flips = cuts[r, 1:-1][inside[r, 1:] != inside[r, :-1]]
         # crossings at y = 0 and y = 1, half a unit above the origins
-        assert hits == pytest.approx([0.5, 1.5], abs=1e-9)
+        assert flips == pytest.approx([0.5, 1.5], abs=1e-12)
 
 
 def test_sample_boundary_deterministic(specs):

@@ -12,7 +12,9 @@ normaliser: every direction a caller passes in is checked and scaled there.
 polynomial in the line parameter, so membership is constant between the
 atoms' real roots, which it finds exactly for many lines at once.
 Thickness (``longest_chord``) and boundary sampling
-(``tangent.sample_boundary``) are both built on it.
+(``tangent.sample_boundary``) are both built on it.  Thickness builds no
+raster: its lines sit at the multiples of ``q = max box span /
+LINES_PER_SPAN`` across the direction, wherever they cross the box.
 
 ``face_slices`` pairs every cell with its face neighbour along an axis for
 all whole-array stencils.  Boundary extraction interpolates the zero level
@@ -22,6 +24,7 @@ table-driven marching squares in 2D and sign flips in 1D.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,7 +35,9 @@ import numpy as np
 from .dsl import DomainSpec
 from .errors import EmptyFiberError, jsonable
 
-DEFAULT_SEED_RESOLUTION = {1: 1024, 2: 256, 3: 48}
+# ``longest_chord`` spaces its lines ``q = max box span / LINES_PER_SPAN``
+# apart across the direction; in 1D its one line is the axis
+LINES_PER_SPAN = {1: 1, 2: 512, 3: 96}
 
 
 @dataclass(frozen=True)
@@ -202,23 +207,6 @@ def _perp_basis(lam: np.ndarray) -> np.ndarray:
     return (H if lam[0] >= 0 else -H)[:, 1:]
 
 
-def _line_seeds(raster: RasterDomain) -> np.ndarray:
-    """Chord-line seeds: interior centers plus boundary-adjacent face
-    midpoints (the sup can be attained by chords grazing the boundary)."""
-    pts = [raster.interior_points()]
-    inside, edge = raster.interior, raster.boundary_adjacent
-    for ax, (head, tail, _, _) in enumerate(face_slices(raster.dim)):
-        # cells at the head see their forward face, cells at the tail their
-        # backward one; a tail index is one plane short of the cell's own
-        for shift, cell, nb in ((1, head, tail), (-1, tail, head)):
-            idx = np.argwhere(edge[cell] & ~inside[nb])
-            idx[:, ax] += shift < 0
-            face = np.asarray(raster.origin) + (idx + 0.5) * raster.h
-            face[:, ax] += shift * raster.h / 2.0
-            pts.append(face)
-    return np.concatenate(pts, axis=0)
-
-
 def _ray_box_span(P: np.ndarray, lam: np.ndarray, box) -> tuple:
     """Parameter range for which P + s*lam stays inside the box; vectorized
     over rows of P.  Lines that miss the box get an empty range."""
@@ -307,7 +295,7 @@ def line_cuts(spec: DomainSpec, t, origins, direction, s_lo, s_hi) -> tuple:
         roots.append(_series_roots(atom.values(spec._coords(t, pts)) @ fit.T))
     u = np.sort(np.concatenate(roots, axis=1), axis=1)
     count = np.count_nonzero(~np.isnan(u), axis=1)
-    u = u[:, : count.max()]
+    u = u[:, : count.max(initial=0)]
     cuts = np.concatenate([s_lo[:, None], np.where(np.isnan(u), s_hi[:, None], mid + half * u),
                            s_hi[:, None]], axis=1)
     middle = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
@@ -319,27 +307,27 @@ def line_cuts(spec: DomainSpec, t, origins, direction, s_lo, s_hi) -> tuple:
 def longest_chord(spec: DomainSpec, t, direction) -> Chord:
     """Longest open chord of the fiber in the given direction.
 
-    Chord lines are taken through interior cell centers and boundary-adjacent
-    face midpoints of a seed raster at ``DEFAULT_SEED_RESOLUTION``, one line
-    per half cell of transverse offset.  ``line_cuts`` splits each line into
-    pieces of constant membership, and a chord is a run of inside pieces.
-    A run that reaches the bounding box yields an infinite chord.
+    No raster is built.  Chord lines sit at the multiples of
+    ``q = max box span / LINES_PER_SPAN`` across ``direction``, in the
+    coordinates of ``_perp_basis``, from below to above the bounding box's
+    projection; lines that miss the box are dropped.  In 1D there is one
+    line, the axis.  ``line_cuts`` splits each line into pieces of constant
+    membership, and a chord is a run of inside pieces.  A run that reaches
+    the bounding box yields an infinite chord.
     """
     t = spec.check_params(t)
-    dim = spec.ambient_dim
+    dim, box = spec.ambient_dim, spec.bounding_box
     lam = unit_vector(direction, dim)
-    raster = rasterize(spec, t, DEFAULT_SEED_RESOLUTION[dim])
-    if raster.empty:
-        raise EmptyFiberError(f"empty fiber at t={list(t)}")
-    # one line per half cell of offset across lam (in 1D, the axis itself)
-    B, q = _perp_basis(lam), raster.h / 2.0
-    quant = np.unique(np.round(_line_seeds(raster) @ B / q).astype(np.int64), axis=0)
+    B = _perp_basis(lam)
+    q = max(hi - lo for lo, hi in box) / LINES_PER_SPAN[dim]
+    ends = np.array(list(itertools.product(*box))) @ B / q
+    ks = [range(int(a), int(b) + 1)
+          for a, b in zip(np.floor(ends.min(axis=0)), np.ceil(ends.max(axis=0)))]
+    quant = np.array(list(itertools.product(*ks)), dtype=np.int64)
     bases = (quant * q) @ B.T
 
-    s_lo, s_hi, ok = _ray_box_span(bases, lam, spec.bounding_box)
+    s_lo, s_hi, ok = _ray_box_span(bases, lam, box)
     bases, s_lo, s_hi = bases[ok], s_lo[ok], s_hi[ok]
-    if bases.shape[0] == 0:
-        raise EmptyFiberError("no chord line meets the bounding box")
     cuts, inside = line_cuts(spec, t, bases, lam, s_lo, s_hi)
     # runs of inside pieces: a run starts at piece j where the edge is +1
     # and ends at cut j where it is -1

@@ -369,7 +369,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "bde2d5391de7b2a3c399feb72b470a09d33565ad23f0b0862efa9fbf8e68f5a9",
+            "report.json": "60d6a81ec13d73276b037315e37c63651b0de1239a5e68919fc1fa96413f916a",
         },
     ),
     "sweep": (
@@ -406,7 +406,7 @@ GOLDEN = {
         ["thickness", "--spec", "disk", "--dir", "0,1", "--res", "64"],
         0,
         {
-            "report.json": "f3e0973988aa289ac3eb0b6941be4fbf94f6a0efb28e166c206b37a1e550283a",
+            "report.json": "641adf7141f73c36a8b824acb9c5974e51aa4fcb70a5d8c616716a566ca5a99a",
         },
     ),
     "regdir": (
@@ -463,10 +463,10 @@ GOLDEN = {
          "--dir", "e1", "--samples", "512"],
         0,
         {
-            "fibers.csv": "5240db8d705d6636cd9ad864ea861238af72d3fbb6dc89e01bb5ee3dac0b3a53",
+            "fibers.csv": "7903b92df39495f90b5bf1ec222c11372e13fef8a3cb4c9c548213623f802fb0",
             "plot_cp.dat": "eccce30f3cc4c7832508e25776027e8c42f8a8838de96c3f04e37baca2a62546",
-            "plot_ratio.dat": "464e4ce052b767d86f9af6a1f0aff6e9e208a0e6ab685cb3b83693405131a6ef",
-            "report.json": "b652821eff4420eabff5707161a056d4cd3af0a00241e2df081e1e2774249ee6",
+            "plot_ratio.dat": "d1b6d890950d4e996f991bafa04e0d77af06abcdb8d8c7a5f6ea01525d31037f",
+            "report.json": "65b5a31b77a903f7593b7bdfe4d354644ac1742130db38d7b3989413596341ac",
         },
     ),
     "lemma-not-applicable": (
@@ -506,7 +506,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "9a2c16126d2d575f647f2403e1ea6a297f59ad117ff3e6ec4a489c5a84aab730",
+            "report.json": "e4babea8720e248199344e5cff4b0351691532693bcb6a483ef3e11661dad538",
         },
     ),
     "unknown-spec": (

@@ -21,6 +21,7 @@ from poincare_lab import (
 )
 from poincare_lab.errors import EmptyFiberError
 from poincare_lab.raster import line_cuts
+from test_sobolev import BALL
 
 
 def test_raster_matches_pointwise_membership(specs):
@@ -74,11 +75,47 @@ def test_volume_error_shrinks_with_resolution(specs):
 
 
 def test_thickness_disk_any_direction(specs):
-    # exact chords on seed lines half a cell apart: the line nearest the
-    # centre is at most q = h/2 off it, which shortens the chord by q^2
+    # chord lines sit at multiples of q across the direction, so one passes
+    # through the origin, the disk's centre
     spec = specs["disk"]
     for d in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7)]:
-        assert abs(thickness(spec, (), d) - 2.0) < 1e-4
+        assert abs(thickness(spec, (), d) - 2.0) < 1e-12
+
+
+THIN_BAR = "dim 2\nbox [0,1]x[0,1]\nset: y > 0 and 1/1000 - y > 0\n"
+
+
+@pytest.mark.parametrize(
+    "name, t, direction, exact",
+    [
+        ("two_disks", (), (1.0, 0.0), 1.2),
+        ("tiny_disk", (), (1.0, 0.0), 0.2),
+        ("shrink_disk", (1.0,), (1.0, 0.0), math.sqrt(3.0)),
+        (BALL, (), (1.0, 0.0, 0.0), 2.0),
+        # far thinner than q, but every line along e2 crosses it
+        (THIN_BAR, (), (0.0, 1.0), 1e-3),
+    ],
+    ids=["two_disks", "tiny_disk", "shrink_disk", "ball", "thin_bar"],
+)
+def test_thickness_extremal_line_on_the_lattice(specs, name, t, direction, exact):
+    # each extremal line is a multiple of q across the direction
+    spec = specs.get(name) or parse_domain(name)
+    assert abs(thickness(spec, t, direction) - exact) < 1e-12
+
+
+def test_longest_chord_builds_no_raster(specs, monkeypatch):
+    import poincare_lab.raster
+
+    calls = []
+    real = poincare_lab.raster.rasterize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(poincare_lab.raster, "rasterize", counting)
+    longest_chord(specs["disk"], (), (1.0, 0.0))
+    assert calls == []
 
 
 def test_thickness_square_diagonal(specs):
@@ -100,7 +137,7 @@ def test_thickness_rect_axes(specs):
 
 def test_thickness_cusp_vertical(specs):
     # vertical chords of {0 < y < t x^2} have length t x^2, sup = t, taken
-    # on the seed line through the face midpoints at x = 1
+    # on the line x = 1, a multiple of q
     for t in (0.3, 1.0):
         got = thickness(specs["cusp"], (t,), (0.0, 1.0))
         assert abs(got - t) < 1e-12
@@ -118,9 +155,9 @@ def test_thickness_empty_fiber_is_zero(specs):
 
 def test_longest_chord_reports_start_and_direction(specs):
     chord = longest_chord(specs["disk"], (), (1.0, 0.0))
-    assert chord.length == pytest.approx(2.0, abs=1e-4)
-    # the winning chord is the diameter through the center
-    assert abs(chord.start[1]) < 0.05
+    assert abs(chord.length - 2.0) <= 1e-12
+    # the winning chord is the diameter on the lattice's centre line
+    assert chord.start[1] == 0.0
     assert chord.direction == pytest.approx((1.0, 0.0))
 
 
@@ -178,6 +215,13 @@ def test_line_cuts_line_of_lower_degree(specs):
         assert abs(b - t * x * x) <= 1e-12
 
 
+def test_line_cuts_no_lines(specs):
+    # a box thinner than q across the direction meets no chord line
+    cuts, inside = line_cuts(specs["disk"], (), np.empty((0, 2)), (1.0, 0.0), np.empty(0),
+                             np.empty(0))
+    assert cuts.shape == (0, 2) and inside.shape == (0, 1)
+
+
 def test_line_cuts_two_bars(specs):
     # the 1D union (0, 0.4) or (0.6, 1): two inside pieces
     cuts, inside = line_cuts(specs["two_bars"], (), [[0.0]], (1.0,), np.zeros(1), np.ones(1))
@@ -186,7 +230,7 @@ def test_line_cuts_two_bars(specs):
 
 
 def test_thickness_disk_diagonal_is_exact(specs):
-    # the seed lines along (1, 1) include the one through the centre
+    # the lines along (1, 1) include the one through the centre
     assert abs(thickness(specs["disk"], (), (1.0, 1.0)) - 2.0) <= 1e-12
 
 

@@ -202,17 +202,6 @@ class PolyAtom:
         """Ambient-space gradient, shape ``(ambient_dim,) + point shape``."""
         return np.array([_eval_array(g, coords) for g in self._grad])
 
-    def value_scale(self, box, param_box) -> float:
-        """Crude magnitude bound: sum of |coeff| * box-corner monomial size."""
-        mags = [max(abs(lo), abs(hi), 1.0) for lo, hi in list(box) + list(param_box)]
-        s = 0.0
-        for exps, c in self.coeffs:
-            m = abs(float(c))
-            for e, mag in zip(exps, mags):
-                m *= mag**e
-            s += m
-        return max(s, 1e-300)
-
     def poly_string(self, names: Sequence[str]) -> str:
         parts = []
         for exps, c in self.coeffs:

@@ -160,10 +160,7 @@ def resolve_direction(spec: DomainSpec, direction, t_values, seed: int, dirs: in
     lam = unit_direction(spec.ambient_dim, direction)
     alphas = []
     for t in sub:
-        try:
-            samples = sample_boundary(spec, t, count=count, seed=seed)
-        except PoincareLabError:
-            continue
+        samples = sample_boundary(spec, t, count=count, seed=seed)
         if len(samples):
             alphas.append(margin(samples, lam))
     alpha = float(min(alphas)) if alphas else 0.0

@@ -10,11 +10,13 @@ normaliser: every direction a caller passes in is checked and scaled there.
 
 ``line_cuts`` is the package's one line kernel: on a line every atom is a
 polynomial in the line parameter, so membership is constant between the
-atoms' real roots, which it finds exactly for many lines at once.
-Thickness (``longest_chord``) and boundary sampling
-(``tangent.sample_boundary``) are both built on it.  Thickness builds no
-raster: its lines sit at the multiples of ``q = max box span /
-LINES_PER_SPAN`` across the direction, wherever they cross the box.
+atoms' real roots, which it finds exactly for many lines at once, each
+with the atom it is a root of.  Thickness (``longest_chord``) and boundary
+sampling (``tangent.sample_boundary``, which takes its normals from the
+named atoms) are both built on it.  Thickness builds no raster: its lines
+sit at the multiples of ``q = max box span / LINES_PER_SPAN``, at most a
+quarter of the box's width on each axis, across the direction, wherever
+they cross the box.
 
 ``face_slices`` pairs every cell with its face neighbour along an axis for
 all whole-array stencils.  Boundary extraction interpolates the zero level
@@ -36,7 +38,8 @@ from .dsl import DomainSpec
 from .errors import EmptyFiberError, jsonable
 
 # ``longest_chord`` spaces its lines ``q = max box span / LINES_PER_SPAN``
-# apart across the direction; in 1D its one line is the axis
+# apart across the direction (closer across a thin box); in 1D its one line
+# is the axis
 LINES_PER_SPAN = {1: 1, 2: 512, 3: 96}
 
 
@@ -249,10 +252,13 @@ def _colleague(degree: int) -> tuple:
 
 
 def _series_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real parts in (-1, 1) of the roots of one Chebyshev series per row,
-    NaN-padded.  A row's degree is that of its last coefficient above 1e-13
-    of its largest (the rest changes it by no more on [-1, 1]); its roots
-    are the eigenvalues of its colleague matrix, one batch per degree."""
+    """Real roots in (-1, 1) of one Chebyshev series per row, NaN-padded.
+    A row's degree is that of its last coefficient above 1e-13 of its
+    largest (the rest changes it by no more on [-1, 1]); its roots are the
+    eigenvalues of its colleague matrix, one batch per degree.  An
+    eigenvalue counts as real when its imaginary part is at most 1e-7: a
+    tangent line's double root comes back within about 1e-8 of real, and a
+    true complex pair changes no sign."""
     rows, degree = coeffs.shape[0], coeffs.shape[1] - 1
     out = np.full((rows, degree), np.nan)
     big = np.abs(coeffs) > 1e-13 * np.abs(coeffs).max(axis=1, keepdims=True)
@@ -262,8 +268,9 @@ def _series_roots(coeffs: np.ndarray) -> np.ndarray:
         mat, weights = _colleague(int(k))
         mats = np.repeat(mat[None], sel.size, axis=0)
         mats[:, :, -1] -= coeffs[sel, :k] / coeffs[sel, k : k + 1] * weights
-        u = np.linalg.eigvals(mats).real
-        out[sel, :k] = np.where(np.abs(u) < 1.0, u, np.nan)
+        u = np.linalg.eigvals(mats)
+        real = (np.abs(u.real) < 1.0) & (np.abs(u.imag) <= 1e-7)
+        out[sel, :k] = np.where(real, u.real, np.nan)
     return out
 
 
@@ -274,34 +281,39 @@ def line_cuts(spec: DomainSpec, t, origins, direction, s_lo, s_hi) -> tuple:
 
     On a line an atom of ambient degree ``d`` is a polynomial of degree at
     most ``d``; its values at ``d + 1`` Chebyshev points give its Chebyshev
-    coefficients, and the real parts of its roots (``_series_roots``) are
-    the cuts, whatever their imaginary parts: a tangent line's double root
-    may come back as a complex pair.  Returns ``(cuts, inside)``: each row
-    of ``cuts`` ascends from the widened ``s_lo`` to the widened ``s_hi``,
-    repeated as padding, and ``inside[i, j]`` is the membership in the
-    middle of the piece ``cuts[i, j] .. cuts[i, j + 1]``.  A padding piece
-    repeats the membership before it, so it adds no flip.
+    coefficients, and its real roots (``_series_roots``) are the cuts.
+    Returns ``(cuts, inside, atoms)``: each row of ``cuts`` ascends from the
+    widened ``s_lo`` to the widened ``s_hi``, repeated as padding;
+    ``inside[i, j]`` is the membership in the middle of the piece
+    ``cuts[i, j] .. cuts[i, j + 1]``, and ``atoms[i, j]`` is the index in
+    ``spec.atoms`` of the atom whose root is the inner cut
+    ``cuts[i, j + 1]`` (-1 for padding).  A padding piece repeats the
+    membership before it, so it adds no flip, and every flip is a root.
     """
     origins = np.asarray(origins, dtype=np.float64)
     lam = np.asarray(direction, dtype=np.float64)
     pad = 1e-9 * (1.0 + np.abs(s_hi - s_lo))
     s_lo, s_hi = s_lo - pad, s_hi + pad
     mid, half = 0.5 * (s_lo + s_hi)[:, None], 0.5 * (s_hi - s_lo)[:, None]
-    roots = [np.empty((origins.shape[0], 0))]
-    for atom in spec.atoms:
+    roots, ids = [np.empty((origins.shape[0], 0))], [np.empty(0, dtype=np.int64)]
+    for j, atom in enumerate(spec.atoms):
         degree = max(sum(exps[: spec.ambient_dim]) for exps, _ in atom.coeffs)
         nodes, fit = _chebyshev_fit(degree)
         pts = origins[:, None, :] + (mid + half * nodes)[..., None] * lam
         roots.append(_series_roots(atom.values(spec._coords(t, pts)) @ fit.T))
-    u = np.sort(np.concatenate(roots, axis=1), axis=1)
+        ids.append(np.full(degree, j))
+    u = np.concatenate(roots, axis=1)
     count = np.count_nonzero(~np.isnan(u), axis=1)
-    u = u[:, : count.max(initial=0)]
+    order = np.argsort(u, axis=1, kind="stable")[:, : count.max(initial=0)]
+    u = np.take_along_axis(u, order, axis=1)
+    atoms = np.where(np.isnan(u), -1, np.concatenate(ids)[order])
     cuts = np.concatenate([s_lo[:, None], np.where(np.isnan(u), s_hi[:, None], mid + half * u),
                            s_hi[:, None]], axis=1)
     middle = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
     inside = spec.member_points(t, origins[:, None, :] + middle[..., None] * lam)
     last = inside[np.arange(inside.shape[0]), count][:, None]
-    return cuts, np.where(np.arange(inside.shape[1]) > count[:, None], last, inside)
+    inside = np.where(np.arange(inside.shape[1]) > count[:, None], last, inside)
+    return cuts, inside, atoms
 
 
 def longest_chord(spec: DomainSpec, t, direction) -> Chord:
@@ -310,17 +322,21 @@ def longest_chord(spec: DomainSpec, t, direction) -> Chord:
     No raster is built.  Chord lines sit at the multiples of
     ``q = max box span / LINES_PER_SPAN`` across ``direction``, in the
     coordinates of ``_perp_basis``, from below to above the bounding box's
-    projection; lines that miss the box are dropped.  In 1D there is one
-    line, the axis.  ``line_cuts`` splits each line into pieces of constant
-    membership, and a chord is a run of inside pieces.  A run that reaches
-    the bounding box yields an infinite chord.
+    projection; on each of those axes ``q`` is at most a quarter of the
+    projection's width, so a thin box still meets lines.  Lines that miss
+    the box are dropped.  In 1D there is one line, the axis.  ``line_cuts``
+    splits each line into pieces of constant membership, and a chord is a
+    run of inside pieces.  A run that reaches the bounding box yields an
+    infinite chord.
     """
     t = spec.check_params(t)
     dim, box = spec.ambient_dim, spec.bounding_box
     lam = unit_vector(direction, dim)
     B = _perp_basis(lam)
-    q = max(hi - lo for lo, hi in box) / LINES_PER_SPAN[dim]
-    ends = np.array(list(itertools.product(*box))) @ B / q
+    corners = np.array(list(itertools.product(*box))) @ B
+    q = np.minimum(max(hi - lo for lo, hi in box) / LINES_PER_SPAN[dim],
+                   np.ptp(corners, axis=0) / 4)
+    ends = corners / q
     ks = [range(int(a), int(b) + 1)
           for a, b in zip(np.floor(ends.min(axis=0)), np.ceil(ends.max(axis=0)))]
     quant = np.array(list(itertools.product(*ks)), dtype=np.int64)
@@ -328,7 +344,7 @@ def longest_chord(spec: DomainSpec, t, direction) -> Chord:
 
     s_lo, s_hi, ok = _ray_box_span(bases, lam, box)
     bases, s_lo, s_hi = bases[ok], s_lo[ok], s_hi[ok]
-    cuts, inside = line_cuts(spec, t, bases, lam, s_lo, s_hi)
+    cuts, inside, _ = line_cuts(spec, t, bases, lam, s_lo, s_hi)
     # runs of inside pieces: a run starts at piece j where the edge is +1
     # and ends at cut j where it is -1
     edge = np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)

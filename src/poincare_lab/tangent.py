@@ -2,10 +2,11 @@
 
 Boundary points are the cuts where membership flips along axis-parallel
 scan lines; the cuts come from ``raster.line_cuts``, the exact line kernel
-that thickness is measured with too.  A point is kept only
-when exactly one atom is active there with a usable gradient, which
-restricts attention to smooth codimension-one strata; corners, cusp tips,
-and degenerate atoms (vanishing gradients) are excluded.  The margin of a
+that thickness is measured with too.  Each flip is a root of one atom,
+which the kernel names, and that atom's normalized gradient is the
+sample's normal; a flip where the gradient vanishes (a degenerate atom) is
+dropped.  Random scan lines meet a corner or a cusp tip with probability
+zero, so no further test guards them.  The margin of a
 direction is the smallest |<direction, normal>| over the samples, and the
 direction search scans a deterministic antipodally-reduced lattice of
 candidates.
@@ -23,8 +24,6 @@ from .dsl import DomainSpec
 from .errors import EmptySamplesError, StratumTooThinWarning, jsonable
 from .raster import line_cuts
 
-# an atom counts as active when |value| <= ATOM_TOL_SCALE * its value scale
-ATOM_TOL_SCALE = 1e-7
 # gradients shorter than this give no reliable normal
 _MIN_GRAD_NORM = 1e-8
 # a best pooled margin below this is no regular direction
@@ -51,34 +50,14 @@ class BoundarySampleSet:
         return self.points.shape[0]
 
 
-def _atom_coords(spec: DomainSpec, t, pts):
-    """Stack point coordinates with broadcast parameter rows, (nvars, n)."""
-    coords = pts.T
-    if spec.param_names:
-        coords = np.concatenate(
-            [coords, np.tile(np.asarray(t, dtype=np.float64)[:, None], (1, pts.shape[0]))]
-        )
-    return coords
-
-
-def _active_atoms(spec: DomainSpec, t, pts):
-    """Boolean activity matrix (n_points, n_atoms) at scaled tolerance."""
-    act = np.zeros((pts.shape[0], len(spec.atoms)), dtype=bool)
-    coords = _atom_coords(spec, t, pts)
-    for j, atom in enumerate(spec.atoms):
-        tol = ATOM_TOL_SCALE * atom.value_scale(spec.bounding_box, spec.param_box)
-        act[:, j] = np.abs(atom.values(coords)) <= tol
-    return act
-
-
 def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) -> BoundarySampleSet:
     """Sample smooth boundary points of the fiber at ``t``.
 
     Scan lines run parallel to each axis at seeded-random transverse
     offsets inside the bounding box; the cuts of ``raster.line_cuts`` where
-    membership flips are the candidate points.  Points where
-    exactly one atom is active (scaled tolerance) and its gradient norm is
-    at least 1e-8 become samples with the normalized gradient as normal.
+    membership flips are the candidate points, each a root of the atom the
+    kernel names.  Points where that atom's gradient norm is at least 1e-8
+    become samples with the normalized gradient as normal.
     A ``StratumTooThinWarning`` is raised when fewer than count/10 samples
     survive.
     """
@@ -91,29 +70,26 @@ def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) ->
     # a 1D box admits a single distinct scan line
     lines_per_axis = 1 if dim == 1 else max(1, count // (2 * dim))
 
-    all_pts = []
+    all_pts, all_atoms = [], []
     for axis, direction in enumerate(np.eye(dim)):
         origins = np.empty((lines_per_axis, dim))
         for j in range(dim):
             lo, hi = box[j]
             origins[:, j] = lo if j == axis else rng.uniform(lo, hi, lines_per_axis)
         width = np.full(lines_per_axis, box[axis][1] - box[axis][0])
-        cuts, inside = line_cuts(spec, t, origins, direction, np.zeros(lines_per_axis), width)
+        cuts, inside, atoms = line_cuts(spec, t, origins, direction, np.zeros(lines_per_axis), width)
         line, piece = np.nonzero(inside[:, 1:] != inside[:, :-1])
         all_pts.append(origins[line] + cuts[line, piece + 1][:, None] * direction)
+        all_atoms.append(atoms[line, piece])
 
-    pts = np.concatenate(all_pts, axis=0)
-    act = _active_atoms(spec, t, pts)
-    single = act.sum(axis=1) == 1
-    pts = pts[single]
-    atom_ids = np.argmax(act[single], axis=1)
+    pts, atom_ids = np.concatenate(all_pts, axis=0), np.concatenate(all_atoms)
     grads = np.zeros_like(pts)
     keep = np.zeros(pts.shape[0], dtype=bool)
     for j, atom in enumerate(spec.atoms):
         rows = atom_ids == j
         if not rows.any():
             continue
-        g = atom.gradient_values(_atom_coords(spec, t, pts[rows])).T
+        g = atom.gradient_values(spec._coords(t, pts[rows])).T
         norms = np.linalg.norm(g, axis=1)
         ok = norms >= _MIN_GRAD_NORM
         g[ok] /= norms[ok][:, None]

@@ -413,7 +413,7 @@ GOLDEN = {
         ["regdir", "--spec", "cusp", "--grid", "3"],
         0,
         {
-            "report.json": "7e446b0f41ca8e4ba09b80c2a325f1dd16b5b5281250a4e2fb3443cb2cf9bc54",
+            "report.json": "1f87ff84d09b0d82b5dcbdae8fdbb9dce73728dcf80c54e5b52bd7357da05ef9",
         },
     ),
     "cells": (

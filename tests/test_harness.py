@@ -9,7 +9,7 @@ from poincare_lab import (
     verify_thickness_volume_bound,
     verify_uniform_trend,
 )
-from poincare_lab.errors import NotApplicableError, StratumTooThinWarning
+from poincare_lab.errors import NotApplicableError, ParamOutOfRangeError, StratumTooThinWarning
 from poincare_lab.harness import (
     axis_direction,
     fibers_csv_text,
@@ -79,6 +79,15 @@ def test_resolve_direction_modes(specs):
 
     with pytest.raises(ValueError):
         resolve_direction(specs["strip"], (0.0, 0.0), [()], seed=0, dirs=64, count=1024)
+
+
+@pytest.mark.parametrize("direction", ["auto", "e2"])
+def test_resolve_direction_rejects_bad_parameter(specs, direction):
+    # a parameter outside the box is an error in both modes, also next to a
+    # valid one
+    for t_values in ([(7.0,)], [(0.5,), (7.0,)]):
+        with pytest.raises(ParamOutOfRangeError):
+            resolve_direction(specs["cusp"], direction, t_values, 0, 64, 256)
 
 
 def test_cusp_sweep_analytics(cusp_sweep):

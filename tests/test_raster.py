@@ -103,6 +103,26 @@ def test_thickness_extremal_line_on_the_lattice(specs, name, t, direction, exact
     assert abs(thickness(spec, t, direction) - exact) < 1e-12
 
 
+THIN_BOX = "dim 2\nbox [0,1]x[0.0005,0.0015]\nset: x > 0 and 1 - x > 0\n"
+THIN_BOX_3D = "dim 3\nbox [0,1]x[0,0.001]x[0,0.001]\nset: x > 0 and 1 - x > 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, direction, exact",
+    [
+        (THIN_BOX, (1.0, 0.0), 1.0),
+        # the lines leave through the top or bottom face while inside
+        (THIN_BOX, (1.0, 0.001), math.inf),
+        (THIN_BOX_3D, (1.0, 0.0, 0.0), 1.0),
+    ],
+    ids=["2d-e1", "2d-oblique", "3d-e1"],
+)
+def test_thickness_box_thinner_than_q(text, direction, exact):
+    # the box is far thinner than max span / LINES_PER_SPAN across the
+    # direction, so the spacing there drops to a quarter of its width
+    assert thickness(parse_domain(text), (), direction) == pytest.approx(exact, abs=1e-12)
+
+
 def test_longest_chord_builds_no_raster(specs, monkeypatch):
     import poincare_lab.raster
 
@@ -171,7 +191,7 @@ def test_line_cuts_disk_lines_of_unequal_span(specs):
     offsets = np.array([0.0, 0.3, -0.55, 0.8, 0.97])
     ends = 2.6 + 0.2 * np.arange(offsets.size)
     origins = np.stack([np.full(offsets.size, -1.5), offsets], axis=1)
-    cuts, inside = line_cuts(
+    cuts, inside, _ = line_cuts(
         specs["disk"], (), origins, (1.0, 0.0), np.zeros(offsets.size), ends
     )
     assert not (inside[:, 0] | inside[:, -1]).any()
@@ -186,7 +206,7 @@ def test_line_cuts_disk_lines_of_unequal_span(specs):
 def test_line_cuts_atom_vanishing_on_the_line(specs):
     # along y = 0 the atom y^2 of the slit disk is 0 everywhere, so it holds
     # nowhere there and only x < 0 admits the line
-    cuts, inside = line_cuts(
+    cuts, inside, _ = line_cuts(
         specs["slit_disk"], (), [[-1.5, 0.0]], (1.0, 0.0), np.zeros(1), np.full(1, 3.0)
     )
     (a, b), = _inside_pieces(cuts, inside, 0)
@@ -196,7 +216,7 @@ def test_line_cuts_atom_vanishing_on_the_line(specs):
 def test_line_cuts_tangent_line(specs):
     # y = 1 touches the disk at one point, which is outside the open set
     origins = [[-1.5, 1.0], [-1.5, 0.999]]
-    cuts, inside = line_cuts(
+    cuts, inside, _ = line_cuts(
         specs["disk"], (), origins, (1.0, 0.0), np.zeros(2), np.full(2, 3.0)
     )
     assert _inside_pieces(cuts, inside, 0) == []
@@ -208,7 +228,7 @@ def test_line_cuts_line_of_lower_degree(specs):
     # along e2 the cusp's atom t x^2 - y is linear in the line parameter
     t, xs = 0.5, np.array([0.2, 0.6, 1.0])
     origins = np.stack([xs, np.zeros(3)], axis=1)
-    cuts, inside = line_cuts(specs["cusp"], (t,), origins, (0.0, 1.0), np.zeros(3), np.ones(3))
+    cuts, inside, _ = line_cuts(specs["cusp"], (t,), origins, (0.0, 1.0), np.zeros(3), np.ones(3))
     for row, x in enumerate(xs):
         (a, b), = _inside_pieces(cuts, inside, row)
         assert abs(a) <= 1e-12
@@ -217,14 +237,29 @@ def test_line_cuts_line_of_lower_degree(specs):
 
 def test_line_cuts_no_lines(specs):
     # a box thinner than q across the direction meets no chord line
-    cuts, inside = line_cuts(specs["disk"], (), np.empty((0, 2)), (1.0, 0.0), np.empty(0),
+    cuts, inside, _ = line_cuts(specs["disk"], (), np.empty((0, 2)), (1.0, 0.0), np.empty(0),
                              np.empty(0))
     assert cuts.shape == (0, 2) and inside.shape == (0, 1)
 
 
+def test_line_cuts_name_their_atoms(specs):
+    # the square's atoms x and 1 - x cut a horizontal line; y and 1 - y are
+    # constant on it
+    _, _, atoms = line_cuts(specs["square"], (), [[-0.5, 0.5]], (1.0, 0.0), np.zeros(1),
+                            np.full(1, 2.0))
+    assert atoms.tolist() == [[0, 1]]
+    # y = 0.5 crosses the annulus's outer circle (atom 0) twice and touches
+    # its inner circle (atom 1) at x = 0, whose double root stays two cuts
+    cuts, inside, atoms = line_cuts(specs["annulus"], (), [[-1.5, 0.5]], (1.0, 0.0),
+                                    np.zeros(1), np.full(1, 3.0))
+    assert atoms.tolist() == [[0, 1, 1, 0]]
+    assert np.abs(cuts[0, 1:-1] - 1.5 - [-math.sqrt(0.75), 0.0, 0.0, math.sqrt(0.75)]).max() <= 1e-7
+    assert inside.tolist() == [[False, True, False, True, False]]
+
+
 def test_line_cuts_two_bars(specs):
     # the 1D union (0, 0.4) or (0.6, 1): two inside pieces
-    cuts, inside = line_cuts(specs["two_bars"], (), [[0.0]], (1.0,), np.zeros(1), np.ones(1))
+    cuts, inside, _ = line_cuts(specs["two_bars"], (), [[0.0]], (1.0,), np.zeros(1), np.ones(1))
     pieces = _inside_pieces(cuts, inside, 0)
     assert np.abs(np.array(pieces) - [(0.0, 0.4), (0.6, 1.0)]).max() <= 1e-12
 
@@ -245,7 +280,8 @@ def test_line_kernel_bits_do_not_depend_on_blas_threads():
         "    spec = load_corpus(name)\n"
         "    chord = longest_chord(spec, t, d)\n"
         "    b = sample_boundary(spec, t, 1024, 0)\n"
-        "    digest = hashlib.sha256(b.points.tobytes() + b.normals.tobytes()).hexdigest()\n"
+        "    digest = hashlib.sha256(b.points.tobytes() + b.normals.tobytes()\n"
+        "                            + b.atom_ids.tobytes()).hexdigest()\n"
         "    print(chord.length.hex(), len(b), digest)\n"
     )
     outs = {

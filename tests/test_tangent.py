@@ -8,6 +8,7 @@ from poincare_lab import (
     candidate_directions,
     find_regular_direction,
     margin,
+    parse_domain,
     sample_boundary,
 )
 from poincare_lab.errors import EmptySamplesError, StratumTooThinWarning
@@ -178,11 +179,37 @@ def test_find_regular_direction_validates_inputs(specs):
 def test_line_cuts_strip(specs):
     spec = specs["strip"]
     origins = np.array([[-3.0, -0.5], [0.25, -0.5], [7.5, -0.5]])
-    cuts, inside = line_cuts(spec, (), origins, np.array([0.0, 1.0]), np.zeros(3), np.full(3, 2.0))
+    cuts, inside, _ = line_cuts(spec, (), origins, np.array([0.0, 1.0]), np.zeros(3), np.full(3, 2.0))
     for r in range(3):
         flips = cuts[r, 1:-1][inside[r, 1:] != inside[r, :-1]]
         # crossings at y = 0 and y = 1, half a unit above the origins
         assert flips == pytest.approx([0.5, 1.5], abs=1e-12)
+
+
+def test_sample_boundary_coincident_roots_in_1d():
+    # x and x + 1e-8 vanish within 1e-8 of each other; the flip at 0 is a
+    # root of x, so both ends are sampled
+    spec = parse_domain("dim 1\nbox [-1,2]\nset: x > 0 and 1 - x > 0 and x + 1e-8 > 0\n")
+    with pytest.warns(StratumTooThinWarning):
+        s = sample_boundary(spec, (), count=64, seed=0)
+    assert s.points.ravel().tolist() == [0.0, 1.0]
+    assert s.normals.ravel().tolist() == [1.0, -1.0]
+    assert s.atom_ids.tolist() == [0, 1]
+
+
+def test_sample_boundary_flat_edge_takes_its_own_atom():
+    # the inner circle's complex roots have real part 0 on the lines
+    # |y| > 0.5, on the flat edge x = 0; they are no cuts, so every flat-edge
+    # sample is a root of x with normal e1
+    spec = parse_domain(
+        "dim 2\nbox [-1.5,1.5]x[-1.5,1.5]\n"
+        "set: x > 0 and x^2 + y^2 - 0.25 > 0 and 1 - x^2 - y^2 > 0\n"
+    )
+    s = sample_boundary(spec, (), seed=0)
+    flat = np.abs(s.points[:, 0]) <= 1e-12
+    assert flat.sum() == 351
+    assert (s.atom_ids[flat] == 0).all()
+    assert (np.abs(s.normals[flat]) == [1.0, 0.0]).all()
 
 
 def test_sample_boundary_deterministic(specs):

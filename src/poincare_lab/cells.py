@@ -1,22 +1,28 @@
 """Planar cell decomposition into graphs and bands over column intervals.
 
-The x-axis is cut at critical values where the vertical-line structure of
-the atom zero sets can change: collisions of an atom's own y-roots
-(discriminant), crossings between two atoms (pairwise resultants), leading
-y-coefficient vanishing, and x-roots of atoms with no y-dependence.
+The decomposition is one of the fiber within its bounding box.  The x-axis
+is cut at critical values where the vertical-line structure of the atom
+zero sets can change: collisions of an atom's own y-roots (discriminant),
+crossings between two atoms (pairwise resultants), and crossings of a zero
+set with the bottom or top edge of the box, which include the x-roots of
+atoms with no y-dependence and of a vanishing leading y-coefficient.
 Between consecutive criticals every atom keeps a constant number of real
-y-roots, so the column stack is a fixed vertical sequence of graph cells
-with band cells between them.  Bands are labeled by membership at interior
-midpoints, graphs by membership at the graph and at four near-axis probes.
+y-roots in the box, so the column stack is a fixed vertical sequence of
+graph cells with band cells between them.  The stack at an abscissa is
+``raster.line_cuts`` on the vertical line there: its inner cuts are the
+graphs, each with the atom it is a root of, and its pieces are the bands
+with their membership.  A graph is labeled by membership on it, with its
+own atoms false, and at four near-axis probes.
 
-All root isolation is floating point with fixed tolerances; clustered or
-inconsistent structures raise DegenerateGeometryError naming the column
-interval rather than silently guessing.
+Root isolation is floating point: the resultants' roots come from
+Chebyshev fits, the edge crossings and the stacks from the line kernel.
+Clustered or inconsistent structures raise DegenerateGeometryError naming
+the column interval rather than silently guessing.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +31,7 @@ from numpy.polynomial import polynomial as _poly
 
 from .dsl import DomainSpec
 from .errors import DegenerateGeometryError, jsonable
+from .raster import line_cuts
 
 _CRITICAL_MERGE_TOL = 1e-9
 _SOURCE_MERGE_TOL = 1e-7
@@ -165,11 +172,13 @@ class CellComplex2D:
                     lines.append(f"  c{ci}_g{b.lower} -- c{ci}_b{bi};")
                 if b.upper is not None:
                     lines.append(f"  c{ci}_b{bi} -- c{ci}_g{b.upper};")
+        y_lo, y_hi = self.spec.bounding_box[1]
+        tol = _POINT_CLUSTER_TOL * max(1.0, y_hi - y_lo)
         for ci in range(len(self.columns) - 1):
             a, bcol = self.columns[ci], self.columns[ci + 1]
             for ia, iv_a in enumerate(_edge_intervals(a, self.spec, side="hi")):
                 for ib, iv_b in enumerate(_edge_intervals(bcol, self.spec, side="lo")):
-                    if iv_a[1] >= iv_b[0] - 1e-9 and iv_b[1] >= iv_a[0] - 1e-9:
+                    if iv_a[1] >= iv_b[0] - tol and iv_b[1] >= iv_a[0] - tol:
                         na = _cell_name(ci, a, ia)
                         nb = _cell_name(ci + 1, bcol, ib)
                         lines.append(f"  {na} -- {nb};")
@@ -184,17 +193,17 @@ def _cell_name(ci, col, flat_idx):
 
 
 def _edge_intervals(col, spec, side):
-    """y-intervals of all cells at the column edge abscissa, graphs first."""
+    """y-intervals of all cells at the column edge abscissa within the box,
+    graphs first."""
     y_lo, y_hi = spec.bounding_box[1]
-    pad = (y_hi - y_lo) + 1.0
     idx = -1 if side == "hi" else 0
     out = []
     for g in col.graphs:
         v = float(g.y[idx])
         out.append((v, v))
     for b in col.bands:
-        lo = y_lo - pad if b.lower is None else float(col.graphs[b.lower].y[idx])
-        hi = y_hi + pad if b.upper is None else float(col.graphs[b.upper].y[idx])
+        lo = y_lo if b.lower is None else float(col.graphs[b.lower].y[idx])
+        hi = y_hi if b.upper is None else float(col.graphs[b.upper].y[idx])
         out.append((lo, hi))
     return out
 
@@ -293,26 +302,6 @@ def _resultant_roots(A, B, x_lo, x_hi):
     return out
 
 
-def _poly_real_roots(coeffs, lo, hi):
-    """Real roots of a 1D polynomial (ascending coeffs) within [lo, hi]."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    if scale == 0.0:
-        return []
-    c = c / scale
-    nz = np.nonzero(np.abs(c) > 1e-13)[0]
-    if nz.size == 0 or nz[-1] == 0:
-        return []
-    c = c[: nz[-1] + 1]
-    out = []
-    for r in _poly.polyroots(c):
-        if abs(r.imag) <= _REAL_IMAG_TOL * (1.0 + abs(r.real)):
-            v = float(r.real)
-            if lo - 1e-9 <= v <= hi + 1e-9:
-                out.append(v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # critical values
 # ---------------------------------------------------------------------------
@@ -330,21 +319,23 @@ def _merge_sorted(values, tol):
 
 def critical_x_values(spec: DomainSpec, t) -> list:
     """Sorted deduplicated critical x-values strictly inside the box."""
-    x_lo, x_hi = spec.bounding_box[0]
+    (x_lo, x_hi), (y_lo, y_hi) = spec.bounding_box
     span = x_hi - x_lo
     mats = [_atom_coeff_matrix(a, t) for a in spec.atoms]
     sources = []
     for C in mats:
         if C.shape[0] - 1 >= 2:
             sources.append(_resultant_roots(C, _y_derivative(C), x_lo, x_hi))
-        if C.shape[0] - 1 == 0:
-            sources.append(_poly_real_roots(C[0], x_lo, x_hi))
-        elif _x_degree(C[C.shape[0] - 1 : C.shape[0]]) > 0:
-            sources.append(_poly_real_roots(C[-1], x_lo, x_hi))
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if mats[i].shape[0] > 1 and mats[j].shape[0] > 1:
                 sources.append(_resultant_roots(mats[i], mats[j], x_lo, x_hi))
+    # where a zero set crosses the bottom or top edge of the box; this also
+    # holds the roots of y-free atoms and of a vanishing leading y-coefficient
+    cuts, _, atoms = line_cuts(
+        spec, t, [(x_lo, y_lo), (x_lo, y_hi)], (1.0, 0.0), np.zeros(2), np.full(2, span)
+    )
+    sources += [x_lo + row[1:-1][ids >= 0] for row, ids in zip(cuts, atoms)]
     # roots of one resultant closer than root-finding can resolve are one
     # multiple root; collapse those before pooling across sources
     pool = []
@@ -361,16 +352,15 @@ def critical_x_values(spec: DomainSpec, t) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _real_roots_at(C, x):
-    """Sorted real y-roots of the atom polynomial at abscissa x."""
-    c = np.array([_poly.polyval(x, C[k]) for k in range(C.shape[0])])
-    return sorted(_poly_real_roots(c, -math.inf, math.inf))
-
-
-def _graph_label(spec, t, xs, ys, span):
+def _graph_label(spec, t, xs, ys, atoms, span):
+    """Membership on the graph, where its own atoms are false since it lies
+    on their zero sets, then at four near-axis probes off it."""
     pts = np.stack([xs, ys], axis=1)
-    own = spec.member_points(t, pts)
-    if own.all():
+    own = [spec.atoms[a] for a in atoms]
+    on = spec._fold(
+        t, pts, lambda atom, c: atom.truth(c) & (atom not in own), operator.and_, operator.or_
+    )
+    if on.all():
         return INSIDE
     d = _PROBE_OFFSET * span
     for dx, dy in ((d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)):
@@ -379,22 +369,12 @@ def _graph_label(spec, t, xs, ys, span):
     return OUTSIDE
 
 
-def _band_label(spec, t, xs, lo_y, hi_y, col_interval):
-    mids = 0.5 * (lo_y + hi_y)
-    got = spec.member_points(t, np.stack([xs, mids], axis=1))
-    if got.all():
-        return INSIDE
-    if not got.any():
-        return OUTSIDE
-    raise DegenerateGeometryError(
-        "band membership is not uniform along the column", x_interval=col_interval
-    )
-
-
-def _build_column(spec, t, mats, a, b, kind, samples):
-    y_lo, y_hi = spec.bounding_box[1]
+def _build_column(spec, t, a, b, kind, samples):
+    """The stack over one column: ``line_cuts`` on the vertical line through
+    each abscissa, from the bottom of the box to its top.  The inner cuts are
+    the graphs and the pieces between them the bands."""
+    (x_lo, x_hi), (y_lo, y_hi) = spec.bounding_box
     y_span = y_hi - y_lo
-    x_span = spec.bounding_box[0][1] - spec.bounding_box[0][0]
     interval = (float(a), float(b))
     if kind == "point":
         xs = np.array([a], dtype=np.float64)
@@ -403,89 +383,62 @@ def _build_column(spec, t, mats, a, b, kind, samples):
         xs = np.sort(
             0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * samples))
         )
-
-    # per-atom sorted real roots at every abscissa
-    per_atom = []
-    for C in mats:
-        if C.shape[0] == 1:
-            per_atom.append(None)
-            continue
-        rows = [_real_roots_at(C, float(x)) for x in xs]
-        counts = {len(r) for r in rows}
-        if kind == "open" and len(counts) != 1:
+    cuts, inside, atoms = line_cuts(
+        spec, t, np.stack([xs, np.full(xs.size, y_lo)], axis=1), (0.0, 1.0),
+        np.zeros(xs.size), np.full(xs.size, y_span),
+    )
+    counts = np.count_nonzero(atoms >= 0, axis=1)
+    n = int(counts[0])
+    ys = y_lo + cuts[:, 1 : n + 1]
+    if kind == "open":
+        if np.any(counts != n):
             raise DegenerateGeometryError(
                 "real y-root count is not constant across the column "
-                f"(counts {sorted(counts)})",
+                f"(counts {np.unique(counts).tolist()})",
                 x_interval=interval,
             )
-        per_atom.append(rows)
-
-    if kind == "open":
-        branches = []
-        for ai, rows in enumerate(per_atom):
-            if rows is None or len(rows[0]) == 0:
-                continue
-            arr = np.array(rows)
-            for bi in range(arr.shape[1]):
-                branches.append((ai, arr[:, bi]))
-        mid = xs.size // 2
-        branches.sort(key=lambda item: (item[1][mid], item[0]))
-        ys = [br[1] for br in branches]
-        atoms_per_graph = [(br[0],) for br in branches]
-        for j in range(1, len(ys)):
-            if np.any(ys[j] < ys[j - 1] - 1e-12 * max(1.0, y_span)):
-                raise DegenerateGeometryError(
-                    "stack order is not constant across the column",
-                    x_interval=interval,
-                )
+        if np.any(atoms[:, :n] != atoms[0, :n]):
+            raise DegenerateGeometryError(
+                "stack order is not constant across the column", x_interval=interval
+            )
+        if np.any(inside[:, : n + 1] != inside[0, : n + 1]):
+            raise DegenerateGeometryError(
+                "band membership is not uniform along the column", x_interval=interval
+            )
+        nodes = [[j] for j in range(n)]
     else:
-        pairs = []
-        for ai, rows in enumerate(per_atom):
-            if rows is None:
-                continue
-            for v in rows[0]:
-                pairs.append((v, ai))
-        pairs.sort()
+        # cuts closer than root-finding can resolve are one graph
         nodes = []
         tol = _POINT_CLUSTER_TOL * max(1.0, y_span)
-        for v, ai in pairs:
-            if nodes and v - nodes[-1][0][-1] <= tol:
-                nodes[-1][0].append(v)
-                nodes[-1][1].add(ai)
+        for j in range(n):
+            if nodes and ys[0, j] - ys[0, nodes[-1][-1]] <= tol:
+                nodes[-1].append(j)
             else:
-                nodes.append(([v], {ai}))
-        ys = [np.array([float(np.mean(vals))]) for vals, _ in nodes]
-        atoms_per_graph = [tuple(sorted(atoms)) for _, atoms in nodes]
+                nodes.append([j])
 
     graphs = []
-    for y_arr, atom_ids in zip(ys, atoms_per_graph):
-        label = _graph_label(spec, t, xs, y_arr, max(x_span, y_span))
-        graphs.append(GraphCell(x=xs, y=np.asarray(y_arr), label=label, atoms=atom_ids))
-
-    pad = y_span + 1.0
-    bands = []
-    k = len(graphs)
-    for j in range(k + 1):
-        lo_idx = j - 1 if j > 0 else None
-        hi_idx = j if j < k else None
-        lo_y = graphs[lo_idx].y if lo_idx is not None else None
-        hi_y = graphs[hi_idx].y if hi_idx is not None else None
-        if lo_y is None and hi_y is None:
-            lo_y = np.full(xs.size, y_lo - pad)
-            hi_y = np.full(xs.size, y_hi + pad)
-        elif lo_y is None:
-            lo_y = hi_y - 2.0 * pad
-        elif hi_y is None:
-            hi_y = lo_y + 2.0 * pad
-        label = _band_label(spec, t, xs, lo_y, hi_y, interval)
-        bands.append(BandCell(lower=lo_idx, upper=hi_idx, label=label))
+    for node in nodes:
+        y = ys[:, node].mean(axis=1)
+        ids = tuple(sorted({int(i) for i in atoms[0, node]}))
+        label = _graph_label(spec, t, xs, y, ids, max(x_hi - x_lo, y_span))
+        graphs.append(GraphCell(x=xs, y=y, label=label, atoms=ids))
+    # band j is the piece just above graph j - 1
+    pieces = [0] + [node[-1] + 1 for node in nodes]
+    bands = tuple(
+        BandCell(
+            lower=j - 1 if j else None,
+            upper=j if j < len(nodes) else None,
+            label=INSIDE if inside[0, piece] else OUTSIDE,
+        )
+        for j, piece in enumerate(pieces)
+    )
     return Column(
         kind=kind,
         x_lo=float(a),
         x_hi=float(b),
         x_samples=xs,
         graphs=tuple(graphs),
-        bands=tuple(bands),
+        bands=bands,
     )
 
 
@@ -498,21 +451,18 @@ def cell_decompose_2d(
     if samples_per_column < 3:
         raise ValueError(f"samples_per_column must be at least 3, got {samples_per_column}")
     t = spec.check_params(t)
-    mats = [_atom_coeff_matrix(a, t) for a in spec.atoms]
     crit = critical_x_values(spec, t)
     x_lo, x_hi = spec.bounding_box[0]
     edges = [x_lo] + crit + [x_hi]
     columns = []
     for i in range(len(edges) - 1):
         columns.append(
-            _build_column(
-                spec, t, mats, edges[i], edges[i + 1], "open", samples_per_column
-            )
+            _build_column(spec, t, edges[i], edges[i + 1], "open", samples_per_column)
         )
         if i + 1 < len(edges) - 1:
             columns.append(
                 _build_column(
-                    spec, t, mats, edges[i + 1], edges[i + 1], "point", samples_per_column
+                    spec, t, edges[i + 1], edges[i + 1], "point", samples_per_column
                 )
             )
     return CellComplex2D(

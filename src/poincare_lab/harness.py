@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -257,6 +256,10 @@ def sweep(
     fiber = partial(_sweep_fiber, spec, p=p, resolution=resolution, direction=lam, tol=tol)
     workers = min(jobs, len(t_values))
     if workers > 1:
+        # imported here: the process pool machinery is slow to load and a
+        # one-process sweep never needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(fiber, t_values))
     else:

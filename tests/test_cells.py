@@ -10,8 +10,10 @@ from poincare_lab import (
     rasterize,
     thickness_discrete,
 )
-from poincare_lab.cells import BOUNDARY, INSIDE, OUTSIDE
+from poincare_lab.cells import BOUNDARY, INSIDE, OUTSIDE, _build_column
 from poincare_lab.dsl import parse_domain
+from poincare_lab.errors import DegenerateGeometryError
+from poincare_lab.harness import grid_points
 
 
 def test_disk_decomposition(specs):
@@ -221,3 +223,57 @@ def test_boundary_graphs_labeled(specs):
         for g in col.graphs
     }
     assert labels == {BOUNDARY}
+
+
+def test_ellipse_tangency_graphs_are_boundary(specs):
+    # the tangency at x = +-t is one double root, on the boundary
+    spec = specs["ellipse"]
+    for t in grid_points(spec, [5]):
+        cx = cell_decompose_2d(spec, t)
+        points = [c for c in cx.columns if c.kind == "point"]
+        assert len(points) == 2
+        for col in points:
+            assert [g.label for g in col.graphs] == [BOUNDARY]
+
+
+def test_annulus_inner_tangency_is_boundary(specs):
+    merged = merge_vertical(cell_decompose_2d(specs["annulus"], ()))
+    for x in (-0.5, 0.5):
+        (col,) = [c for c in merged.columns if c.kind == "point" and abs(c.x_lo - x) < 1e-9]
+        assert [g.label for g in col.graphs] == [BOUNDARY] * 3
+
+
+@pytest.mark.parametrize("text,criticals,exact", [
+    ("box [0,1]x[0,1]\nset: 2*x - y > 0", (0.5,), 0.75),
+    ("box [-1,1]x[-0.5,0.5]\nset: 1 - x^2 - y^2 > 0", (-math.sqrt(0.75), math.sqrt(0.75)),
+     math.sqrt(0.75) + math.pi / 3),
+], ids=["wedge", "disk-in-strip"])
+def test_zero_set_leaving_the_box(text, criticals, exact):
+    # the root count on a vertical line changes where a zero set crosses
+    # the box's bottom or top edge
+    cx = cell_decompose_2d(parse_domain("dim 2\n" + text + "\n"), ())
+    assert cx.criticals == pytest.approx(criticals, abs=1e-9)
+    assert cx.inside_volume() == pytest.approx(exact, abs=1e-3)
+
+
+def test_stacks_need_no_polynomial_roots(specs, monkeypatch):
+    # every stack comes from the line kernel, none from a root per abscissa
+    def refuse(*args):
+        raise AssertionError("polyroots called")
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots", refuse)
+    for spec in specs.values():
+        if spec.ambient_dim == 2:
+            for t in grid_points(spec, [5] * spec.n_params):
+                cell_decompose_2d(spec, t)
+
+
+@pytest.mark.parametrize("text,a,b,message", [
+    ("1 - x^2 - y^2 > 0", -1.5, 0.0, "root count"),
+    ("1 - x^2 - y^2 > 0 and x - y > 0", -1.0, 1.0, "stack order"),
+    ("y > 0 or x > 0", -1.0, 1.0, "band membership"),
+], ids=["count", "order", "membership"])
+def test_open_column_over_a_critical_is_degenerate(text, a, b, message):
+    spec = parse_domain(f"dim 2\nbox [-1.5,1.5]x[-1.5,1.5]\nset: {text}\n")
+    with pytest.raises(DegenerateGeometryError, match=message):
+        _build_column(spec, (), a, b, "open", 129)

@@ -420,8 +420,8 @@ GOLDEN = {
         ["cells", "--spec", "annulus"],
         0,
         {
-            "cells.dot": "8e85e28001c646f1421bddabf226734bb71c892cff740a7433ad0b4a343331a4",
-            "report.json": "8556b1f468523c52f23ab70c3647e0102d7471feb7bb787e3203ecc2aacb95bc",
+            "cells.dot": "2fdf5b6868f2b3ecb47951631d45e9823e7f66c7a27410a37fee2399651f782a",
+            "report.json": "e1b398b5190022634f4737891de8195a969c6b6d8ce77a0b4fed4973ac78147d",
         },
     ),
     "trace": (
@@ -484,8 +484,8 @@ GOLDEN = {
         ["cells", "--spec", "split_disk", "--no-merge"],
         0,
         {
-            "cells.dot": "44d1707ddd50d222fae0156e7ba6c2a759d2d31695bdcaa62d816cbfca8ccfc7",
-            "report.json": "e02cc9f5d867f1822cc03c0676f31a8c30600b2bdbf104d9f84d0ed5f1900aca",
+            "cells.dot": "fa8894b1dafc6061b8aa43c1f225bc99713f63619a7fff7e1c0810478177bcc5",
+            "report.json": "61eaf158e9aaa6219f32d3d007b4195d1121a039da2cd371c9061d0cde31f576",
         },
     ),
     "trace-bump": (
@@ -646,9 +646,11 @@ def test_trace_3d_is_usage_error(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor the process pool, which only a sweep with jobs > 1 loads
     probe = (
         "import sys, poincare_lab.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')"
+        " or m in ('concurrent.futures.process', 'multiprocessing')))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

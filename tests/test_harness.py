@@ -219,7 +219,7 @@ def test_sweep_pool_size_capped_by_fibers(specs, monkeypatch, jobs, t_values, wo
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr("poincare_lab.harness.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     rep = sweep(
         specs["cusp"], 2.0, t_values, resolution=16, direction=(0.0, 1.0), jobs=jobs, count=256
     )

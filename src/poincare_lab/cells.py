@@ -14,10 +14,15 @@ graphs, each with the atom it is a root of, and its pieces are the bands
 with their membership.  A graph is labeled by membership on it, with its
 own atoms false, and at four near-axis probes.
 
-Root isolation is floating point: the resultants' roots come from
-Chebyshev fits, the edge crossings and the stacks from the line kernel.
-Clustered or inconsistent structures raise DegenerateGeometryError naming
-the column interval rather than silently guessing.
+Root isolation is floating point and uses the line kernel's Chebyshev
+toolbox throughout: a resultant is interpolated at Chebyshev points
+(``raster._chebyshev_fit``) and its real roots are the eigenvalues of a
+colleague matrix (``raster._series_roots``); the edge crossings and the
+stacks are ``line_cuts`` calls.  An open column's abscissae are the same
+Chebyshev points, so ``inside_volume`` integrates each band by Fejér's
+first rule on them.  Clustered or inconsistent structures raise
+DegenerateGeometryError naming the column interval rather than silently
+guessing.
 """
 
 from __future__ import annotations
@@ -26,17 +31,14 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 from .dsl import DomainSpec
 from .errors import DegenerateGeometryError, jsonable
-from .raster import line_cuts
+from .raster import _chebyshev_fit, _series_roots, line_cuts
 
 _CRITICAL_MERGE_TOL = 1e-9
 _SOURCE_MERGE_TOL = 1e-7
 _EDGE_DROP_TOL = 1e-8
-_REAL_IMAG_TOL = 1e-7
 _POINT_CLUSTER_TOL = 1e-6
 _PROBE_OFFSET = 1e-7
 SAMPLES_PER_COLUMN = 129  # default abscissae per open column
@@ -115,7 +117,7 @@ class CellComplex2D:
         return sum(1 for _ in self._inside_band_heights())
 
     def _inside_band_heights(self):
-        """(x samples, xi_hi - xi_lo) for each inside band over an open
+        """(column, xi_hi - xi_lo) for each inside band over an open
         column, with both graphs clipped to the bounding box in y."""
         y_lo, y_hi = self.spec.bounding_box[1]
         for col in self.columns:
@@ -134,14 +136,24 @@ class CellComplex2D:
                     if b.upper is None
                     else np.clip(col.graphs[b.upper].y, y_lo, y_hi)
                 )
-                yield col.x_samples, np.maximum(hi - lo, 0.0)
+                yield col, np.maximum(hi - lo, 0.0)
 
     def inside_volume(self) -> float:
-        """Trapezoid integral of (xi_hi - xi_lo) over inside bands,
-        clipped to the bounding box in y."""
+        """Integral of (xi_hi - xi_lo) over inside bands, clipped to the
+        bounding box in y, by Fejér's first rule on the column abscissae:
+        the integral over [-1, 1] of their interpolating polynomial, whose
+        Chebyshev coefficients ``fit`` gives and whose T_j integrates to
+        2 / (1 - j^2) for even j and to 0 for odd j.  It reaches the
+        column ends, but its error has no sign."""
+        _, fit = _chebyshev_fit(self.samples_per_column - 1)
+        even = np.arange(0, self.samples_per_column, 2)
+        moments = np.zeros(self.samples_per_column)
+        moments[even] = 2.0 / (1.0 - even**2)
+        # the abscissae are the nodes in ascending order
+        weights = (moments @ fit)[::-1]
         total = 0.0
-        for x, height in self._inside_band_heights():
-            total += float(np.trapezoid(height, x))
+        for col, height in self._inside_band_heights():
+            total += 0.5 * (col.x_hi - col.x_lo) * float(weights @ height)
         return total
 
     def to_json_dict(self):
@@ -238,15 +250,6 @@ def _y_derivative(C):
     return C[1:] * np.arange(1, C.shape[0])[:, None]
 
 
-def _x_degree(C):
-    deg = 0
-    for row in C:
-        nz = np.nonzero(row)[0]
-        if nz.size:
-            deg = max(deg, int(nz[-1]))
-    return deg
-
-
 def _sylvester_dets(A, B, xs):
     """det of the Sylvester matrix of A, B (as y-polynomials) at abscissae xs."""
     m = A.shape[0] - 1
@@ -254,8 +257,8 @@ def _sylvester_dets(A, B, xs):
     if m == 0 and n == 0:
         return np.ones(xs.size)
     size = m + n
-    av = np.stack([_poly.polyval(xs, A[k]) for k in range(m + 1)])
-    bv = np.stack([_poly.polyval(xs, B[k]) for k in range(n + 1)])
+    av = np.stack([np.polyval(A[k][::-1], xs) for k in range(m + 1)])
+    bv = np.stack([np.polyval(B[k][::-1], xs) for k in range(n + 1)])
     M = np.zeros((xs.size, size, size))
     for r in range(n):
         for k in range(m + 1):
@@ -267,39 +270,23 @@ def _sylvester_dets(A, B, xs):
 
 
 def _resultant_roots(A, B, x_lo, x_hi):
-    """Real roots in [x_lo, x_hi] of Res_y(A, B) as a function of x.
+    """Real roots in (x_lo, x_hi) of Res_y(A, B) as a function of x.
 
-    The determinant is sampled at Chebyshev points, fitted at its exact
-    degree bound, and the fitted series' roots are filtered to the real
-    window.  An identically zero resultant means the two curves coincide
-    for every x (persistent shared structure) and contributes no isolated
-    criticals.
+    The resultant's degree in x is at most D, read off the coefficient
+    matrices' shapes.  Its values at the D + 1 Chebyshev points give its
+    Chebyshev series, and the series' real roots are found as on a line of
+    the kernel.  An identically zero resultant means the two curves
+    coincide for every x (persistent shared structure) and contributes no
+    isolated criticals.
     """
-    degA, degB = A.shape[0] - 1, B.shape[0] - 1
-    D = degA * _x_degree(B) + degB * _x_degree(A)
+    D = (A.shape[0] - 1) * (B.shape[1] - 1) + (B.shape[0] - 1) * (A.shape[1] - 1)
     if D <= 0:
         return []
-    n_nodes = max(2 * D + 9, 33)
-    k = np.arange(n_nodes)
-    xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * np.cos(
-        np.pi * (2 * k + 1) / (2 * n_nodes)
-    )
-    dets = _sylvester_dets(A, B, xs)
-    scale = float(np.max(np.abs(dets)))
-    if scale == 0.0:
-        return []
-    series = _cheb.Chebyshev.fit(xs, dets / scale, D, domain=[x_lo, x_hi])
-    series = series.trim(tol=1e-10)
-    if series.degree() < 1:
-        return []
-    roots = series.roots()
-    out = []
-    for r in roots:
-        if abs(r.imag) <= _REAL_IMAG_TOL * (1.0 + abs(r.real)):
-            v = float(r.real)
-            if x_lo - 1e-9 <= v <= x_hi + 1e-9:
-                out.append(v)
-    return out
+    nodes, fit = _chebyshev_fit(D)
+    mid, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    dets = _sylvester_dets(A, B, mid + half * nodes)
+    u = _series_roots((dets @ fit.T)[None])[0]
+    return (mid + half * u[~np.isnan(u)]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +366,8 @@ def _build_column(spec, t, a, b, kind, samples):
     if kind == "point":
         xs = np.array([a], dtype=np.float64)
     else:
-        k = np.arange(samples)
-        xs = np.sort(
-            0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * samples))
-        )
+        # the Chebyshev points of ``inside_volume``'s rule, ascending
+        xs = 0.5 * (a + b) + 0.5 * (b - a) * _chebyshev_fit(samples - 1)[0][::-1]
     cuts, inside, atoms = line_cuts(
         spec, t, np.stack([xs, np.full(xs.size, y_lo)], axis=1), (0.0, 1.0),
         np.zeros(xs.size), np.full(xs.size, y_span),

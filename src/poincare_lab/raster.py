@@ -102,11 +102,6 @@ class RasterDomain:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack(grids, axis=-1)
 
-    def interior_points(self) -> np.ndarray:
-        """Centers of interior cells, shape ``(n_interior, dim)``."""
-        idx = np.argwhere(self.interior)
-        return self.origin + (idx + 0.5) * self.h
-
 
 def _axis_centers(origin: float, h: float, count: int) -> np.ndarray:
     return origin + (np.arange(count) + 0.5) * h
@@ -231,7 +226,10 @@ def _ray_box_span(P: np.ndarray, lam: np.ndarray, box) -> tuple:
 def _chebyshev_fit(degree: int) -> tuple:
     """The ``degree + 1`` Chebyshev points of the first kind on [-1, 1], and
     the matrix that maps values there to the Chebyshev coefficients of the
-    interpolating polynomial (discrete orthogonality of the T_j)."""
+    interpolating polynomial (discrete orthogonality of the T_j).  The
+    points descend.  ``cells`` takes its resultant fits, its column
+    abscissae and, through the coefficients, Fejér's first rule from the
+    same pair."""
     theta = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
     fit = np.cos(np.outer(np.arange(degree + 1), theta)) * (2.0 / (degree + 1))
     fit[0] /= 2.0

@@ -234,7 +234,7 @@ def test_criterion_09_trace_battery(specs):
     segs = boundary_polyline(r)
     mids = 0.5 * (segs[:, 0] + segs[:, 1])
     weights = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1)
-    inter = r.interior_points()
+    inter = r.centers()[r.interior]
     w_cell = r.h**2
     bump_worst = 0.0
     for name, fn in _battery_functions(r, "bump"):

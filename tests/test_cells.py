@@ -22,14 +22,14 @@ def test_disk_decomposition(specs):
     open_cols = [c for c in cx.columns if c.kind == "open"]
     assert len(open_cols) == 3
     assert cx.inside_cell_count() == 1
-    assert abs(cx.inside_volume() - math.pi) / math.pi < 1e-3
+    assert abs(cx.inside_volume() - math.pi) / math.pi < 1e-6
 
 
 def test_two_disks_decomposition(specs):
     cx = cell_decompose_2d(specs["two_disks"], ())
     assert cx.inside_cell_count() == 2
     exact = 2.0 * math.pi * 0.36
-    assert abs(cx.inside_volume() - exact) / exact < 1e-3
+    assert abs(cx.inside_volume() - exact) / exact < 1e-6
 
 
 def test_annulus_decomposition_and_merge(specs):
@@ -40,7 +40,7 @@ def test_annulus_decomposition_and_merge(specs):
     # the inner circle is genuine boundary, so nothing merges
     assert merged.inside_cell_count() == 4
     exact = math.pi * (1.0 - 0.25)
-    assert abs(merged.inside_volume() - exact) / exact < 1e-3
+    assert abs(merged.inside_volume() - exact) / exact < 1e-6
 
 
 def test_split_disk_merges_to_one(specs):
@@ -49,7 +49,7 @@ def test_split_disk_merges_to_one(specs):
     merged = merge_vertical(cx)
     # the artificial y != 0 split inside the disk is not boundary
     assert merged.inside_cell_count() == 1
-    assert abs(merged.inside_volume() - math.pi) / math.pi < 1e-3
+    assert abs(merged.inside_volume() - math.pi) / math.pi < 1e-6
 
 
 def test_slit_disk_merge_keeps_slit(specs):
@@ -59,21 +59,21 @@ def test_slit_disk_merge_keeps_slit(specs):
     merged = merge_vertical(cx)
     # left half merges across y=0, the slit keeps the right half split
     assert merged.inside_cell_count() == 3
-    assert abs(merged.inside_volume() - math.pi) / math.pi < 1e-3
+    assert abs(merged.inside_volume() - math.pi) / math.pi < 1e-6
 
 
 def test_cusp_volume_across_params(specs):
     for t in (0.05, 0.3, 1.0):
         cx = cell_decompose_2d(specs["cusp"], (t,))
         exact = t / 3.0
-        assert abs(cx.inside_volume() - exact) / exact < 1e-3
+        assert abs(cx.inside_volume() - exact) / exact < 1e-6
 
 
 def test_ellipse_volume_constant(specs):
     for t in (0.5, 1.0, 2.0):
         cx = cell_decompose_2d(specs["ellipse"], (t,))
         assert cx.criticals == pytest.approx((-t, t), abs=1e-8)
-        assert abs(cx.inside_volume() - math.pi) / math.pi < 1e-3
+        assert abs(cx.inside_volume() - math.pi) / math.pi < 1e-6
 
 
 def test_empty_fiber_complex(specs):
@@ -171,7 +171,7 @@ def test_chain_merge_is_one_pass_and_idempotent():
     assert cx.inside_cell_count() == 11
     assert merged.inside_cell_count() == 3
     assert merge_vertical(merged).to_json_dict() == merged.to_json_dict()
-    assert abs(merged.inside_volume() - math.pi) < 1e-3
+    assert abs(merged.inside_volume() - math.pi) / math.pi < 1e-6
 
 
 def test_merge_preserves_volume(specs):
@@ -243,17 +243,17 @@ def test_annulus_inner_tangency_is_boundary(specs):
         assert [g.label for g in col.graphs] == [BOUNDARY] * 3
 
 
-@pytest.mark.parametrize("text,criticals,exact", [
-    ("box [0,1]x[0,1]\nset: 2*x - y > 0", (0.5,), 0.75),
+@pytest.mark.parametrize("text,criticals,exact,tol", [
+    ("box [0,1]x[0,1]\nset: 2*x - y > 0", (0.5,), 0.75, 1e-12),
     ("box [-1,1]x[-0.5,0.5]\nset: 1 - x^2 - y^2 > 0", (-math.sqrt(0.75), math.sqrt(0.75)),
-     math.sqrt(0.75) + math.pi / 3),
+     math.sqrt(3) / 2 + math.pi / 3, 1e-8),
 ], ids=["wedge", "disk-in-strip"])
-def test_zero_set_leaving_the_box(text, criticals, exact):
+def test_zero_set_leaving_the_box(text, criticals, exact, tol):
     # the root count on a vertical line changes where a zero set crosses
     # the box's bottom or top edge
     cx = cell_decompose_2d(parse_domain("dim 2\n" + text + "\n"), ())
     assert cx.criticals == pytest.approx(criticals, abs=1e-9)
-    assert cx.inside_volume() == pytest.approx(exact, abs=1e-3)
+    assert cx.inside_volume() == pytest.approx(exact, abs=tol)
 
 
 def test_stacks_need_no_polynomial_roots(specs, monkeypatch):

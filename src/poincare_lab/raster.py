@@ -42,6 +42,11 @@ from .errors import EmptyFiberError, jsonable
 # is the axis
 LINES_PER_SPAN = {1: 1, 2: 512, 3: 96}
 
+# the block size of the kernels that stream through bounded blocks: cell
+# centres per membership call in ``rasterize``, normal-candidate products
+# per block in ``tangent.find_regular_direction``
+_BLOCK_POINTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class RasterDomain:
@@ -132,6 +137,12 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     """Rasterize the fiber at ``t`` with ``resolution`` cells across the
     longest box axis.  An all-exterior result is returned as an empty
     raster (``raster.empty``), which callers treat as data, not an error.
+
+    Membership is evaluated slab by slab along axis 0, each slab holding
+    whole rows and about ``_BLOCK_POINTS`` cell centres, straight into the
+    padded mask; working memory beyond the mask is bounded by the slab,
+    whatever the resolution.  Membership is pointwise, so the mask equals
+    one ``member_points`` call on all centres.
     """
     check_resolution(resolution)
     t = spec.check_params(t)
@@ -143,11 +154,13 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     counts = tuple(c + 2 for c in inner_counts)
     origin = tuple(lo - h for lo, _ in spec.bounding_box)
 
-    axes = [_axis_centers(origin[i], h, counts[i])[1:-1] for i in range(spec.ambient_dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    inner = spec.member_points(t, pts).reshape(inner_counts)
-    interior = np.pad(inner, 1, mode="constant", constant_values=False)
+    interior = np.zeros(counts, dtype=bool)
+    inner = interior[(slice(1, -1),) * len(counts)]
+    axes = [_axis_centers(origin[i], h, counts[i])[1:-1] for i in range(len(counts))]
+    rows = max(1, _BLOCK_POINTS // math.prod(inner_counts[1:]))
+    for a in range(0, inner_counts[0], rows):
+        slab = np.meshgrid(axes[0][a : a + rows], *axes[1:], indexing="ij")
+        inner[a : a + rows] = spec.member_points(t, np.stack(slab, axis=-1))
     return RasterDomain(
         spec=spec, t=t, h=h, origin=origin, interior=interior, resolution=resolution
     )

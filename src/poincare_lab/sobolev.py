@@ -77,18 +77,21 @@ class GradientOperator:
         strides = np.cumprod((1,) + r.counts[:0:-1])[::-1].tolist()
         return tuple((s, last) for s, (_, _, last, _) in zip(strides, face_slices(r.dim)))
 
+    def _check_apron(self):
+        """Flat neighbour offsets stay on the grid, and in the cell's own
+        line, only if no interior cell sits on the grid edge."""
+        inside = self.raster.interior
+        for _, _, last, first in face_slices(inside.ndim):
+            if inside[last].any() or inside[first].any():
+                raise ValueError("interior cell on the grid edge: the raster has no exterior apron")
+
     @cached_property
     def _adjoint_index(self) -> np.ndarray:
         """Per axis, the flat indices of every interior cell and of its
         backward neighbour, shape (dim, 2, n_interior)."""
-        r = self.raster
+        self._check_apron()
         fi = self._flat_interior
-        index = []
-        for ax, (s, _) in enumerate(self._axes):
-            if ((fi // s) % r.counts[ax] == 0).any():
-                raise ValueError("interior cell on the grid edge: the raster has no exterior apron")
-            index.append(np.stack([fi, fi - s]))
-        return np.stack(index)
+        return np.stack([np.stack([fi, fi - s]) for s, _ in self._axes])
 
     def _scatter(self, values: np.ndarray, full: np.ndarray):
         """Interior values times 1/h into ``full``, a flat grid whose
@@ -140,25 +143,40 @@ class GradientOperator:
         The diagonal is 2 * dim / h^2 for every cell, since both neighbours
         along each axis enter the differences whether inside or not; each
         pair of face-adjacent interior cells adds -1/h^2 off the diagonal.
+        The CSR arrays are assembled directly: a row's columns are its
+        interior face neighbours and itself in ascending flat order, so the
+        matrix is in canonical format and the column order, which fixes the
+        bits of ``A @ x``, is that of a sorted COO conversion.
         """
         from scipy import sparse  # deferred: slow to import
 
+        self._check_apron()
         r = self.raster
         inv_h = 1.0 / r.h
         n = r.interior_count
-        col = np.full(r.counts, -1, dtype=np.int64)
-        col[r.interior] = np.arange(n)
-        rows, cols = [np.arange(n)], [np.arange(n)]
-        for ax in range(r.dim):
-            c = np.moveaxis(col, ax, 0)
-            lo, hi = c[:-1], c[1:]
-            both = (lo >= 0) & (hi >= 0)
-            rows += [lo[both], hi[both]]
-            cols += [hi[both], lo[both]]
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        data = np.full(rows.size, -(inv_h * inv_h))
-        data[:n] = 2 * r.dim * (inv_h * inv_h)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        index = np.int32 if (2 * r.dim + 1) * n < 2**31 else np.int64
+        col = np.full(r.interior.size, -1, dtype=index)
+        col[r.interior.reshape(-1)] = np.arange(n, dtype=index)
+        fi = self._flat_interior
+        strides = [s for s, _ in self._axes]
+        # slot dim is the cell itself; the others its neighbours, flat order
+        offsets = [-s for s in strides] + [0] + strides[::-1]
+        nbr = np.empty((n, len(offsets)), dtype=index)
+        for j, o in enumerate(offsets):
+            nbr[:, j] = col[fi + o]
+        # each work array goes as soon as it is used, so that the peak stays
+        # near the matrix's own size
+        del col
+        present = nbr >= 0
+        indices = nbr[present]
+        del nbr
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.count_nonzero(present, axis=1), dtype=index, out=indptr[1:])
+        diagonal = indptr[:-1] + np.count_nonzero(present[:, : r.dim], axis=1)
+        del present
+        data = np.full(indices.size, -(inv_h * inv_h))
+        data[diagonal] = 2 * r.dim * (inv_h * inv_h)
+        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def build_gradient(raster: RasterDomain) -> GradientOperator:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dsl import DomainSpec
 from .errors import EmptySamplesError, StratumTooThinWarning, jsonable
-from .raster import line_cuts
+from .raster import _BLOCK_POINTS, line_cuts
 
 # gradients shorter than this give no reliable normal
 _MIN_GRAD_NORM = 1e-8
@@ -187,6 +187,11 @@ def find_regular_direction(
     is classified as no_regular_direction (a sampled curved boundary never
     produces an exactly zero margin, so the threshold is a resolution-aware
     cutoff rather than an exact test).
+
+    The pooled margins are a running minimum over blocks of sample rows,
+    so the normals-by-candidates products never exist all at once; every
+    product is the same as in one whole matrix product, and a minimum is
+    exact, so the margins are too.
     """
     if directions < 16:
         raise ValueError("need at least 16 candidate directions")
@@ -199,7 +204,10 @@ def find_regular_direction(
         raise EmptySamplesError("no boundary samples in any fiber")
 
     cands = candidate_directions(spec.ambient_dim, directions)
-    margins = np.min(np.abs(pooled @ cands.T), axis=0)
+    rows = max(1, _BLOCK_POINTS // cands.shape[0])
+    margins = np.full(cands.shape[0], np.inf)
+    for a in range(0, pooled.shape[0], rows):
+        np.minimum(margins, np.min(np.abs(pooled[a : a + rows] @ cands.T), axis=0), out=margins)
     best = float(np.max(margins))
     ties = np.nonzero(margins == best)[0]
     best_idx = min(ties, key=lambda i: tuple(cands[i]))

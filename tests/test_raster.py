@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from poincare_lab import (
     write_pgm,
 )
 from poincare_lab.errors import EmptyFiberError
-from poincare_lab.raster import line_cuts
+from poincare_lab.raster import _BLOCK_POINTS, line_cuts
 from test_sobolev import BALL
 
 
@@ -40,6 +41,37 @@ def test_apron_is_exterior(disk128):
         for edge in (0, -1):
             sl[ax] = edge
             assert not disk128.interior[tuple(sl)].any()
+
+
+@pytest.mark.parametrize(
+    "name,t,res",
+    # more cells than one block; rows not a multiple of a slab; a thin box;
+    # 3D with whole planes per slab
+    [("interval", (), 100000), ("cusp", (0.3,), 777), ("strip", (), 1000), ("ball", (), 160)],
+)
+def test_rasterize_slabs_match_one_membership_call(specs, name, t, res):
+    spec = specs.get(name) or parse_domain(BALL)
+    r = rasterize(spec, t, res)
+    inner = (slice(1, -1),) * r.dim
+    assert r.interior[inner].size > _BLOCK_POINTS
+    centers = r.centers()[inner]
+    whole = spec.member_points(t, centers.reshape(-1, r.dim)).reshape(centers.shape[:-1])
+    assert np.array_equal(r.interior[inner], whole)
+    # and the apron stays exterior
+    assert r.interior.sum() == whole.sum()
+
+
+def test_rasterize_memory_is_bounded(specs):
+    # the mask (2050^2 bytes, about 4 MB) plus one slab of centres; all
+    # centres at once would take 64 MB
+    spec = specs["disk"]
+    tracemalloc.start()
+    try:
+        rasterize(spec, (), 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_empty_fiber_is_data(specs):

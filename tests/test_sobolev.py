@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,10 +170,32 @@ def test_stencils_match_sparse_reference(specs, name, t, res):
     ref = sum((m.T @ m).tocsr() for m in mats).tocsr()
     A = op.laplacian()
     ref.sort_indices()
-    A.sort_indices()
+    # as assembled: the column order fixes the bits of A @ x
+    assert A.has_canonical_format
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
     assert np.array_equal(A.data, ref.data)
+
+
+def test_laplacian_memory_is_bounded(specs):
+    # besides its own CSR arrays, assembly holds only per-cell neighbour
+    # columns and flags
+    op = build_gradient(rasterize(specs["square"], (), 512))
+    tracemalloc.start()
+    try:
+        A = op.laplacian()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def test_laplacian_rejects_a_raster_without_apron(specs):
+    interior = np.zeros((4, 4), dtype=bool)
+    interior[1:, 1:3] = True
+    r = RasterDomain(spec=specs["square"], t=(), h=0.25, origin=(0.0, 0.0), interior=interior)
+    with pytest.raises(ValueError, match="grid edge"):
+        build_gradient(r).laplacian()
 
 
 def test_grad_accepts_field_objects(square64):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from poincare_lab import (
     BoundarySampleSet,
     candidate_directions,
     find_regular_direction,
+    grid_points,
     margin,
     parse_domain,
     sample_boundary,
 )
 from poincare_lab.errors import EmptySamplesError, StratumTooThinWarning
-from poincare_lab.raster import line_cuts
+from poincare_lab.raster import _BLOCK_POINTS, line_cuts
 
 
 def test_disk_samples_radial(specs):
@@ -174,6 +176,32 @@ def test_find_regular_direction_validates_inputs(specs):
         find_regular_direction(specs["disk"], [()], directions=8)
     with pytest.raises(ValueError):
         find_regular_direction(specs["disk"], [])
+
+
+def test_find_regular_direction_blocked_margins_are_one_product(specs):
+    # the running minimum over row blocks equals the minimum over the whole
+    # normals-by-candidates product, byte for byte
+    spec, ts = specs["cusp"], [(0.05,), (0.5,), (1.0,)]
+    rep = find_regular_direction(spec, ts, directions=256, count=2048)
+    pooled = np.concatenate([sample_boundary(spec, t, count=2048).normals for t in ts])
+    cands = candidate_directions(2, 256)
+    assert pooled.shape[0] > 4 * (_BLOCK_POINTS // cands.shape[0])
+    whole = np.min(np.abs(pooled @ cands.T), axis=0)
+    assert rep.candidate_margins.tobytes() == whole.tobytes()
+
+
+def test_find_regular_direction_memory_is_bounded(specs):
+    # nine cusp fibers pool about 23000 normals against 512 candidates; one
+    # whole normals-by-candidates product would take about 90 MB
+    spec = specs["cusp"]
+    ts = grid_points(spec, [9])
+    tracemalloc.start()
+    try:
+        find_regular_direction(spec, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_line_cuts_strip(specs):

@@ -264,13 +264,25 @@ def _coarsen(raster: RasterDomain) -> RasterDomain:
     return replace(raster, h=2.0 * raster.h, interior=interior, resolution=raster.resolution // 2)
 
 
+def _matvec(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a CSR matrix, written into ``out`` instead of a new
+    array.  It runs the kernel that ``A @ x`` runs, which adds into its
+    output, on ``out`` zeroed first, so the bits are those of ``A @ x``."""
+    from scipy.sparse._sparsetools import csr_matvec  # deferred: slow to import
+
+    out.fill(0.0)
+    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out
+
+
 class _Level:
     """One level of the V-cycle: its Laplacian, the damped-Jacobi step
     omega / diagonal, its iterate and residual buffers and, unless it is the
     last level, the map to its coarse level and the buffer of the restricted
     residual.  Every level vector has one slot past its cells, held at zero
     in the iterate: ``parent`` sends there the fine cells whose coarse cell
-    is exterior."""
+    is exterior.  Each product with A goes into the residual buffer
+    (``_matvec``), so a sweep allocates no n-vector."""
 
     def __init__(self, raster: RasterDomain, A):
         n = A.shape[0]
@@ -284,7 +296,7 @@ class _Level:
     def smooth(self, b: np.ndarray, sweeps: int):
         x, r = self.x[:-1], self.r[:-1]
         for _ in range(sweeps):
-            np.subtract(b, self.A @ x, out=r)
+            np.subtract(b, _matvec(self.A, x, r), out=r)
             r *= self.jacobi
             x += r
 
@@ -304,7 +316,9 @@ class _VCycle:
     post-smoother is the pre-smoother's adjoint and R is a positive
     multiple of P^T, so the cycle is symmetric positive definite, which is
     all that LOBPCG asks of a preconditioner.  The result is returned in a
-    buffer that the next call overwrites.
+    buffer that the next call overwrites.  A cycle allocates no n-vector:
+    every residual's product with A is written into the level's residual
+    buffer and subtracted from b there.
     """
 
     def __init__(self, raster: RasterDomain, A):
@@ -332,7 +346,7 @@ class _VCycle:
         np.multiply(b, level.jacobi, out=x)  # the first sweep, from zero
         level.smooth(b, 1)
         if level.parent is not None:
-            np.subtract(b, level.A @ x, out=r)
+            np.subtract(b, _matvec(level.A, x, r), out=r)
             level.restricted.fill(0.0)
             np.add.at(level.restricted, level.parent, r)
             level.restricted *= self.restriction_weight
@@ -378,7 +392,14 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     about res^2 lambda / gap, is far below ``tol`` unless the gap is small
     and the start holds much of the next eigenvector.  ``residual`` is that
     res and ``iterations`` counts the steps, each one V-cycle and one
-    product with A (at most ``_MAX_OUTER``).
+    product with A (at most ``_MAX_OUTER``).  Past that cap the
+    ``SolverDivergedError`` names the last step's relative Ritz gap
+    (theta2 - theta1) / theta1, a small gap being why the stop was not met.
+
+    Every product with A, here and in the V-cycle, is written into a buffer
+    the solve owns (``_matvec``), so a step allocates no n-vector: a fresh
+    one per product costs page faults whenever the allocator hands its pages
+    back to the system on free.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
@@ -390,7 +411,7 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     x, Ax, w, Aw, p, Ap, tmp = (np.zeros(A.shape[0]) for _ in range(7))
     x += 1.0
     x /= np.linalg.norm(x)
-    np.copyto(Ax, A @ x)
+    _matvec(A, x, Ax)
     lam = float(x @ Ax)
     np.subtract(Ax, np.multiply(x, lam, out=w), out=w)
     res = float(np.linalg.norm(w)) / lam
@@ -410,7 +431,7 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
 
     for outer in range(1, _MAX_OUTER + 1):
         np.copyto(w, precond(w))
-        np.copyto(Aw, A @ w)
+        _matvec(A, w, Aw)
         basis = [(x, Ax)]
         kept = [0]
         for k, (v, Av) in enumerate(((w, Aw), (p, Ap)), 1):
@@ -420,7 +441,9 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
         # A projected on the kept basis; eigh reads its lower triangle only
         gram = np.array([[u @ Av for _, Av in basis] for u, _ in basis])
         y = np.zeros(3)  # the Ritz vector on (x, w, p), 0 where dropped
-        y[kept] = np.linalg.eigh(gram)[1][:, 0]
+        theta, ritz = np.linalg.eigh(gram)
+        y[kept] = ritz[:, 0]
+        gap = (theta[1] - theta[0]) / theta[0] if len(kept) > 1 else None
         if y[0] < 0.0:
             y = -y
         # p <- y1 w + y2 p and x <- y0 x + p, Ap and Ax alike
@@ -443,7 +466,8 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
         if res <= math.sqrt(tol) / 10.0:
             return estimate(outer)
     raise SolverDivergedError(
-        f"LOBPCG did not reach tol={tol} in {_MAX_OUTER} steps",
+        f"LOBPCG did not reach tol={tol} in {_MAX_OUTER} steps; last relative Ritz gap "
+        f"(theta2 - theta1) / theta1 = {'unknown' if gap is None else f'{gap:.3e}'}",
         estimate=estimate(_MAX_OUTER),
     )
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse._compressed
 import scipy.sparse.linalg
 
 from poincare_lab import sobolev
@@ -287,6 +289,9 @@ def test_p2_divergence_attaches_estimate(disk128, monkeypatch):
     assert est is not None
     assert est.constant > 0.0
     assert est.iterations == 1
+    # the first step keeps x and w, so it has a second Ritz value
+    assert "relative Ritz gap" in str(err.value)
+    assert "unknown" not in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -354,6 +359,49 @@ def test_vcycle_is_symmetric_positive_definite(specs, name, t, res):
         Bu, Bv = cycle(u).copy(), cycle(v).copy()
         assert u @ Bv == pytest.approx(v @ Bu, rel=1e-12)
         assert u @ Bu > 0.0
+
+
+def test_p2_step_cap_reports_the_ritz_gap():
+    # the strip's relative gap (lambda_2 - lambda_1) / lambda_1 is about
+    # 3e-6, so the eigen-residual stop is out of reach in _MAX_OUTER steps;
+    # the error names the last step's relative Ritz gap on (x, w, p), which
+    # shrinks with the steps toward that gap from above (0.022 at step 21)
+    with pytest.raises(SolverDivergedError) as err:
+        poincare_p2(rasterize(parse_domain(THIN_STRIP), (), 4096))
+    match = re.search(r"relative Ritz gap \(theta2 - theta1\) / theta1 = (\S+)$", str(err.value))
+    assert match is not None
+    m = 4096  # a full 4096 x 3 block: lambda_ij = (4/h^2)(sin^2(i a) + sin^2(j b))
+    a, b = math.pi / (2 * (m + 1)), math.pi / 8
+    true_gap = (math.sin(2 * a) ** 2 - math.sin(a) ** 2) / (math.sin(a) ** 2 + math.sin(b) ** 2)
+    assert true_gap < float(match.group(1)) < 1e-2
+    assert err.value.estimate.iterations == sobolev._MAX_OUTER
+
+
+@pytest.mark.parametrize(
+    "name,t,res", [("interval", (), 2048), ("disk", (), 100), ("cusp", (0.5,), 128), ("ball", (), 16)]
+)
+def test_matvec_is_the_bytes_of_a_sparse_product(specs, name, t, res):
+    # _matvec runs scipy's private csr_matvec; it must keep giving the bytes
+    # of A @ x on every level of the hierarchy, whatever scipy's version
+    r = rasterize(specs.get(name) or parse_domain(BALL), t, res)
+    cycle = sobolev._VCycle(r, build_gradient(r).laplacian())
+    rng = np.random.default_rng(res)
+    for level in cycle.levels:
+        x = rng.normal(size=level.A.shape[0])
+        out = np.full(level.A.shape[0], np.nan)
+        assert sobolev._matvec(level.A, x, out) is out
+        assert out.tobytes() == (level.A @ x).tobytes()
+
+
+def test_p2_solve_makes_no_allocating_sparse_product(specs, monkeypatch):
+    # every product of the solve is written into its own buffers, so none
+    # goes through A @ x, which allocates its result
+    def refuse(self, other):
+        raise AssertionError("A @ x inside the p = 2 solve")
+
+    monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_matmul_vector", refuse)
+    est = poincare_p2(rasterize(specs["disk"], (), 60))
+    assert (est.constant.hex(), est.iterations) == ("0x1.b2fa708f4ada6p-2", 9)
 
 
 def test_p2_vcycle_bits_and_work(specs):

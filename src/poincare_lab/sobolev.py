@@ -479,6 +479,7 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
 GENERAL_P_TOL = 1e-6  # default tol of the descent's final stage
 _STAGE_ITER = 300  # descent steps per annealed smoothing level
 _FINAL_ITER = 3000  # descent steps at the declared kink smoothing
+_LBFGS_PAIRS = 5  # (s, y) pairs behind each L-BFGS direction
 
 
 class _Ratio:
@@ -486,7 +487,7 @@ class _Ratio:
     on one operator, at one p and field smoothing.
 
     The gradient magnitude is smoothed by ``eps_g``, which the caller
-    anneals; the field smoothing eps_u stays at the declared kink
+    anneals at p = 1; the field smoothing eps_u stays at the declared kink
     scale, since inflating it rescales the denominator and degenerates the
     functional.  The scalars are finished as Python floats, whose ``**`` is
     libm ``pow`` (numpy's can differ in the last bit).  The full-grid
@@ -537,45 +538,76 @@ class _Ratio:
         return R, Nu, (dNg - R * dNu) / Nu
 
 
-def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
-    """Normalized gradient descent at one smoothing level.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Pairwise-summed dot product: its bits do not depend on the BLAS
+    thread count, as those of ``a @ b`` do above about 10000 entries."""
+    return float(np.multiply(a, b).sum())
 
-    Barzilai-Borwein trial step with Armijo backtracking; the line search
+
+def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
+    """Nocedal's two-loop recursion (Math. Comp. 35, 1980): the inverse
+    Hessian estimate from the (s, y, s.y) pairs, oldest first, applied to
+    ``g``, with the initial scale s.y / y.y of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alphas.append(_dot(s, q) / sy)
+        q -= alphas[-1] * y
+    if pairs:
+        _, y, sy = pairs[-1]
+        q *= sy / _dot(y, y)
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        q += (a - _dot(y, q) / sy) * s
+    return q
+
+
+def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
+    """Normalized L-BFGS descent at one smoothing level.
+
+    The direction comes from the last ``_LBFGS_PAIRS`` steps; when it is
+    not a descent direction the step falls back to the gradient and the
+    pairs are dropped.  Armijo backtracking starts from a unit step and
     asks for the ratio only, so just the accepted point pays for the
     gradient.  The iterate is renormalized to ||u||_p = 1 after every
-    accepted step.  Returns the best ratio seen, the final iterate,
-    iterations used, and the relative change of R over the last 10
-    iterations.
+    accepted step.  Every dot product is pairwise-summed (``_dot``), so
+    the bits do not depend on the BLAS thread count.  Returns the best
+    ratio seen, the final iterate, iterations used, and the relative
+    change of R over the last 10 iterations.
     """
     R, Nu = ratio.value(u0, eps_g)
     u = u0 / Nu
     best = R
-    step = 1.0
     history = [R]
     resid = 1.0
+    pairs = []
     u_prev = None
     g_prev = None
     it = 0
     for it in range(1, max_iter + 1):
         R, _, gR = ratio.value_and_grad(u, eps_g)
-        gnorm2 = float(gR @ gR)
+        gnorm2 = _dot(gR, gR)
         if gnorm2 == 0.0:
             resid = 0.0
             break
         if g_prev is not None:
             s = u - u_prev
             y = gR - g_prev
-            sy = float(s @ y)
+            sy = _dot(s, y)
             if sy > 1e-300:
-                step = max(float(s @ s) / sy, 1e-12)
+                pairs.append((s, y, sy))
+                del pairs[:-_LBFGS_PAIRS]
         u_prev = u
         g_prev = gR
+        d = _lbfgs_direction(gR, pairs)
+        slope = _dot(gR, d)
+        if not slope > 0.0:
+            d, slope, pairs = gR, gnorm2, []
         accepted = False
-        st = step
+        st = 1.0
         for _ in range(50):
-            cand = u - st * gR
+            cand = u - st * d
             Rc, Nuc = ratio.value(cand, eps_g)
-            if Rc <= R - 1e-4 * st * gnorm2:
+            if Rc <= R - 1e-4 * st * slope:
                 u = cand / Nuc
                 R = Rc
                 accepted = True
@@ -594,15 +626,18 @@ def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
 
 
 def _trajectory(op: GradientOperator, u0: np.ndarray, p: float, eps_u: float, tol: float):
-    """One start's descent: stages that anneal the gradient-magnitude
+    """One start's descent at the declared smoothing, until R changes by at
+    most min(tol, 1e-10) relative over 10 steps.  At p = 1, whose landscape
+    is piecewise linear, stages first anneal the gradient-magnitude
     smoothing geometrically from the start field's RMS gradient down to the
-    kink scale, then the polish at the declared smoothing.  Returns the
-    best ratio over all stages, the polish's residual and the iterations
-    used."""
+    kink scale, so that plateau-type optimizers form instead of jamming the
+    line search at the first kink.  Returns the best ratio over all stages,
+    the last stage's residual and the iterations used."""
     ratio = _Ratio(op, p, eps_u)
-    un = u0 / max(lp_norm(u0, p, op.raster), 1e-300)
-    g0 = op.apply(un)
-    eps_g = float(np.sqrt(np.mean(np.sum(g0 * g0, axis=0)))) or 1.0
+    eps_g = eps_u
+    if p == 1.0:
+        g0 = op.apply(u0 / max(lp_norm(u0, p, op.raster), 1e-300))
+        eps_g = float(np.sqrt(np.mean(np.sum(g0 * g0, axis=0)))) or 1.0
     u = u0
     best = math.inf
     total_it = 0
@@ -611,7 +646,7 @@ def _trajectory(op: GradientOperator, u0: np.ndarray, p: float, eps_u: float, to
         best = min(best, b)
         total_it += it
         eps_g *= 0.3
-    b, u, it, resid = _descend(ratio, u, eps_u, _FINAL_ITER, tol)
+    b, u, it, resid = _descend(ratio, u, eps_u, _FINAL_ITER, min(tol, 1e-10))
     return min(best, b), resid, total_it + it
 
 
@@ -622,16 +657,16 @@ def poincare_general_p(
     on the Rayleigh ratio ||grad u||_p / ||u||_p, one trajectory per
     face-connected component of the interior.
 
-    The kink smoothing is 1e-9 * h.  Because the p = 1 landscape is
-    piecewise linear, each trajectory anneals the gradient-magnitude
+    The kink smoothing is 1e-9 * h.  Each trajectory is L-BFGS descent
+    (``_descend``) at that smoothing, run until R changes by at most
+    min(tol, 1e-10) relative over 10 steps.  Only at p = 1, whose landscape
+    is piecewise linear, does it first anneal the gradient-magnitude
     smoothing geometrically from the start field's RMS gradient down to the
-    kink scale before the final polish at the declared smoothing; this lets
-    plateau-type optimizers form instead of jamming the line search at the
-    first kink.  The gradient couples only face neighbours, so the problem
-    separates over the face-connected components, and on a connected domain
-    the first p-Laplacian eigenfunction is simple and positive (Lindqvist,
-    Proc. AMS 1990).  So each component gets one start: the p = 2
-    eigenvector restricted to it.  The result is the best ratio over the
+    kink scale (``_trajectory``).  The gradient couples only face
+    neighbours, so the problem separates over the face-connected
+    components, and on a connected domain the first p-Laplacian
+    eigenfunction is simple and positive (Lindqvist, Proc. AMS 1990).  So
+    each component gets one start: the p = 2 eigenvector restricted to it.  The result is the best ratio over the
     trajectories; it comes from an explicit field, so the constant is a
     certified lower bound for the discrete supremum.
     """

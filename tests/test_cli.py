@@ -506,7 +506,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "e4babea8720e248199344e5cff4b0351691532693bcb6a483ef3e11661dad538",
+            "report.json": "e381ef47c3914280d13cc943cfc971fe4a67aa2cd282ce63a54d8007a7d44784",
         },
     ),
     "unknown-spec": (

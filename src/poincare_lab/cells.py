@@ -27,7 +27,6 @@ guessing.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -344,9 +343,7 @@ def _graph_label(spec, t, xs, ys, atoms, span):
     on their zero sets, then at four near-axis probes off it."""
     pts = np.stack([xs, ys], axis=1)
     own = [spec.atoms[a] for a in atoms]
-    on = spec._fold(
-        t, pts, lambda atom, c: atom.truth(c) & (atom not in own), operator.and_, operator.or_
-    )
+    on = spec._fold(t, pts, lambda atom, c: atom.truth(c) & (atom not in own))
     if on.all():
         return INSIDE
     d = _PROBE_OFFSET * span

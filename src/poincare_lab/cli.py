@@ -434,9 +434,7 @@ def main(argv=None) -> int:
             report, files = _COMMANDS[command][0](args)
     except SolverDivergedError as exc:
         report, error = {"status": "solver_error"}, exc
-    except (
-        SpecError, ParamOutOfRangeError, FileNotFoundError, ValueError, NotImplementedError
-    ) as exc:
+    except (SpecError, ParamOutOfRangeError, FileNotFoundError, ValueError) as exc:
         report, error = {"status": "usage_error"}, exc
     except PoincareLabError as exc:
         report, error = {"status": "fail"}, exc

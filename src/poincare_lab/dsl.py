@@ -18,10 +18,10 @@ normalizer, so membership tests are bit-reproducible.
 ``#`` starts a comment that runs to the end of its line.  Headers may also
 be written on a single line separated by `` / ``.
 
-Membership and the signed margin field are one fold over the formula
-tree (``DomainSpec._fold``): each atom is evaluated once, to truth values
-or to signed values, and each connective reduces its children left to
-right, with ``&``/``|`` or ``min``/``max``.
+Membership is one fold over the formula tree (``DomainSpec._fold``): each
+atom is evaluated once, to truth values, and each connective reduces its
+children left to right with ``&``/``|``.  The boundary is found on lines
+(``raster.line_cuts``), not from a field of atom values.
 """
 
 from __future__ import annotations
@@ -193,11 +193,6 @@ class PolyAtom:
         v = self.values(coords)
         return v > 0.0 if self.relation == "GT" else v < 0.0
 
-    def signed_values(self, coords) -> np.ndarray:
-        """Values oriented to be positive exactly where the atom holds."""
-        v = self.values(coords)
-        return v if self.relation == "GT" else -v
-
     def gradient_values(self, coords) -> np.ndarray:
         """Ambient-space gradient, shape ``(ambient_dim,) + point shape``."""
         return np.array([_eval_array(g, coords) for g in self._grad])
@@ -295,13 +290,13 @@ def _flatten(op: str, children: Iterable[tuple]) -> tuple:
     return (op, tuple(flat))
 
 
-def _reduce_formula(node: tuple, leaves: list, and_, or_):
+def _reduce_formula(node: tuple, leaves: list):
     # not a closure: a recursive closure is a reference cycle, which keeps
     # the evaluated arrays alive until the next garbage collection
     if node[0] == "atom":
         return leaves[node[1]]
-    children = (_reduce_formula(c, leaves, and_, or_) for c in node[1])
-    return reduce(and_ if node[0] == "and" else or_, children)
+    children = (_reduce_formula(c, leaves) for c in node[1])
+    return reduce(operator.and_ if node[0] == "and" else operator.or_, children)
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +337,19 @@ class DomainSpec:
         coords.extend(np.float64(v) for v in t)
         return coords
 
-    def _fold(self, t, pts, leaf, and_, or_) -> np.ndarray:
-        """Evaluate ``leaf(atom, coords)`` once per atom at the points and
-        reduce the formula tree with ``and_``/``or_``, left to right."""
+    def _fold(self, t, pts, leaf) -> np.ndarray:
+        """Evaluate the truth values ``leaf(atom, coords)`` once per atom at
+        the points and reduce the formula tree with ``&``/``|``, left to
+        right."""
         t = self.check_params(t)
         pts = np.asarray(pts, dtype=np.float64)
         coords = self._coords(t, pts)
         leaves = [leaf(atom, coords) for atom in self.atoms]
-        return _reduce_formula(self.formula, leaves, and_, or_)
+        return _reduce_formula(self.formula, leaves)
 
     def member_points(self, t, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an array of points, shape (..., dim)."""
-        return self._fold(t, pts, PolyAtom.truth, operator.and_, operator.or_)
-
-    def margin_points(self, t, pts: np.ndarray) -> np.ndarray:
-        """Signed margin field: min/max composition of atom values, positive
-        exactly on the set.  Used for sub-cell boundary interpolation."""
-        return self._fold(t, pts, PolyAtom.signed_values, np.minimum, np.maximum)
+        return self._fold(t, pts, PolyAtom.truth)
 
 
 def _as_param_tuple(t, k: int) -> tuple:

@@ -11,17 +11,18 @@ normaliser: every direction a caller passes in is checked and scaled there.
 ``line_cuts`` is the package's one line kernel: on a line every atom is a
 polynomial in the line parameter, so membership is constant between the
 atoms' real roots, which it finds exactly for many lines at once, each
-with the atom it is a root of.  Thickness (``longest_chord``) and boundary
+with the atom it is a root of.  Thickness (``longest_chord``), boundary
 sampling (``tangent.sample_boundary``, which takes its normals from the
-named atoms) are both built on it.  Thickness builds no raster: its lines
-sit at the multiples of ``q = max box span / LINES_PER_SPAN``, at most a
-quarter of the box's width on each axis, across the direction, wherever
-they cross the box.
+named atoms) and the trace's boundary (``boundary_quadrature``, an exact
+line quadrature of the surface measure by the area formula) are all built
+on it; the last two share the crossings of axis-parallel lines
+(``_crossings``).  Thickness builds no raster: its lines sit at the
+multiples of ``q = max box span / LINES_PER_SPAN``, at most a quarter of
+the box's width on each axis, across the direction, wherever they cross
+the box.
 
 ``face_slices`` pairs every cell with its face neighbour along an axis for
-all whole-array stencils.  Boundary extraction interpolates the zero level
-of the signed margin field between cell centres on whole arrays:
-table-driven marching squares in 2D and sign flips in 1D.
+all whole-array stencils.
 """
 
 from __future__ import annotations
@@ -39,8 +40,13 @@ from .errors import EmptyFiberError, jsonable
 
 # ``longest_chord`` spaces its lines ``q = max box span / LINES_PER_SPAN``
 # apart across the direction (closer across a thin box); in 1D its one line
-# is the axis
+# is the axis.  ``boundary_quadrature`` splits each other axis's span into
+# ``LINES_PER_SPAN`` cells, one line through each cell's middle
 LINES_PER_SPAN = {1: 1, 2: 512, 3: 96}
+
+# a root where the atom's gradient is shorter than this gives no reliable
+# normal
+_MIN_GRAD_NORM = 1e-8
 
 # the block size of the kernels that stream through bounded blocks: cell
 # centres per membership call in ``rasterize``, normal-candidate products
@@ -406,95 +412,70 @@ def thickness_discrete(raster: RasterDomain, axis: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# boundary extraction
+# boundary quadrature
 # ---------------------------------------------------------------------------
 
-# the corners of a square as (i, j) offsets from its lower-left cell centre,
-# counter-clockwise; bit k of a square's case is set when corner k is inside
-_CORNER_OFFSETS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
-# the edges S, E, N, W as corner pairs
-_EDGE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
 
+def _crossings(spec: DomainSpec, t, origins: np.ndarray, axis: int) -> tuple:
+    """The points where membership flips along the lines
+    ``origins + s e_axis``, ``s`` across the box from ``origins`` on its
+    lower face, line by line and in order along each line.
 
-def _segment_table() -> np.ndarray:
-    """Edge pairs of each marching case, shape (16, 2, 2): two segments at
-    most, padded with -1.  The saddles 5 and 10 hold their pairs for a
-    centre inside the set; a saddle whose centre is outside takes the pairs
-    of its complement case, 15 - case."""
-    pairs = ["", "WS", "SE", "WE", "EN", "SE WN", "SN", "WN",
-             "WN", "SN", "WS EN", "EN", "WE", "SE", "WS", ""]
-    table = np.full((16, 2, 2), -1)
-    for case, segments in enumerate(pairs):
-        for k, seg in enumerate(segments.split()):
-            table[case, k] = ["SENW".index(e) for e in seg]
-    return table
-
-
-_CASE_SEGMENTS = _segment_table()
-
-
-def margin_field(raster: RasterDomain) -> np.ndarray:
-    """Signed margin of the membership formula at the cell centers
-    (min/max composition of atom values; positive exactly inside)."""
-    pts = raster.centers().reshape(-1, raster.dim)
-    return raster.spec.margin_points(raster.t, pts).reshape(raster.counts)
-
-
-def _zero_crossing(xa, xb, fa, fb):
-    """The zero of the margin interpolated linearly from (xa, fa) to (xb, fb)."""
-    return xa + fa / (fa - fb) * (xb - xa)
-
-
-def boundary_polyline(raster: RasterDomain) -> np.ndarray:
-    """Marching-squares polyline of the fiber boundary, shape (m, 2, 2).
-
-    The zero level of the signed margin field is interpolated on the grid
-    of cell centers, which places vertices sub-cell accurately on the true
-    boundary rather than on the mask staircase.  A saddle square is split
-    by the sign of its corner sum.  Segments come in row-major square
-    order, a saddle's two in table order.
+    Returns ``(points, atoms, normals)``.  A flip at a root of atom ``j``
+    gets ``j`` and that atom's unit gradient; a root where the gradient is
+    shorter than ``_MIN_GRAD_NORM`` gives no reliable normal and is
+    dropped.  A run of inside pieces that ends on the box crosses the box
+    face there: atom -1, normal ``e_axis``, at the line's end as
+    ``line_cuts`` widens it, so within ``1e-9 (1 + width)`` outside.
     """
-    if raster.dim != 2:
-        raise ValueError("boundary_polyline is only defined for 2D rasters")
-    F = margin_field(raster)
-    pos = F > 0.0
-    ni, nj = F.shape[0] - 1, F.shape[1] - 1
-    case = sum(pos[a:a + ni, b:b + nj] << k for k, (a, b) in enumerate(_CORNER_OFFSETS))
-    ii, jj = np.nonzero((case > 0) & (case < 15))
-    i = ii[:, None] + _CORNER_OFFSETS[:, 0]
-    j = jj[:, None] + _CORNER_OFFSETS[:, 1]
-    vals = F[i, j]
-    case = case[ii, jj]
-    centre_out = ((case == 5) | (case == 10)) & ~(vals.sum(axis=1) > 0.0)
-    case = np.where(centre_out, 15 - case, case)
-
-    sq, seg = np.nonzero(_CASE_SEGMENTS[case, :, 0] >= 0)
-    ends = _EDGE_CORNERS[_CASE_SEGMENTS[case[sq], seg]]
-    a, b, rows = ends[..., 0], ends[..., 1], sq[:, None]
-    h = raster.h
-    corners = np.stack(
-        [raster.origin[0] + 0.5 * h + i * h, raster.origin[1] + 0.5 * h + j * h], axis=-1
-    )
-    return _zero_crossing(
-        corners[rows, a], corners[rows, b], vals[rows, a][..., None], vals[rows, b][..., None]
-    )
+    width = spec.bounding_box[axis][1] - spec.bounding_box[axis][0]
+    lines, e = origins.shape[0], np.eye(spec.ambient_dim)[axis]
+    cuts, inside, atoms = line_cuts(spec, t, origins, e, np.zeros(lines), np.full(lines, width))
+    line, k = np.nonzero(np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1))
+    pts = origins[line] + cuts[line, k][:, None] * e
+    ids = np.pad(atoms, ((0, 0), (1, 1)), constant_values=-1)[line, k]
+    normals, keep = np.tile(e, (ids.size, 1)), ids < 0
+    for j, atom in enumerate(spec.atoms):
+        rows = ids == j
+        g = atom.gradient_values(spec._coords(t, pts[rows])).T
+        norms = np.linalg.norm(g, axis=1)
+        ok = norms >= _MIN_GRAD_NORM
+        g[ok] /= norms[ok][:, None]
+        normals[rows], keep[rows] = g, ok
+    return pts[keep], ids[keep], normals[keep]
 
 
-def boundary_points_1d(raster: RasterDomain) -> np.ndarray:
-    """Boundary points of a 1D raster: interpolated sign changes of the
-    margin field between adjacent cell centers."""
-    if raster.dim != 1:
-        raise ValueError("boundary_points_1d needs a 1D raster")
-    F = margin_field(raster)
-    xs = raster.axis_centers(0)
-    i = np.flatnonzero((F[:-1] > 0.0) != (F[1:] > 0.0))
-    return _zero_crossing(xs[i], xs[i + 1], F[i], F[i + 1])
+def boundary_quadrature(spec: DomainSpec, t) -> tuple:
+    """Nodes and weights of ``∫ f dS`` over the boundary of the fiber within
+    its bounding box, shapes ``(m, dim)`` and ``(m,)``.
+
+    Along each box axis ``k``, ``LINES_PER_SPAN`` lines per other axis sit
+    at the midpoints of equal cells of that axis's span, and
+    ``_crossings`` lists where each line crosses the boundary.  By the area
+    formula, ``∫ f n_k^2 dS`` is the integral over the offsets of the sum
+    over crossings of ``f |n_k|``; summed over ``k`` that is ``∫ f dS``.  So
+    a crossing weighs ``cell |n_k|``, ``cell`` the product of the other
+    axes' cell widths (1 in 1D), and a box-face crossing weighs ``cell``.
+    The nodes are exact roots clipped to the box, so flat faces come out
+    exactly.
+    """
+    t = spec.check_params(t)
+    box, n = spec.bounding_box, LINES_PER_SPAN[spec.ambient_dim]
+    nodes, weights = [], []
+    for axis, (lo, _) in enumerate(box):
+        across = [[lo] if j == axis else _axis_centers(a, (b - a) / n, n)
+                  for j, (a, b) in enumerate(box)]
+        origins = np.stack(np.meshgrid(*across, indexing="ij"), axis=-1).reshape(-1, len(box))
+        cell = math.prod((b - a) / n for j, (a, b) in enumerate(box) if j != axis)
+        pts, _, normals = _crossings(spec, t, origins, axis)
+        nodes.append(np.clip(pts, *np.transpose(box)))
+        weights.append(cell * np.abs(normals[:, axis]))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
-def polyline_length(segments: np.ndarray) -> float:
-    if segments.size == 0:
-        return 0.0
-    return float(np.linalg.norm(segments[:, 1] - segments[:, 0], axis=1).sum())
+# the benchmark's tracer times the trace boundary under this name; the alias
+# goes together with that tracer entry (ROADMAP item 2)
+boundary_polyline = boundary_quadrature
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ for p = 2, Rayleigh-quotient descent for general p, one trajectory per
 face-connected component from the p = 2 eigenvector), verifies the
 thickness bound C_p <= 2^(1/p) * |Omega|_dir, checks the sharper per-axis
 discrete inequality exactly, and estimates boundary-trace interpolation
-ratios.
+ratios in any dimension, on the boundary quadrature of the line kernel.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .errors import (
 )
 from .raster import (
     RasterDomain,
-    boundary_points_1d,
-    boundary_polyline,
+    boundary_quadrature,
     face_slices,
     rasterize,
     thickness,
@@ -921,39 +920,9 @@ class TraceReport:
     h: float
 
 
-def trace_ratio_battery(
-    raster: RasterDomain, p: float, battery: str = "polynomial", doubling: bool = True
-) -> TraceReport:
-    """Measure boundary-trace interpolation ratios for ambient smooth
-    functions sampled without zero extension.
-
-    Each function is evaluated once on all cell centers, which gives both
-    its interior values and the one-sided interior differences; the
-    W-norm adds their ``lp_norm``s.  The boundary norm integrates |phi|^p
-    over the extracted boundary (polyline segments in 2D, crossing points
-    in 1D), where the function is evaluated once more.  When ``doubling``
-    is set, the battery is re-run at twice the resolution and the
-    supremum's stability (within 10 percent) is recorded; it stays None
-    when both suprema are 0, which says nothing about the trace.
-    """
-    if raster.empty:
-        raise EmptyFiberError("empty raster")
-    if raster.dim == 3:
-        raise NotImplementedError("trace ratios are implemented for dim 1 and 2")
-
-    if raster.dim == 2:
-        segs = boundary_polyline(raster)
-        if segs.shape[0] == 0:
-            raise DegenerateGeometryError("degenerate boundary extraction: no polyline")
-        mids = 0.5 * (segs[:, 0] + segs[:, 1])
-        weights = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1)
-    else:
-        pts = boundary_points_1d(raster)
-        if pts.size == 0:
-            raise DegenerateGeometryError("degenerate boundary extraction: no crossings")
-        mids = pts.reshape(-1, 1)
-        weights = np.ones(pts.size)
-
+def _trace_ratios(raster: RasterDomain, p: float, battery: str, nodes, weights) -> dict:
+    """The battery's ratios on ``raster``, the boundary norm from the
+    quadrature ``nodes`` and ``weights``."""
     grid_pts = raster.centers().reshape(-1, raster.dim)
     ratios = {}
     for name, fn in _battery_functions(raster, battery):
@@ -963,19 +932,42 @@ def trace_ratio_battery(
             continue
         g = _one_sided_gradient(raster, vals_grid)
         n_w = n_p + lp_norm(g[:, raster.interior], p, raster)
-        n_b = float(np.sum(np.abs(fn(mids)) ** p * weights)) ** (1.0 / p)
+        n_b = float(np.sum(np.abs(fn(nodes)) ** p * weights)) ** (1.0 / p)
         ratios[name] = n_b / (n_p ** (1.0 - 1.0 / p) * n_w ** (1.0 / p))
-
     if not ratios:
         raise DegenerateGeometryError("battery produced no usable function")
+    return ratios
+
+
+def trace_ratio_battery(
+    raster: RasterDomain, p: float, battery: str = "polynomial", doubling: bool = True
+) -> TraceReport:
+    """Measure boundary-trace interpolation ratios for ambient smooth
+    functions sampled without zero extension, in any dimension.
+
+    Each function is evaluated once on all cell centers, which gives both
+    its interior values and the one-sided interior differences; the
+    W-norm adds their ``lp_norm``s.  The boundary norm integrates |phi|^p
+    with ``raster.boundary_quadrature``, the exact boundary of the fiber
+    within its box, which does not depend on the raster: it is computed
+    once and serves the doubled raster too.  When ``doubling`` is set, the
+    battery is re-run at twice the resolution and the supremum's stability
+    (within 10 percent) is recorded; it stays None when both suprema are
+    0, which says nothing about the trace.
+    """
+    if raster.empty:
+        raise EmptyFiberError("empty raster")
+    nodes, weights = boundary_quadrature(raster.spec, raster.t)
+    if weights.size == 0:
+        raise DegenerateGeometryError("no quadrature line crosses the boundary")
+    ratios = _trace_ratios(raster, p, battery, nodes, weights)
     sup = max(ratios.values())
 
     doubled = None
     stable = None
     if doubling:
         r2 = rasterize(raster.spec, raster.t, raster.resolution * 2)
-        rep2 = trace_ratio_battery(r2, p, battery, doubling=False)
-        doubled = rep2.supremum
+        doubled = max(_trace_ratios(r2, p, battery, nodes, weights).values())
         if max(sup, doubled) > 0.0:
             stable = abs(doubled - sup) <= 0.1 * sup
     return TraceReport(

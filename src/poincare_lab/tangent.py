@@ -1,12 +1,13 @@
 """Boundary sampling, regular-direction margins, and direction search.
 
 Boundary points are the cuts where membership flips along axis-parallel
-scan lines; the cuts come from ``raster.line_cuts``, the exact line kernel
-that thickness is measured with too.  Each flip is a root of one atom,
-which the kernel names, and that atom's normalized gradient is the
-sample's normal; a flip where the gradient vanishes (a degenerate atom) is
-dropped.  Random scan lines meet a corner or a cusp tip with probability
-zero, so no further test guards them.  The margin of a
+scan lines; they come from ``raster._crossings`` on ``raster.line_cuts``,
+the exact line kernel that thickness and the trace's boundary quadrature
+are measured with too.  Each flip is a root of one atom, which the kernel
+names, and that atom's normalized gradient is the sample's normal; a flip
+where the gradient vanishes (a degenerate atom) is dropped, and so is a
+run's end on a box face.  Random scan lines meet a corner or a cusp tip
+with probability zero, so no further test guards them.  The margin of a
 direction is the smallest |<direction, normal>| over the samples, and the
 direction search scans a deterministic antipodally-reduced lattice of
 candidates.
@@ -22,10 +23,8 @@ import numpy as np
 
 from .dsl import DomainSpec
 from .errors import EmptySamplesError, StratumTooThinWarning, jsonable
-from .raster import _BLOCK_POINTS, line_cuts
+from .raster import _BLOCK_POINTS, _crossings
 
-# gradients shorter than this give no reliable normal
-_MIN_GRAD_NORM = 1e-8
 # a best pooled margin below this is no regular direction
 _MIN_ALPHA = 1e-2
 # default boundary samples per fiber, and candidate directions per search
@@ -54,10 +53,10 @@ def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) ->
     """Sample smooth boundary points of the fiber at ``t``.
 
     Scan lines run parallel to each axis at seeded-random transverse
-    offsets inside the bounding box; the cuts of ``raster.line_cuts`` where
-    membership flips are the candidate points, each a root of the atom the
-    kernel names.  Points where that atom's gradient norm is at least 1e-8
-    become samples with the normalized gradient as normal.
+    offsets inside the bounding box; their crossings (``raster._crossings``,
+    which the trace's boundary quadrature reads too) are the samples: each
+    a root of the atom the kernel names, with that atom's unit gradient as
+    normal.  Box-face crossings are no samples.
     A ``StratumTooThinWarning`` is raised when fewer than count/10 samples
     survive.
     """
@@ -70,32 +69,16 @@ def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) ->
     # a 1D box admits a single distinct scan line
     lines_per_axis = 1 if dim == 1 else max(1, count // (2 * dim))
 
-    all_pts, all_atoms = [], []
-    for axis, direction in enumerate(np.eye(dim)):
+    found = []
+    for axis in range(dim):
         origins = np.empty((lines_per_axis, dim))
         for j in range(dim):
             lo, hi = box[j]
             origins[:, j] = lo if j == axis else rng.uniform(lo, hi, lines_per_axis)
-        width = np.full(lines_per_axis, box[axis][1] - box[axis][0])
-        cuts, inside, atoms = line_cuts(spec, t, origins, direction, np.zeros(lines_per_axis), width)
-        line, piece = np.nonzero(inside[:, 1:] != inside[:, :-1])
-        all_pts.append(origins[line] + cuts[line, piece + 1][:, None] * direction)
-        all_atoms.append(atoms[line, piece])
-
-    pts, atom_ids = np.concatenate(all_pts, axis=0), np.concatenate(all_atoms)
-    grads = np.zeros_like(pts)
-    keep = np.zeros(pts.shape[0], dtype=bool)
-    for j, atom in enumerate(spec.atoms):
-        rows = atom_ids == j
-        if not rows.any():
-            continue
-        g = atom.gradient_values(spec._coords(t, pts[rows])).T
-        norms = np.linalg.norm(g, axis=1)
-        ok = norms >= _MIN_GRAD_NORM
-        g[ok] /= norms[ok][:, None]
-        grads[rows] = g
-        keep[rows] = ok
-    pts, grads, atom_ids = pts[keep], grads[keep], atom_ids[keep]
+        pts, atom_ids, normals = _crossings(spec, t, origins, axis)
+        on_atom = atom_ids >= 0
+        found.append((pts[on_atom], normals[on_atom], atom_ids[on_atom]))
+    pts, grads, atom_ids = (np.concatenate(a) for a in zip(*found))
 
     if pts.shape[0] < count / 10:
         msg = (

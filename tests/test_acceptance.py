@@ -16,16 +16,18 @@ import pytest
 from scipy.special import jn_zeros
 
 from poincare_lab import (
-    boundary_polyline,
+    boundary_quadrature,
+    build_gradient,
     cell_decompose_2d,
     discrete_column_inequality,
     find_regular_direction,
     grid_points,
+    lp_norm,
     poincare_p2,
-    polyline_length,
     rasterize,
     sweep,
     thickness,
+    thickness_discrete,
     trace_ratio_battery,
     verify_thickness_bound,
     verify_thickness_volume_bound,
@@ -113,6 +115,43 @@ def test_criterion_03_exact_discrete_inequality(corpus65):
                 worst = max(worst, rec.data["worst_ratio"])
     assert worst <= 1.0
     print(f"[criterion 03] PASS exact discrete inequality: worst ratio {worst:.6f}")
+
+
+def _longest_run(interior, axis):
+    """Grid indices of the first longest run of interior cells along
+    ``axis``."""
+    m = np.moveaxis(interior, axis, -1)
+    rows = m.reshape(-1, m.shape[-1])
+    edge = np.diff(np.pad(rows, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    row, start = np.nonzero(edge == 1)
+    length = np.nonzero(edge == -1)[1] - start
+    i = int(np.argmax(length))
+    flat = row[i] * m.shape[-1] + start[i] + np.arange(length[i])
+    cells = list(np.unravel_index(flat, m.shape))
+    cells.insert(axis, cells.pop())  # the last axis of m is the grid's ``axis``
+    return tuple(cells)
+
+
+def test_criterion_03_extremal_fields_reach_the_column_constant(corpus65):
+    # on the longest run of n cells, with T = thickness_discrete = n h, the
+    # indicator gives ||u||_1 / (T ||D u||_1) = 1/2 and the first sine mode
+    # gives 1 / (2 n sin(pi / (2n + 2))) at p = 2, the discrete column
+    # constants; a T that is too large fails both
+    for name, t, raster in corpus65:
+        op = build_gradient(raster)
+        for axis in range(2):
+            T = thickness_discrete(raster, axis)
+            cells = _longest_run(raster.interior, axis)
+            n = cells[0].size
+            sine = np.sin(math.pi * np.arange(1, n + 1) / (n + 1))
+            c2 = 1.0 / (2 * n * math.sin(math.pi / (2 * n + 2)))
+            for p, profile, want in ((1.0, np.ones(n), 0.5), (2.0, sine, c2)):
+                grid = np.zeros(raster.counts)
+                grid[cells] = profile
+                u = grid[raster.interior]
+                du = lp_norm(np.abs(op.apply(u)[axis])[None, :], p, raster)
+                ratio = lp_norm(u, p, raster) / (T * du)
+                assert abs(ratio - want) <= 1e-12, (name, t, axis, p, ratio, want)
 
 
 def test_criterion_04_thickness_oracles(specs):
@@ -215,7 +254,7 @@ def test_criterion_08_cell_decomposition(specs):
         r = rasterize(specs[name], (), 512)
         vol_cells = cx.inside_volume()
         vol_raster = volume(r)
-        glen = polyline_length(boundary_polyline(r))
+        glen = float(boundary_quadrature(specs[name], ())[1].sum())
         tol = max(0.03 * vol_raster, 10.0 * r.h * glen)
         assert abs(vol_cells - vol_raster) <= tol, (name, vol_cells, vol_raster, tol)
         lines.append(f"{name}: {got} cells, vol gap {abs(vol_cells - vol_raster):.1e}")
@@ -231,15 +270,13 @@ def test_criterion_09_trace_battery(specs):
     assert abs(rep.doubled_supremum - rep.supremum) <= 0.10 * rep.supremum
 
     # the near-boundary-supported bumps must have negligible trace
-    segs = boundary_polyline(r)
-    mids = 0.5 * (segs[:, 0] + segs[:, 1])
-    weights = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1)
+    nodes, weights = boundary_quadrature(specs["disk"], ())
     inter = r.centers()[r.interior]
     w_cell = r.h**2
     bump_worst = 0.0
     for name, fn in _battery_functions(r, "bump"):
         n_p = float(np.sum(np.abs(fn(inter)) ** 2) * w_cell) ** 0.5
-        n_b = float(np.sum(np.abs(fn(mids)) ** 2 * weights)) ** 0.5
+        n_b = float(np.sum(np.abs(fn(nodes)) ** 2 * weights)) ** 0.5
         assert n_p > 0.0
         assert n_b <= 1e-3 * n_p, (name, n_b, n_p)
         bump_worst = max(bump_worst, n_b / n_p)

@@ -428,7 +428,7 @@ GOLDEN = {
         ["trace", "--spec", "disk", "--res", "64"],
         0,
         {
-            "report.json": "6466303dbbf301c1b9f8a01b06ca46c53116e7eec5ef5f0f333c97c5654731ac",
+            "report.json": "6a21b13ee088af75d021f5e62745d686c4b443d7dde0f7fe000d5ca440f4282b",
         },
     ),
     "raster": (
@@ -634,15 +634,15 @@ def test_bad_jobs_is_usage_error_on_every_command(tmp_path, argv):
     assert not (out / "mask.bin").exists()
 
 
-def test_trace_3d_is_usage_error(tmp_path):
+def test_trace_3d_ball_report(tmp_path):
     ball = tmp_path / "ball.dom"
     ball.write_text(
         "dim 3\nbox [-1.5,1.5]x[-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 - z^2 > 0\n"
     )
     code, report, _ = run(tmp_path, "trace", "--spec", str(ball), "--res", "8")
-    assert code == 2
-    assert report["status"] == "usage_error"
-    assert report["error"]["type"] == "NotImplementedError"
+    assert report["error"] is None
+    assert code == 0
+    assert set(report["ratios"]) >= {"one", "x2", "x2^2"}
 
 
 def test_cli_import_loads_no_scipy():

@@ -182,33 +182,33 @@ GOLDEN_SPECS = {
 
 # a change in any bit the dsl layer computes changes these digests
 GOLDEN_DSL_DIGESTS = {
-    "annulus": "739ab2cb4f32120840dc36842d8af8ec926ac233ec846e0b696cab75a9c6bc80",
-    "cusp": "12290eab3858f0f6383ca1737514d7fcdcdc3c30793aaab231a63bb028153b1a",
-    "disk": "a2d93d8d1f8e4b29397ce91352140ab080e59c87bed09235304ac2f3f81553ae",
-    "ellipse": "2616ea7c2168fc3c2f075b6431f311a1a8ed79ea6f06d1c589340dad24743c67",
-    "interval": "46eb34f73f797929320872c4f80bef0f05b33903257e3dc3e3a6fa22012e51dd",
-    "rect2x1": "fafd2132ff95270a31ad225844a6d8e73dd4eef3787ff1b1b27f5e392967314a",
-    "shrink_disk": "d51bb0ca66e88a6fc5c937d3fd0dbee19c849b798d438dfa2249551c6a0d8d28",
-    "slit_disk": "30dade119d0b61909e30687f9282f480e5ffd6585d96343fee2788bd2cc16e7b",
-    "split_disk": "69e6ff71aebd1f42d5d51378d486468c4913c6d311bb71812ce68c165d6ddc71",
-    "square": "fcdb4020fae5eddfeee17958f15d47dc14a4d704bf1285c6466516728216fbfc",
-    "strip": "f5d479c172c80699ea1d64dc2f0f53a9238e2f71f622cf2052b0b9f55175b646",
-    "tiny_disk": "d8896dc7cf01520d2652de5c67b2f48cd2f80b425eb4f956d0907c313eb36480",
-    "two_bars": "568fdd81adf872813842bd2e2eaf899c2ea45ac87b00e09fb3aea9adf8046dfa",
-    "two_disks": "bad9b7bbe136b6aae134ae5ea718d6377f692b1a01548dccf9fd202c1ea3ee65",
-    "nested": "a2aace881d85f5c7032eac97a78daa869714c9a1090d77794dd7e9c8133bac87",
-    "repeated": "32fdd7eca8ea598ccb0b019fabc22a9a6a5305f5ee277fc51bda02aaa594dad2",
-    "neq": "7e7647461ab2b6c150e5459010cce68f71dd57d95c0150d9902e4c5a7038c1f8",
-    "two_params": "fb98ab1b63a06cd80771644b64d48ced944c7f2e5aafd66e42efec7777c54906",
-    "oneline": "63fa33155eb4e840761c62d10222f52f63724dd81be5ea78a63dc2a24c60c546",
-    "ball3d": "129082597e7f98fdd8c72eb10c0c4b8816c70c91f0ac9e4844d2250a50d0a409",
-    "linear": "faa35f2ad563e6e13a62f0a26312a42d203bcf91643cf32986cf172905a5bead",
+    "annulus": "39cc6164ab8ded0f3e4de41a73b592a822d54c3ee8d9616dff3f5769ed9653d5",
+    "cusp": "cc889e7ea20f60222d4171c2b7e865dca6424d8e4b83ec4eb9fdd259c1619d42",
+    "disk": "52d5e405bd07a6769e153723340732abe0758cec8f33afaae48af405e3b39a66",
+    "ellipse": "a25d22928f2899e3eb03ea1cb246aaef92a4f11bfee7d90e9bbc70590e96f6a4",
+    "interval": "88d71a6bcc4d89495262e3588d79412c9eea6ad15b9cd7946569324d8dabee8a",
+    "rect2x1": "d0114e6ae1638ae67be48eafa0d54a87eaf6795f6fb1fb5dcf77fb02d05d19d3",
+    "shrink_disk": "730c8fba30eefcb1745f8779e708dd06df4f639fb8cb533245a4dc9715d492b4",
+    "slit_disk": "269cd567ce599146321b058021503066a5a99ed3736af06d985fc3925d9b3e1f",
+    "split_disk": "821e83c906f8f234254b3f52c04b14baf2e7eb2c8d74e3127761510210e339a5",
+    "square": "a2f99ad5fe1c3d0fd6c2578cfe1539c0b603c25ab90ef9269f0ea6eac7d80903",
+    "strip": "16593e1f0517dd613c66687ca0701806cbd9380f4c511089b8754260f8c6b7c0",
+    "tiny_disk": "e2e74aac42a2198a2624eec42c08630353b958f0690914da2275e20c524b22bd",
+    "two_bars": "2ec4813c82edb9e3e2b61c8a7dfea806c567e90a74875af208c9bd98ffb428cf",
+    "two_disks": "9dd49cc158cfd5596542329133f0572a912ad3a7eba0e14ee5abfe7170b681e8",
+    "nested": "cf74d63c558e4687e035eea5ca0137eccb5e0796e75f60fd94ab2c1e5043e09f",
+    "repeated": "974ac6470e9af1bea77c40b6c6a939e2b4c67a2db68f53a3e56b4918660737f8",
+    "neq": "e4bbbd845bedf4efec38b62f597605cdaf9e5939019f3401a953f9b13645ba03",
+    "two_params": "61c79c7a6842e6b7b0c0bc24071d2bf558635516766348e31af2e6af03adbe93",
+    "oneline": "d59d4426f2e87e8303afec7607dcccde886e568eda92197f29391a6a00405af0",
+    "ball3d": "838e3bc070aaa8cd5e58c67cb04372de96474ae9118e8e0b1c822495349684c1",
+    "linear": "fb2ce55de8ec4e17d2611340e45bd600a9871e5469c6ccef16b764699d7f85fe",
 }
 
 
 def _dsl_digest(spec) -> str:
-    """sha256 of the canonical text and of membership, margins, atom values
-    and gradients at seeded points, (4, 64, dim)-shaped and flat."""
+    """sha256 of the canonical text and of membership, atom values and
+    gradients at seeded points, (4, 64, dim)-shaped and flat."""
     dim = spec.ambient_dim
     lo, hi = np.array(spec.bounding_box).T
     pad = 0.1 * (hi - lo)
@@ -226,7 +226,6 @@ def _dsl_digest(spec) -> str:
     for t in (corner, middle):
         for pts in (shaped, flat):
             add(spec.member_points(t, pts))
-            add(spec.margin_points(t, pts))
             coords = [pts[..., i] for i in range(dim)] + [np.float64(v) for v in t]
             for atom in spec.atoms:
                 add(atom.values(coords))

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from poincare_lab import (
-    boundary_points_1d,
-    boundary_polyline,
+    boundary_quadrature,
     longest_chord,
     parse_domain,
-    polyline_length,
     rasterize,
     thickness,
     thickness_discrete,
@@ -380,20 +378,30 @@ def test_thickness_discrete_axis_range(disk128):
         thickness_discrete(disk128, 2)
 
 
-def test_boundary_polyline_disk_length(disk128):
-    segs = boundary_polyline(disk128)
-    length = polyline_length(segs)
-    assert abs(length - 2.0 * math.pi) / (2.0 * math.pi) < 0.01
-    # every vertex lies near the unit circle
-    pts = segs.reshape(-1, 2)
-    radii = np.linalg.norm(pts, axis=1)
-    assert np.max(np.abs(radii - 1.0)) < 2.0 * disk128.h
+def test_boundary_quadrature_disk_length(specs):
+    nodes, weights = boundary_quadrature(specs["disk"], ())
+    assert abs(weights.sum() - 2.0 * math.pi) / (2.0 * math.pi) < 0.01
+    # every node is an exact root on the unit circle
+    assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) < 1e-12
 
 
-def test_boundary_points_1d(interval64):
-    pts = boundary_points_1d(interval64)
-    assert pts.shape == (2,)
-    assert pts == pytest.approx([0.0, 1.0], abs=1e-9)
+def test_boundary_quadrature_interval_nodes(specs):
+    nodes, weights = boundary_quadrature(specs["interval"], ())
+    assert nodes.tolist() == [[0.0], [1.0]]
+    assert weights.tolist() == [1.0, 1.0]
+
+
+def test_boundary_quadrature_exact_measures_and_box_faces(specs):
+    # flat faces are exact, and so is a box face that closes a fiber: the
+    # cusp(0.5) boundary within its box is the bottom edge, the curve
+    # y = x^2 / 2 and the piece 0 < y < 1/2 of the face x = 1
+    _, square = boundary_quadrature(specs["square"], ())
+    assert abs(square.sum() - 4.0) <= 1e-12
+    _, cusp = boundary_quadrature(specs["cusp"], (0.5,))
+    exact = 1.0 + 0.5 + (math.sqrt(2.0) + math.asinh(1.0)) / 2.0
+    assert cusp.sum() == pytest.approx(exact, rel=1e-5)
+    _, ball = boundary_quadrature(parse_domain(BALL), ())
+    assert ball.sum() == pytest.approx(4.0 * math.pi, rel=5e-4)
 
 
 def test_write_pgm(tmp_path, disk128):

@@ -15,12 +15,10 @@ import scipy.sparse.linalg
 
 from poincare_lab import sobolev
 from poincare_lab import (
-    boundary_points_1d,
-    boundary_polyline,
+    boundary_quadrature,
     build_gradient,
     discrete_column_inequality,
     lp_norm,
-    margin_field,
     parse_domain,
     poincare_constant,
     poincare_general_p,
@@ -716,14 +714,16 @@ def test_trace_interval(interval64):
     assert rep.stable is True
 
 
-def test_trace_3d_not_implemented():
+def test_trace_3d_cube_constant_ratio():
     cube = parse_domain(
         "dim 3\nbox [0,1]x[0,1]x[0,1]\n"
         "set: x>0 and 1-x>0 and y>0 and 1-y>0 and z>0 and 1-z>0\n"
     )
     r = rasterize(cube, (), 8)
-    with pytest.raises(NotImplementedError):
-        trace_ratio_battery(r, 2.0)
+    assert r.interior_count == 512
+    # the constant's ratio is sqrt(area / volume) = sqrt(6 / 1)
+    rep = trace_ratio_battery(r, 2.0)
+    assert abs(rep.ratios["one"] - math.sqrt(6.0)) <= 1e-12
 
 
 def test_trace_rejects_unknown_battery(square64):
@@ -739,24 +739,12 @@ _THREE_INTERVALS = (
     "set: (x - 0.1 > 0 and 0.25 - x > 0) or (x - 0.4 > 0 and 0.6 - x > 0)"
     " or (x - 0.75 > 0 and 0.9 - x > 0)\n"
 )
-# at resolution 64 the origin is the centre of a marching square, and for
-# |c| < (h/2)^2 the sign of s*x*y - c alternates around its corners: one
-# saddle square, case 5 for s = 1 and 10 for s = -1, its centre inside for
-# c < 0 and outside for c > 0
+# the origin is a saddle of s*x*y - c, where the boundary's two branches
+# nearly meet, between them for c < 0 and c > 0
 _SADDLE = (
     "dim 2\nparams c in [-1, 1], s in [-1, 1]\nbox [-1, 1] x [-1, 1]\n"
     "set: s*x*y - c > 0 and x^2 + y^2 < 0.9\n"
 )
-
-
-def _saddle_squares(r):
-    """(case, centre inside) of every saddle square of the marching grid."""
-    F = margin_field(r)
-    c = (F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:])
-    case = sum((v > 0.0).astype(int) << k for k, v in enumerate(c))
-    centre = ((c[0] + c[1]) + c[2]) + c[3] > 0.0
-    saddle = (case == 5) | (case == 10)
-    return sorted(zip(case[saddle].tolist(), centre[saddle].tolist()))
 
 
 def _trace_digest(r):
@@ -772,61 +760,64 @@ def _trace_digest(r):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# Exact boundary extraction and trace ratios at resolution 64: the 2D cases
-# pin the shape and sha256 of the polyline bytes, the 1D case its crossings,
-# and every case the digest of float.hex of every ratio of every battery at
-# p in {1.5, 2, 3}.
+# Exact boundary quadrature and trace ratios at resolution 64: the 2D cases
+# pin the node shape and the sha256 of the node and weight bytes, the 1D
+# case its nodes (each of weight 1), and every case the digest of float.hex
+# of every ratio of every battery at p in {1.5, 2, 3}.  The saddle ids read
+# s = 1 as case5 and s = -1 as case10, c > 0 as out and c < 0 as in.
 @pytest.mark.parametrize(
-    "name,t,saddles,boundary,trace",
+    "name,t,boundary,trace",
     [
         (
-            "disk", (), [],
-            ((168, 2, 2), "4710b71fecebcb2ca6895ca1e810417320a560e7e9d9fffa702ca51587beace1"),
-            "59aae3a73ff0208d792832fcb6827521865dfc0809908a1420a13c1bd60a2aaa",
+            "disk", (),
+            ((1368, 2), "4aa94fc58f4e078f0ccb6ad29b69d7ff4b4412ff55c24661ea798d4b92935fef"),
+            "5fca7c30f67902f38609e675907eda621c130105498114976fcdca1839643772",
         ),
         (
-            "annulus", (), [],
-            ((256, 2, 2), "e2dbc93d1466b6fc7894b32e47fe29fae7a7e3733a100104b7e094a245d19263"),
-            "ea1b415c003b744d42faeb181f758a56e8a0bb2e7ad60873c1ca6dde1c944e9a",
+            "annulus", (),
+            ((2048, 2), "45fbfa547417b22af11979921ec86cd57237619d6fb144248cdd8157851869d8"),
+            "7fc6b97c64c705a212113500d6b9fffb0ed8d5cd03174d08eeea193058d9ec1e",
         ),
         (
-            "three_intervals", (), None,
+            "three_intervals", (),
             [
-                "0x1.999999999999ap-4", "0x1.0000000000000p-2", "0x1.999999999999ap-2",
-                "0x1.3333333333333p-1", "0x1.8000000000000p-1", "0x1.ccccccccccccdp-1",
+                "0x1.9999999999998p-4", "0x1.fffffffffffffp-3", "0x1.999999999999ap-2",
+                "0x1.3333333333333p-1", "0x1.8000000000000p-1", "0x1.cccccccccccccp-1",
             ],
-            "809e754bd1952646a27f30efe5c75c477ff088d04385a13691cb9de0de281620",
+            "bd7abe20565ca3b95b94c936a862fa333ce788d6859bf7dda46f6f3a16b25190",
         ),
         (
-            "saddle", (1e-4, 1.0), [(5, False)],
-            ((240, 2, 2), "09514cc004d59d3bbca5683ee5656716dc209c7a5cd9d1a928781c1f973bd0d7"),
-            "df7da23666e48d8a84608e43f3b596a698c6f24631c8de02f2a3d042fe975e3b",
+            "saddle", (1e-4, 1.0),
+            ((1944, 2), "844ad4017e8f8ba623809f003e43a0ddc3e20311025a3a443410aa25759a40f9"),
+            "f7201a8b73fc61c1108330bd80c620bf1468a476404dfecf5053c914792e83d6",
         ),
         (
-            "saddle", (-1e-4, 1.0), [(5, True)],
-            ((240, 2, 2), "c3a829cff3df6eff815326c2b92ed81764d160d1a7f2d637a3071406d011f458"),
-            "642cc4ace336d5f384c9a38c1534d5a2f2cca0c6fbf3c309d829849940e99afb",
+            "saddle", (-1e-4, 1.0),
+            ((1944, 2), "69924abc94e7613a0721c565ae2137f4870cd7c4e206edd8641aaeb4bbc28cce"),
+            "ef277b52cc30a11b9e36b4a0e90b95641d96ec839ee40b0e8ec8231a2f4de658",
         ),
         (
-            "saddle", (1e-4, -1.0), [(10, False)],
-            ((240, 2, 2), "de5a79bd7bebed8ac5ed19ffdac0757abc0eb3ea99cd8dfb91b138cb0425c38d"),
-            "4c51e94546b3ab60136ea5c1e3252be3f9921a6e4135001f16662773dcae50d6",
+            "saddle", (1e-4, -1.0),
+            ((1944, 2), "dc1109f1327b175ac4aac12cd055b5270f61148ba7a7cd69d56ca75aef45816c"),
+            "54ffb1cf993990ce3b2e29404bb03a1d5a3d42ac6ac410bae8cdd7fe2b3cc6da",
         ),
         (
-            "saddle", (-1e-4, -1.0), [(10, True)],
-            ((240, 2, 2), "2bd90cefb46feecbd7f58b98038ab0e3b439edc9105381e829e80d6b8c13dd32"),
-            "9739b5974855e927c7c030e0986aa97ed6a8530996485d02b232e1c985fd4c34",
+            "saddle", (-1e-4, -1.0),
+            ((1944, 2), "0c54cbf96eaf73d163f67ab53356b33f5de08615ad9fb8ff89950208e87c727b"),
+            "331f789cbeefce2d10913690a589660302e37ec61c6b0925737fbb31abe7bd94",
         ),
     ],
     ids=["disk", "annulus", "three_intervals", "case5_out", "case5_in", "case10_out", "case10_in"],
 )
-def test_boundary_and_trace_golden_bits(specs, name, t, saddles, boundary, trace):
+def test_boundary_and_trace_golden_bits(specs, name, t, boundary, trace):
     text = {"three_intervals": _THREE_INTERVALS, "saddle": _SADDLE}.get(name)
-    r = rasterize(parse_domain(text) if text else specs[name], t, 64)
-    if r.dim == 1:
-        assert [v.hex() for v in boundary_points_1d(r)] == boundary
+    spec = parse_domain(text) if text else specs[name]
+    nodes, weights = boundary_quadrature(spec, t)
+    if spec.ambient_dim == 1:
+        assert [v.hex() for v in nodes[:, 0]] == boundary
+        assert weights.tolist() == [1.0] * len(boundary)
     else:
-        segs = boundary_polyline(r)
-        assert _saddle_squares(r) == saddles
-        assert (segs.shape, hashlib.sha256(segs.tobytes()).hexdigest()) == boundary
+        digest = hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest()
+        assert (nodes.shape, digest) == boundary
+    r = rasterize(spec, t, 64)
     assert _trace_digest(r) == trace

@@ -107,12 +107,6 @@ class RasterDomain:
     def axis_centers(self, axis: int) -> np.ndarray:
         return _axis_centers(self.origin[axis], self.h, self.counts[axis])
 
-    def centers(self) -> np.ndarray:
-        """All cell centers, shape ``counts + (dim,)``."""
-        axes = [self.axis_centers(i) for i in range(self.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
-
 
 def _axis_centers(origin: float, h: float, count: int) -> np.ndarray:
     return origin + (np.arange(count) + 0.5) * h

@@ -266,9 +266,14 @@ def _coarsen(raster: RasterDomain) -> RasterDomain:
 def _matvec(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``A @ x`` for a CSR matrix, written into ``out`` instead of a new
     array.  It runs the kernel that ``A @ x`` runs, which adds into its
-    output, on ``out`` zeroed first, so the bits are those of ``A @ x``."""
-    from scipy.sparse._sparsetools import csr_matvec  # deferred: slow to import
-
+    output, on ``out`` zeroed first, so the bits are those of ``A @ x``.
+    That kernel is private to scipy; where a release moves it, ``out``
+    takes a copy of ``A @ x``, the same bits at the cost of an allocation."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvec  # deferred: slow to import
+    except ImportError:
+        np.copyto(out, A @ x)
+        return out
     out.fill(0.0)
     csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
     return out
@@ -815,19 +820,37 @@ def discrete_column_inequality(
 # ---------------------------------------------------------------------------
 
 
-def _one_sided_gradient(raster: RasterDomain, vals_grid: np.ndarray) -> np.ndarray:
-    """Per-axis derivative estimates using interior-to-interior differences
-    only (no zero extension): forward where possible, else backward, else 0.
-    Each face difference is formed once and kept where both its cells are
-    interior, as the tail cell's backward and the head cell's forward one."""
-    inter = raster.interior
-    out = np.zeros((raster.dim,) + raster.counts)
-    for ax, (head, tail, _, _) in enumerate(face_slices(raster.dim)):
-        both = inter[head] & inter[tail]
-        face = np.where(both, (vals_grid[tail] - vals_grid[head]) / raster.h, 0.0)
-        out[ax][tail] = face
-        np.copyto(out[ax][head], face, where=both)
-    return out
+def _trace_stencil(raster: RasterDomain):
+    """The interior cells as the trace battery sees them, built once per
+    raster, in the order of ``raster.interior``'s nonzeros: their centres,
+    shape (n_interior, dim); per axis the position ``nb`` of each cell's
+    one-sided neighbour, shape (dim, n_interior), which is the forward
+    neighbour if it is interior, else the backward one if that is, else
+    the cell itself; and per axis the positions ``back`` of the cells whose
+    neighbour is not the forward one."""
+    inter, dim = raster.interior, raster.dim
+    own = np.arange(np.count_nonzero(inter))
+    # ranks on the grid with one exterior cell more on every side, on which
+    # every cell has both neighbours along every axis
+    rank = np.full(tuple(c + 2 for c in raster.counts), -1, dtype=np.int32)
+    rank[np.pad(inter, 1)] = own
+    pts = np.empty((dim, own.size))
+    nb = np.empty((dim, own.size), dtype=own.dtype)
+    back = []
+    for ax in range(dim):
+        along = [1] * dim
+        along[ax] = -1
+        pts[ax] = np.broadcast_to(raster.axis_centers(ax).reshape(along), raster.counts)[inter]
+        shifted = [slice(1, -1)] * dim
+        shifted[ax] = slice(None, -2)
+        behind = rank[tuple(shifted)][inter]
+        shifted[ax] = slice(2, None)
+        ahead = rank[tuple(shifted)][inter]
+        nb[ax] = own
+        np.copyto(nb[ax], behind, where=behind >= 0)
+        np.copyto(nb[ax], ahead, where=ahead >= 0)
+        back.append(np.flatnonzero(ahead < 0))
+    return pts.T, nb, back
 
 
 def _battery_functions(raster: RasterDomain, battery: str):
@@ -922,16 +945,26 @@ class TraceReport:
 
 def _trace_ratios(raster: RasterDomain, p: float, battery: str, nodes, weights) -> dict:
     """The battery's ratios on ``raster``, the boundary norm from the
-    quadrature ``nodes`` and ``weights``."""
-    grid_pts = raster.centers().reshape(-1, raster.dim)
+    quadrature ``nodes`` and ``weights``.  Each gradient component is
+    ``(v[nb] - v) / h`` on the interior values ``v``, or ``(v - v[nb]) / h``
+    at the cells in ``back``, which is +0.0 where ``nb`` is the cell
+    itself; it is formed in one buffer that every function reuses."""
+    pts, nb, back = _trace_stencil(raster)
+    grad = np.empty(nb.shape)
     ratios = {}
     for name, fn in _battery_functions(raster, battery):
-        vals_grid = fn(grid_pts).reshape(raster.counts)
-        n_p = lp_norm(vals_grid[raster.interior], p, raster)
+        vals = fn(pts)
+        n_p = lp_norm(vals, p, raster)
         if n_p == 0.0:
             continue
-        g = _one_sided_gradient(raster, vals_grid)
-        n_w = n_p + lp_norm(g[:, raster.interior], p, raster)
+        for g, k, b in zip(grad, nb, back):
+            # every index is valid: "clip" only skips take's buffered check
+            np.take(vals, k, out=g, mode="clip")
+            g -= vals
+            g[b] = vals[b] - vals[k[b]]
+            g /= raster.h
+        del vals  # room for lp_norm's temporaries
+        n_w = n_p + lp_norm(grad, p, raster)
         n_b = float(np.sum(np.abs(fn(nodes)) ** p * weights)) ** (1.0 / p)
         ratios[name] = n_b / (n_p ** (1.0 - 1.0 / p) * n_w ** (1.0 / p))
     if not ratios:
@@ -945,9 +978,11 @@ def trace_ratio_battery(
     """Measure boundary-trace interpolation ratios for ambient smooth
     functions sampled without zero extension, in any dimension.
 
-    Each function is evaluated once on all cell centers, which gives both
-    its interior values and the one-sided interior differences; the
-    W-norm adds their ``lp_norm``s.  The boundary norm integrates |phi|^p
+    Everything happens on the interior cells only: each function is
+    evaluated once on their centres, and its one-sided interior
+    differences (forward where the forward neighbour is interior, else
+    backward, else 0) are gathered from those values; the W-norm adds
+    their ``lp_norm``s.  The boundary norm integrates |phi|^p
     with ``raster.boundary_quadrature``, the exact boundary of the fiber
     within its box, which does not depend on the raster: it is computed
     once and serves the doubled raster too.  When ``doubling`` is set, the

@@ -37,6 +37,7 @@ from poincare_lab import (
 from poincare_lab.errors import UnboundedDirectionError
 from poincare_lab.sobolev import _battery_functions
 from poincare_lab.tangent import BoundarySampleSet, margin, sample_boundary
+from test_sobolev import centre_grid
 
 # the fixed test corpus: every bounded 2D shape plus three cusp fibers
 CORPUS = [
@@ -271,7 +272,7 @@ def test_criterion_09_trace_battery(specs):
 
     # the near-boundary-supported bumps must have negligible trace
     nodes, weights = boundary_quadrature(specs["disk"], ())
-    inter = r.centers()[r.interior]
+    inter = centre_grid(r)[r.interior]
     w_cell = r.h**2
     bump_worst = 0.0
     for name, fn in _battery_functions(r, "bump"):

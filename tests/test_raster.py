@@ -20,13 +20,13 @@ from poincare_lab import (
 )
 from poincare_lab.errors import EmptyFiberError
 from poincare_lab.raster import _BLOCK_POINTS, line_cuts
-from test_sobolev import BALL
+from test_sobolev import BALL, centre_grid
 
 
 def test_raster_matches_pointwise_membership(specs):
     spec = specs["disk"]
     r = rasterize(spec, (), 8)
-    centers = r.centers()
+    centers = centre_grid(r)
     for idx in np.ndindex(r.counts):
         assert r.interior[idx] == spec.member_points((), centers[idx])
 
@@ -52,7 +52,7 @@ def test_rasterize_slabs_match_one_membership_call(specs, name, t, res):
     r = rasterize(spec, t, res)
     inner = (slice(1, -1),) * r.dim
     assert r.interior[inner].size > _BLOCK_POINTS
-    centers = r.centers()[inner]
+    centers = centre_grid(r)[inner]
     whole = spec.member_points(t, centers.reshape(-1, r.dim)).reshape(centers.shape[:-1])
     assert np.array_equal(r.interior[inner], whole)
     # and the apron stays exterior

@@ -33,13 +33,20 @@ from poincare_lab.errors import (
     SolverDivergedError,
     UnboundedDirectionError,
 )
-from poincare_lab.raster import RasterDomain
+from poincare_lab.raster import RasterDomain, face_slices
 
 BALL = "dim 3\nbox [-1.5,1.5]x[-1.5,1.5]x[-1.5,1.5]\nset: 1 - x^2 - y^2 - z^2 > 0\n"
+
 CUBE = (
     "dim 3\nbox [0,1]x[0,1]x[0,1]\n"
     "set: x > 0 and 1 - x > 0 and y > 0 and 1 - y > 0 and z > 0 and 1 - z > 0\n"
 )
+
+
+def centre_grid(r):
+    """Every cell centre of ``r``, shape ``r.counts + (r.dim,)``."""
+    axes = [r.axis_centers(i) for i in range(r.dim)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +209,7 @@ def test_grad_accepts_field_objects(square64):
     # any array-like of interior values is a field, a function sampled at
     # the interior points included
     op = build_gradient(square64)
-    x = square64.centers()[square64.interior][:, 0]
+    x = centre_grid(square64)[square64.interior][:, 0]
     assert np.array_equal(op.apply(x.tolist()), op.apply(x))
 
 
@@ -241,7 +248,7 @@ def test_lp_norm_homogeneity_and_vectors(square64, rng):
 
 def test_tent_gradient_norm(interval64):
     op = build_gradient(interval64)
-    q = interval64.centers()[interval64.interior]
+    q = centre_grid(interval64)[interval64.interior]
     tent = np.minimum(q[:, 0], 1.0 - q[:, 0])
     # |tent'| = 1 a.e. and the zero-extension jumps at the ends are O(h)
     for p in (1.0, 2.0):
@@ -389,6 +396,22 @@ def test_matvec_is_the_bytes_of_a_sparse_product(specs, name, t, res):
         out = np.full(level.A.shape[0], np.nan)
         assert sobolev._matvec(level.A, x, out) is out
         assert out.tobytes() == (level.A @ x).tobytes()
+
+
+def test_matvec_falls_back_to_a_sparse_product(specs, monkeypatch):
+    # a scipy release without the private kernel: _matvec copies A @ x,
+    # the same bytes, and the solve keeps its bits and step count
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
+    with pytest.raises(ImportError):
+        from scipy.sparse._sparsetools import csr_matvec  # noqa: F401
+    r = rasterize(specs["disk"], (), 60)
+    A = build_gradient(r).laplacian()
+    x = np.random.default_rng(60).normal(size=A.shape[0])
+    out = np.full(A.shape[0], np.nan)
+    assert sobolev._matvec(A, x, out) is out
+    assert out.tobytes() == (A @ x).tobytes()
+    est = poincare_p2(r)
+    assert (est.constant.hex(), est.iterations) == ("0x1.b2fa708f4ada6p-2", 9)
 
 
 def test_p2_solve_makes_no_allocating_sparse_product(specs, monkeypatch):
@@ -821,3 +844,60 @@ def test_boundary_and_trace_golden_bits(specs, name, t, boundary, trace):
         assert (nodes.shape, digest) == boundary
     r = rasterize(spec, t, 64)
     assert _trace_digest(r) == trace
+
+
+def _full_grid_trace_ratios(r, p, battery, nodes, weights):
+    # the trace kernel as it was on the whole grid: every function on every
+    # cell centre, and each face difference kept where both cells are
+    # interior, as the tail cell's backward and the head cell's forward one
+    inter = r.interior
+    grid_pts = centre_grid(r).reshape(-1, r.dim)
+    ratios = {}
+    for name, fn in sobolev._battery_functions(r, battery):
+        vals = fn(grid_pts).reshape(r.counts)
+        n_p = lp_norm(vals[inter], p, r)
+        if n_p == 0.0:
+            continue
+        g = np.zeros((r.dim,) + r.counts)
+        for ax, (head, tail, _, _) in enumerate(face_slices(r.dim)):
+            both = inter[head] & inter[tail]
+            face = np.where(both, (vals[tail] - vals[head]) / r.h, 0.0)
+            g[ax][tail] = face
+            np.copyto(g[ax][head], face, where=both)
+        n_w = n_p + lp_norm(g[:, inter], p, r)
+        n_b = float(np.sum(np.abs(fn(nodes)) ** p * weights)) ** (1.0 / p)
+        ratios[name] = n_b / (n_p ** (1.0 - 1.0 / p) * n_w ** (1.0 / p))
+    return ratios
+
+
+def _isolated_cells(specs):
+    # an isolated interior cell (no face), a row with forward and backward
+    # faces only, and a cell on the grid edge
+    interior = np.zeros((8, 8), dtype=bool)
+    interior[2, 2] = True
+    interior[5, 2:6] = True
+    interior[0, 7] = True
+    return RasterDomain(spec=specs["square"], t=(), h=0.125, origin=(0.0, 0.0), interior=interior)
+
+
+@pytest.mark.parametrize(
+    "name,t,res",
+    [("interval", (), 64), ("disk", (), 64), ("annulus", (), 64), ("cusp", (0.5,), 64),
+     ("two_disks", (), 64), ("ball", (), 16), ("isolated", (), 0)],
+    ids=["interval", "disk", "annulus", "cusp", "two_disks", "ball", "isolated"],
+)
+def test_trace_ratios_are_the_full_grid_bits(specs, name, t, res):
+    # the interior-only kernel makes the same float operations on the same
+    # operands as the full-grid one, so every ratio has the same bits
+    spec = parse_domain(BALL) if name == "ball" else specs.get(name, specs["square"])
+    r = _isolated_cells(specs) if name == "isolated" else rasterize(spec, t, res)
+    nodes, weights = boundary_quadrature(spec, t)
+    for battery in ("polynomial", "trigonometric", "bump"):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            want = _full_grid_trace_ratios(r, p, battery, nodes, weights)
+            if not want:
+                with pytest.raises(DegenerateGeometryError):
+                    sobolev._trace_ratios(r, p, battery, nodes, weights)
+                continue
+            got = sobolev._trace_ratios(r, p, battery, nodes, weights)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}

@@ -208,17 +208,27 @@ def check_tol(tol: float) -> None:
 def lp_norm(arr, p: float, raster: RasterDomain) -> float:
     """L^p norm with cell-volume weights.  1D arrays are scalar fields;
     2D arrays (components, cells) are vector fields measured with the
-    per-cell euclidean magnitude."""
+    per-cell euclidean magnitude.
+
+    One or two n-sized work arrays, all later steps in place: under a low
+    mmap threshold every fresh array faults its pages in again.  The
+    caller's array is only read."""
     check_p(p)
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         mag = np.abs(a)
     elif a.ndim == 2:
-        mag = np.sqrt(np.sum(a * a, axis=0))
+        # squared components added in axis order, as np.sum(a * a, axis=0)
+        mag = np.multiply(a[0], a[0])
+        tmp = np.empty_like(mag)
+        for c in a[1:]:
+            mag += np.multiply(c, c, out=tmp)
+        np.sqrt(mag, out=mag)
     else:
         raise ValueError("expected a scalar or vector field array")
+    mag **= p  # in place, through the same scalar-power path as **
     w = raster.h**raster.dim
-    return float(np.sum(mag**p) * w) ** (1.0 / p)
+    return float(np.sum(mag) * w) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +496,28 @@ _FINAL_ITER = 3000  # descent steps at the declared kink smoothing
 _LBFGS_PAIRS = 5  # (s, y) pairs behind each L-BFGS direction
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Pairwise-summed dot product: its bits do not depend on the BLAS
+    thread count, as those of ``a @ b`` do above about 10000 entries."""
+    return float(np.multiply(a, b).sum())
+
+
 class _Ratio:
     """Smoothed Rayleigh ratio R(u) = ||grad u||_p / ||u||_p of one field
-    on one operator, at one p and field smoothing.
+    on one operator, at one p and field smoothing, and the gradient of the
+    normalized functional f(v) = R(v / ||v||_p) that the descent minimizes.
 
     The gradient magnitude is smoothed by ``eps_g``, which the caller
     anneals at p = 1; the field smoothing eps_u stays at the declared kink
     scale, since inflating it rescales the denominator and degenerates the
-    functional.  The scalars are finished as Python floats, whose ``**`` is
-    libm ``pow`` (numpy's can differ in the last bit).  The full-grid
-    arrays live in scratch buffers allocated once: fresh ones per call
-    fault their pages in again whenever the allocator has handed the
-    memory back in between.
+    functional.  While ``eps_g`` is large, R is not scale-invariant, so
+    the gradient of f is not that of R.  ``value`` differences the field
+    once and leaves its terms in the buffers, and ``grad`` reads them
+    there, so a point's gradient costs no second stencil.  The scalars are
+    finished as Python floats, whose ``**`` is libm ``pow`` (numpy's can
+    differ in the last bit).  The arrays live in scratch buffers allocated
+    once: fresh ones per call fault their pages in again whenever the
+    allocator has handed the memory back in between.
     """
 
     def __init__(self, op: GradientOperator, p: float, eps_u: float):
@@ -509,10 +529,22 @@ class _Ratio:
         self._comps = np.empty((r.dim, r.interior.size))
         self._m2 = np.empty(r.interior.size)
         self._tmp = np.empty(r.interior.size)
+        self._u2 = np.empty(r.interior_count)
+        self._upow = np.empty(r.interior_count)
+        self._Ng = self._Nu = None
 
-    def _terms(self, u: np.ndarray, eps_g: float):
-        """R, ||u||_p and the terms ``value_and_grad`` reuses."""
-        p, h_w, tmp = self.p, self.h_w, self._tmp
+    def norm(self, u: np.ndarray) -> float:
+        """||u||_p with the field smoothing, from the field alone: no
+        stencil.  Leaves u * u + eps_u^2 in its buffer."""
+        U2 = np.multiply(u, u, out=self._u2)
+        U2 += self.eps_u * self.eps_u
+        np.copyto(self._upow, U2)
+        self._upow **= self.p / 2.0  # in place, through the same scalar-power path as **
+        return (float(self._upow.sum()) * self.h_w) ** (1.0 / self.p)
+
+    def value(self, u: np.ndarray, eps_g: float) -> float:
+        """R(u), with its terms kept for the next ``grad``."""
+        p, tmp = self.p, self._tmp
         G = self.op._gradient(u, self._full, self._grad)
         # squared components added in axis order, as (g * g).sum(axis=0)
         M2 = np.multiply(G[0], G[0], out=self._m2)
@@ -520,32 +552,23 @@ class _Ratio:
             M2 += np.multiply(g, g, out=tmp)
         M2 += eps_g * eps_g
         np.copyto(tmp, M2)
-        tmp **= p / 2.0  # in place, through the same scalar-power path as **
-        Ng = (float(tmp.sum()) * h_w) ** (1.0 / p)
-        U2 = u * u + self.eps_u * self.eps_u
-        Nu = (float((U2 ** (p / 2.0)).sum()) * h_w) ** (1.0 / p)
-        return Ng / Nu, Nu, (G, M2, Ng, U2)
+        tmp **= p / 2.0
+        self._Ng = (float(tmp.sum()) * self.h_w) ** (1.0 / p)
+        self._Nu = self.norm(u)
+        return self._Ng / self._Nu
 
-    def value(self, u: np.ndarray, eps_g: float):
-        """R and ||u||_p."""
-        R, Nu, _ = self._terms(u, eps_g)
-        return R, Nu
-
-    def value_and_grad(self, u: np.ndarray, eps_g: float):
-        """R, ||u||_p and the gradient of R."""
-        R, Nu, (G, M2, Ng, U2) = self._terms(u, eps_g)
+    def grad(self, u: np.ndarray) -> np.ndarray:
+        """Gradient of f at a normalized ``u``, (dNg - (dNg.u / Nu) dNu) / Nu,
+        from the terms of the last ``value`` call, which must have been at
+        ``u``."""
         p, h_w, W = self.p, self.h_w, self._tmp
-        np.copyto(W, M2)
+        Ng, Nu = self._Ng, self._Nu
+        np.copyto(W, self._m2)
         W **= p / 2.0 - 1.0
-        dNg = self.op.apply_transpose(np.multiply(G, W, out=self._comps)) * (h_w * Ng ** (1.0 - p))
-        dNu = u * U2 ** (p / 2.0 - 1.0) * (h_w * Nu ** (1.0 - p))
-        return R, Nu, (dNg - R * dNu) / Nu
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Pairwise-summed dot product: its bits do not depend on the BLAS
-    thread count, as those of ``a @ b`` do above about 10000 entries."""
-    return float(np.multiply(a, b).sum())
+        dNg = self.op.apply_transpose(np.multiply(self._grad, W, out=self._comps))
+        dNg *= h_w * Ng ** (1.0 - p)
+        dNu = u * self._u2 ** (p / 2.0 - 1.0) * (h_w * Nu ** (1.0 - p))
+        return (dNg - (_dot(dNg, u) / Nu) * dNu) / Nu
 
 
 def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
@@ -566,20 +589,26 @@ def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
 
 
 def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
-    """Normalized L-BFGS descent at one smoothing level.
+    """L-BFGS descent on the sphere ||u||_p = 1 at one smoothing level: it
+    minimizes f(v) = R(v / ||v||_p), as Hein and Buehler's method for
+    homogeneous ratios (NIPS 2010) does.
 
     The direction comes from the last ``_LBFGS_PAIRS`` steps; when it is
     not a descent direction the step falls back to the gradient and the
-    pairs are dropped.  Armijo backtracking starts from a unit step and
-    asks for the ratio only, so just the accepted point pays for the
-    gradient.  The iterate is renormalized to ||u||_p = 1 after every
-    accepted step.  Every dot product is pairwise-summed (``_dot``), so
-    the bits do not depend on the BLAS thread count.  Returns the best
-    ratio seen, the final iterate, iterations used, and the relative
-    change of R over the last 10 iterations.
+    pairs are dropped.  Armijo backtracking starts from a unit step; each
+    candidate is normalized by its field norm, which needs no stencil, and
+    the ratio is measured at the normalized candidate, so the line search
+    tests the very f whose gradient gives the slope.  The accepted
+    candidate is the last point ``ratio`` evaluated, so its gradient comes
+    from the terms already in the buffers: each point is differenced once.
+    Every dot product is pairwise-summed (``_dot``), so the bits do not
+    depend on the BLAS thread count.  Returns the best ratio seen, the
+    final iterate, iterations used, and the relative change of R over the
+    last 10 iterations: 0.0 only for a zero gradient, and when the line
+    search fails, the last change measured (1.0 before 10 steps).
     """
-    R, Nu = ratio.value(u0, eps_g)
-    u = u0 / Nu
+    u = u0 / ratio.norm(u0)
+    R = ratio.value(u, eps_g)
     best = R
     history = [R]
     resid = 1.0
@@ -588,37 +617,34 @@ def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
     g_prev = None
     it = 0
     for it in range(1, max_iter + 1):
-        R, _, gR = ratio.value_and_grad(u, eps_g)
-        gnorm2 = _dot(gR, gR)
+        g = ratio.grad(u)
+        gnorm2 = _dot(g, g)
         if gnorm2 == 0.0:
             resid = 0.0
             break
         if g_prev is not None:
             s = u - u_prev
-            y = gR - g_prev
+            y = g - g_prev
             sy = _dot(s, y)
             if sy > 1e-300:
                 pairs.append((s, y, sy))
                 del pairs[:-_LBFGS_PAIRS]
         u_prev = u
-        g_prev = gR
-        d = _lbfgs_direction(gR, pairs)
-        slope = _dot(gR, d)
+        g_prev = g
+        d = _lbfgs_direction(g, pairs)
+        slope = _dot(g, d)
         if not slope > 0.0:
-            d, slope, pairs = gR, gnorm2, []
-        accepted = False
+            d, slope, pairs = g, gnorm2, []
         st = 1.0
         for _ in range(50):
             cand = u - st * d
-            Rc, Nuc = ratio.value(cand, eps_g)
+            cand /= ratio.norm(cand)
+            Rc = ratio.value(cand, eps_g)
             if Rc <= R - 1e-4 * st * slope:
-                u = cand / Nuc
-                R = Rc
-                accepted = True
+                u, R = cand, Rc
                 break
             st *= 0.5
-        if not accepted:
-            resid = 0.0
+        else:
             break
         best = min(best, R)
         history.append(R)
@@ -657,22 +683,25 @@ def _trajectory(op: GradientOperator, u0: np.ndarray, p: float, eps_u: float, to
 def poincare_general_p(
     raster: RasterDomain, p: float, tol: float = GENERAL_P_TOL
 ) -> PoincareEstimate:
-    """Discrete Poincare constant for general p >= 1 by normalized descent
-    on the Rayleigh ratio ||grad u||_p / ||u||_p, one trajectory per
-    face-connected component of the interior.
+    """Discrete Poincare constant for general p >= 1 by descent on the
+    normalized Rayleigh ratio f(v) = R(v / ||v||_p), R(u) = ||grad u||_p /
+    ||u||_p, one trajectory per face-connected component of the interior.
 
     The kink smoothing is 1e-9 * h.  Each trajectory is L-BFGS descent
-    (``_descend``) at that smoothing, run until R changes by at most
-    min(tol, 1e-10) relative over 10 steps.  Only at p = 1, whose landscape
-    is piecewise linear, does it first anneal the gradient-magnitude
-    smoothing geometrically from the start field's RMS gradient down to the
-    kink scale (``_trajectory``).  The gradient couples only face
-    neighbours, so the problem separates over the face-connected
-    components, and on a connected domain the first p-Laplacian
-    eigenfunction is simple and positive (Lindqvist, Proc. AMS 1990).  So
-    each component gets one start: the p = 2 eigenvector restricted to it.  The result is the best ratio over the
-    trajectories; it comes from an explicit field, so the constant is a
-    certified lower bound for the discrete supremum.
+    (``_descend``) on the sphere ||u||_p = 1 at that smoothing, run until
+    R changes by at most min(tol, 1e-10) relative over 10 steps; the line
+    search measures f at normalized candidates, and the accepted point's
+    terms give its gradient, so each point is differenced once.  Only at
+    p = 1, whose landscape is piecewise linear, does it first anneal the
+    gradient-magnitude smoothing geometrically from the start field's RMS
+    gradient down to the kink scale (``_trajectory``).  The gradient
+    couples only face neighbours, so the problem separates over the
+    face-connected components, and on a connected domain the first
+    p-Laplacian eigenfunction is simple and positive (Lindqvist, Proc. AMS
+    1990).  So each component gets one start: the p = 2 eigenvector
+    restricted to it.  The result is the best ratio over the trajectories;
+    it comes from an explicit field, so the constant is a certified lower
+    bound for the discrete supremum.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")

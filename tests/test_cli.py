@@ -506,7 +506,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "e381ef47c3914280d13cc943cfc971fe4a67aa2cd282ce63a54d8007a7d44784",
+            "report.json": "025716314e3b7747238c3bf2484d77953e086e9a63e98fc517caf35d5a14e71d",
         },
     ),
     "unknown-spec": (

@@ -405,10 +405,19 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+def _build_parser(argv) -> _Parser:
+    """The parser that ``main`` runs on ``argv``: with only the subcommand
+    that ``argv[0]`` names, or with all of them when it names none (no
+    command, ``--help`` or an unknown command).  A lone subcommand keeps
+    every command in the usage line, so help, usage errors and reports
+    read as with the full parser, which takes about 95 ``add_argument``
+    calls to build."""
+    named = argv[:1] if argv and argv[0] in _COMMANDS else None
     ap = _Parser(prog="poincare-lab", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, hlp, flags, changes) in _COMMANDS.items():
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=None if named is None else every)
+    for name in named or _COMMANDS:
+        _, hlp, flags, changes = _COMMANDS[name]
         sp = sub.add_parser(name, help=hlp)
         for flag in ("--spec --out --seed --jobs " + flags).split():
             sp.add_argument(flag, **{**_FLAGS[flag], **changes.get(flag, {})})
@@ -422,7 +431,7 @@ def main(argv=None) -> int:
     files: dict = {}
     error = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         if exc.__cause__ is None:  # --help
             return 0

@@ -84,13 +84,19 @@ class RasterDomain:
     def boundary_adjacent(self) -> np.ndarray:
         """Interior cells with a non-interior face neighbour.  The exterior
         apron keeps every interior cell off the grid edge, so only in-grid
-        neighbours are looked at."""
+        neighbours are looked at.  A copy of the mask, the one array made,
+        is narrowed in place to the cells whose face neighbours are all
+        interior and then turned into its complement within the mask: a
+        fresh grid-sized temporary of 128 KB or more faults its pages in
+        again once glibc trims the heap, which under a fixed mmap threshold
+        happens on every free."""
         inside = self.interior
-        exposed = np.zeros_like(inside)
+        exposed = inside.copy()
         for head, tail, _, _ in face_slices(inside.ndim):
-            exposed[head] |= ~inside[tail]
-            exposed[tail] |= ~inside[head]
-        return inside & exposed
+            exposed[head] &= inside[tail]
+            exposed[tail] &= inside[head]
+        exposed ^= inside  # inside and not surrounded
+        return exposed
 
     @property
     def dim(self) -> int:
@@ -142,7 +148,12 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     whole rows and about ``_BLOCK_POINTS`` cell centres, straight into the
     padded mask; working memory beyond the mask is bounded by the slab,
     whatever the resolution.  Membership is pointwise, so the mask equals
-    one ``member_points`` call on all centres.
+    one ``member_points`` call on all centres.  The slabs' centres are
+    written into one buffer the call allocates once, its later axes' columns
+    filled once and its axis-0 column per slab, broadcast from
+    ``_axis_centers``: a fresh slab of 128 KB or more faults its pages in
+    again whenever glibc trims the heap after freeing it, which under a
+    fixed mmap threshold happens on every free.
     """
     check_resolution(resolution)
     t = spec.check_params(t)
@@ -153,14 +164,21 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     # zero-extension jump of a difference operator lies on an in-grid face
     counts = tuple(c + 2 for c in inner_counts)
     origin = tuple(lo - h for lo, _ in spec.bounding_box)
+    dim = len(counts)
 
     interior = np.zeros(counts, dtype=bool)
-    inner = interior[(slice(1, -1),) * len(counts)]
-    axes = [_axis_centers(origin[i], h, counts[i])[1:-1] for i in range(len(counts))]
-    rows = max(1, _BLOCK_POINTS // math.prod(inner_counts[1:]))
+    inner = interior[(slice(1, -1),) * dim]
+    axes = [_axis_centers(origin[i], h, counts[i])[1:-1] for i in range(dim)]
+    rows = min(inner_counts[0], max(1, _BLOCK_POINTS // math.prod(inner_counts[1:])))
+    centres = np.empty((rows, *inner_counts[1:], dim))
+    # axis i's centres, with one unit axis appended per later axis,
+    # broadcast along axis i of the slab
+    for i in range(1, dim):
+        centres[..., i] = axes[i].reshape(-1, *[1] * (dim - 1 - i))
     for a in range(0, inner_counts[0], rows):
-        slab = np.meshgrid(axes[0][a : a + rows], *axes[1:], indexing="ij")
-        inner[a : a + rows] = spec.member_points(t, np.stack(slab, axis=-1))
+        slab = centres[: inner_counts[0] - a]
+        slab[..., 0] = axes[0][a : a + rows].reshape(-1, *[1] * (dim - 1))
+        inner[a : a + rows] = spec.member_points(t, slab)
     return RasterDomain(
         spec=spec, t=t, h=h, origin=origin, interior=interior, resolution=resolution
     )
@@ -266,7 +284,8 @@ def _series_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots in (-1, 1) of one Chebyshev series per row, NaN-padded.
     A row's degree is that of its last coefficient above 1e-13 of its
     largest (the rest changes it by no more on [-1, 1]); its roots are the
-    eigenvalues of its colleague matrix, one batch per degree.  An
+    eigenvalues of its colleague matrix, one batch per degree, and at degree
+    1 the matrix's one entry, which is what LAPACK returns for it.  An
     eigenvalue counts as real when its imaginary part is at most 1e-7: a
     tangent line's double root comes back within about 1e-8 of real, and a
     true complex pair changes no sign."""
@@ -277,9 +296,13 @@ def _series_roots(coeffs: np.ndarray) -> np.ndarray:
     for k in np.unique(own[own > 0]):
         sel = np.nonzero(own == k)[0]
         mat, weights = _colleague(int(k))
-        mats = np.repeat(mat[None], sel.size, axis=0)
-        mats[:, :, -1] -= coeffs[sel, :k] / coeffs[sel, k : k + 1] * weights
-        u = np.linalg.eigvals(mats)
+        shift = coeffs[sel, :k] / coeffs[sel, k : k + 1] * weights
+        if k == 1:  # a 1 x 1 matrix's eigenvalue is its entry
+            u = mat[0, 0] - shift
+        else:
+            mats = np.repeat(mat[None], sel.size, axis=0)
+            mats[:, :, -1] -= shift
+            u = np.linalg.eigvals(mats)
         real = (np.abs(u.real) < 1.0) & (np.abs(u.imag) <= 1e-7)
         out[sel, :k] = np.where(real, u.real, np.nan)
     return out
@@ -479,17 +502,19 @@ boundary_polyline = boundary_quadrature
 
 def write_pgm(raster: RasterDomain, path) -> None:
     """Binary PGM of a 2D raster: exterior 0, interior 255, boundary-adjacent
-    interior 128.  Rows run from the top of the box down, image convention."""
+    interior 128.  Rows run from the top of the box down, image convention.
+    The image is filled through an (x, y) view of its rows, so it is written
+    as it lies, with no transposed copy that would fault its pages in."""
     if raster.dim != 2:
         raise ValueError("PGM export is only defined for 2D rasters")
-    img = np.zeros(raster.counts, dtype=np.uint8)
-    img[raster.interior] = 255
-    img[raster.boundary_adjacent] = 128
-    rows = img.T[::-1, :]  # (y, x) with y downward from box top
-    header = f"P5\n{rows.shape[1]} {rows.shape[0]}\n255\n".encode("ascii")
+    img = np.zeros(raster.counts[::-1], dtype=np.uint8)  # (y, x), y downward
+    cells = img[::-1].T
+    cells[raster.interior] = 255
+    cells[raster.boundary_adjacent] = 128
+    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(rows.tobytes(order="C"))
+        fh.write(img.data)
 
 
 def write_mask(raster: RasterDomain, bin_path, json_path) -> None:

@@ -174,7 +174,13 @@ def find_regular_direction(
     The pooled margins are a running minimum over blocks of sample rows,
     so the normals-by-candidates products never exist all at once; every
     product is the same as in one whole matrix product, and a minimum is
-    exact, so the margins are too.
+    exact, so the margins are too.  Each block's products, their absolute
+    values and their column minima are written into one ``(rows,
+    candidates)`` buffer and one row the call allocates once: a fresh
+    temporary of 128 KB or more faults its pages in again whenever glibc
+    trims the heap after freeing it, which under a fixed mmap threshold
+    happens on every free and, for blocks of this size, under glibc's
+    default allocator too.
     """
     if directions < 16:
         raise ValueError("need at least 16 candidate directions")
@@ -187,10 +193,15 @@ def find_regular_direction(
         raise EmptySamplesError("no boundary samples in any fiber")
 
     cands = candidate_directions(spec.ambient_dim, directions)
-    rows = max(1, _BLOCK_POINTS // cands.shape[0])
+    rows = min(pooled.shape[0], max(1, _BLOCK_POINTS // cands.shape[0]))
     margins = np.full(cands.shape[0], np.inf)
+    products, block_min = np.empty((rows, cands.shape[0])), np.empty(cands.shape[0])
     for a in range(0, pooled.shape[0], rows):
-        np.minimum(margins, np.min(np.abs(pooled[a : a + rows] @ cands.T), axis=0), out=margins)
+        block = products[: pooled.shape[0] - a]
+        np.matmul(pooled[a : a + rows], cands.T, out=block)
+        np.abs(block, out=block)
+        np.minimum.reduce(block, axis=0, out=block_min)
+        np.minimum(margins, block_min, out=margins)
     best = float(np.max(margins))
     ties = np.nonzero(margins == best)[0]
     best_idx = min(ties, key=lambda i: tuple(cands[i]))

@@ -319,7 +319,7 @@ def test_tol_only_on_solver_commands(tmp_path, capsys):
     assert main(["trace", "--spec", "disk", "--res", "16", "--tol", "1e-3",
                  "--out", str(tmp_path)]) == 2
     assert "--tol" in capsys.readouterr().err
-    parser = _build_parser()
+    parser = _build_parser([])
     for command in ("check", "sweep", "lemma", "uniform"):
         args = parser.parse_args([command, "--spec", "disk", "--tol", "1e-3"])
         assert args.tol == 1e-3
@@ -675,9 +675,9 @@ PARSE_VALUES = {
 PARSE_DIGEST = "074f66e80ca4c1a8a83b6e56c562ea82d7e9b8de7721352ebfd826db34533d6c"
 
 
-def _parse_outcome(argv):
+def _parse_outcome(parser, argv):
     try:
-        got = {"args": vars(_build_parser().parse_args(argv))}
+        got = {"args": vars(parser.parse_args(argv))}
     except SystemExit as exc:
         got = {"error": str(exc.__cause__)}
     got["out"] = str(_out_dir(argv))
@@ -695,8 +695,14 @@ def test_parse_matrix_golden(capsys):
                 cases.append(base + [flag, "abc"])
         cases.append([command, "--spec", "disk", "--nonsense"])
     assert len(cases) == 344
-    outcomes = [[argv, _parse_outcome(argv)] for argv in cases]
-    capsys.readouterr()
+    full = _build_parser([])
+    outcomes = [[argv, _parse_outcome(full, argv)] for argv in cases]
+    # main builds only the parser of the command argv[0] names; it parses
+    # every case as the full parser does, usage text included
+    full_err = capsys.readouterr()
+    for argv, outcome in outcomes:
+        assert _parse_outcome(_build_parser(argv), argv) == outcome, argv
+    assert capsys.readouterr() == full_err
     text = json.dumps(outcomes, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGEST
 

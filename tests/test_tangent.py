@@ -178,14 +178,22 @@ def test_find_regular_direction_validates_inputs(specs):
         find_regular_direction(specs["disk"], [])
 
 
-def test_find_regular_direction_blocked_margins_are_one_product(specs):
-    # the running minimum over row blocks equals the minimum over the whole
+@pytest.mark.parametrize("ts,count,blocks", [
+    ([(0.05,), (0.5,), (1.0,)], 2048, range(5, 100)),
+    ([(0.5,)], 64, range(1, 2)),
+    ([(0.5,)], 512, range(2, 3)),
+], ids=["many-blocks", "under-one-block", "partial-last-block"])
+def test_find_regular_direction_blocked_margins_are_one_product(specs, ts, count, blocks):
+    # the running minimum over row blocks, each written into the search's
+    # one block buffer, equals the minimum over the whole
     # normals-by-candidates product, byte for byte
-    spec, ts = specs["cusp"], [(0.05,), (0.5,), (1.0,)]
-    rep = find_regular_direction(spec, ts, directions=256, count=2048)
-    pooled = np.concatenate([sample_boundary(spec, t, count=2048).normals for t in ts])
+    spec = specs["cusp"]
+    rep = find_regular_direction(spec, ts, directions=256, count=count)
+    pooled = np.concatenate([sample_boundary(spec, t, count=count).normals for t in ts])
     cands = candidate_directions(2, 256)
-    assert pooled.shape[0] > 4 * (_BLOCK_POINTS // cands.shape[0])
+    rows = _BLOCK_POINTS // cands.shape[0]
+    assert -(-pooled.shape[0] // rows) in blocks
+    assert pooled.shape[0] % rows != 0
     whole = np.min(np.abs(pooled @ cands.T), axis=0)
     assert rep.candidate_margins.tobytes() == whole.tobytes()
 

@@ -118,23 +118,14 @@ class CellComplex2D:
     def _inside_band_heights(self):
         """(column, xi_hi - xi_lo) for each inside band over an open
         column, with both graphs clipped to the bounding box in y."""
-        y_lo, y_hi = self.spec.bounding_box[1]
+        box = self.spec.bounding_box
         for col in self.columns:
             if col.kind != "open":
                 continue
             for b in col.bands:
                 if b.label != INSIDE:
                     continue
-                lo = (
-                    np.full(col.x_samples.size, y_lo)
-                    if b.lower is None
-                    else np.clip(col.graphs[b.lower].y, y_lo, y_hi)
-                )
-                hi = (
-                    np.full(col.x_samples.size, y_hi)
-                    if b.upper is None
-                    else np.clip(col.graphs[b.upper].y, y_lo, y_hi)
-                )
+                lo, hi = np.clip(_band_sides(col, b, box, slice(None)), *box[1])
                 yield col, np.maximum(hi - lo, 0.0)
 
     def inside_volume(self) -> float:
@@ -203,19 +194,24 @@ def _cell_name(ci, col, flat_idx):
     return f"c{ci}_b{flat_idx - len(col.graphs)}"
 
 
+def _band_sides(col, band, box, at):
+    """The band's lower and upper sides at the abscissae ``at`` of its
+    column: its graphs' y, or the box's bottom and top edge where it has
+    none."""
+    return tuple(
+        np.full(col.x_samples.size, edge)[at] if g is None else col.graphs[g].y[at]
+        for g, edge in zip((band.lower, band.upper), box[1])
+    )
+
+
 def _edge_intervals(col, spec, side):
     """y-intervals of all cells at the column edge abscissa within the box,
     graphs first."""
-    y_lo, y_hi = spec.bounding_box[1]
     idx = -1 if side == "hi" else 0
-    out = []
-    for g in col.graphs:
-        v = float(g.y[idx])
-        out.append((v, v))
+    out = [(float(g.y[idx]),) * 2 for g in col.graphs]
     for b in col.bands:
-        lo = y_lo if b.lower is None else float(col.graphs[b.lower].y[idx])
-        hi = y_hi if b.upper is None else float(col.graphs[b.upper].y[idx])
-        out.append((lo, hi))
+        lo, hi = _band_sides(col, b, spec.bounding_box, idx)
+        out.append((float(lo), float(hi)))
     return out
 
 

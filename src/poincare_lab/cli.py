@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .cells import SAMPLES_PER_COLUMN, cell_decompose_2d, merge_vertical
-from .corpus import corpus_path
+from .corpus import load_corpus
 from .dsl import parse_domain, print_domain
 from .errors import (
     NotApplicableError,
@@ -123,7 +123,7 @@ def _load_spec(path_or_name: str):
     if p.is_file():
         return parse_domain(p.read_text())
     if p.suffix == "" and "/" not in path_or_name:
-        return parse_domain(Path(str(corpus_path(path_or_name))).read_text())
+        return load_corpus(path_or_name)
     raise FileNotFoundError(f"spec file not found: {path_or_name}")
 
 
@@ -137,6 +137,15 @@ def _fiber(args):
     """The spec and the checked parameter tuple of a single-fiber command."""
     spec = _load_spec(args.spec)
     return spec, spec.check_params(_parse_t(args.t))
+
+
+def _echo(args, spec, t) -> dict:
+    """The inputs a single-fiber report echoes: the domain and the seed,
+    and for one fiber (``t`` not None) its parameters and resolution."""
+    echo = {"domain": print_domain(spec), "seed": args.seed}
+    if t is not None:
+        echo.update(t=t, resolution=args.res)
+    return echo
 
 
 def _parse_t_list(text: str) -> list:
@@ -203,12 +212,9 @@ def _cmd_check(args):
             discrete_column_inequality(raster, axis, args.p, trials=args.trials, seed=args.seed)
         )
     report = {
-        "domain": print_domain(spec),
-        "t": t,
+        **_echo(args, spec, t),
         "p": args.p,
-        "resolution": args.res,
         "direction": lam,
-        "seed": args.seed,
         "checks": [vars(c) for c in checks],
         "status": "ok" if all(c.passed for c in checks) else "fail",
     }
@@ -286,15 +292,12 @@ def _cmd_thickness(args):
     T = thickness(spec, t, lam)
     discrete = {f"axis{a}": thickness_discrete(raster, a) for a in range(spec.ambient_dim)}
     report = {
-        "domain": print_domain(spec),
-        "t": t,
+        **_echo(args, spec, t),
         "direction": lam,
-        "resolution": args.res,
         "thickness": T,
         "unbounded": math.isinf(T),
         "discrete": discrete,
         "empty": raster.empty,
-        "seed": args.seed,
         "status": "ok",
     }
     return report, {}
@@ -302,16 +305,10 @@ def _cmd_thickness(args):
 
 def _cmd_regdir(args):
     spec = _load_spec(args.spec)
-    rep = find_regular_direction(
-        spec,
-        _t_values(args, spec, grid=3),
-        directions=args.dirs,
-        seed=args.seed,
-        count=args.samples,
-    )
+    rep = find_regular_direction(spec, _t_values(args, spec, grid=3), directions=args.dirs,
+                                 seed=args.seed, count=args.samples)
     report = {
-        "domain": print_domain(spec),
-        "seed": args.seed,
+        **_echo(args, spec, None),
         "search": rep.to_json_dict(),
         "status": "ok" if rep.found else "fail",
     }
@@ -324,8 +321,7 @@ def _cmd_cells(args):
     raw_count = complex_.inside_cell_count()
     merged = complex_ if args.no_merge else merge_vertical(complex_)
     report = {
-        "domain": print_domain(spec),
-        "seed": args.seed,
+        **_echo(args, spec, None),
         "inside_cells_raw": raw_count,
         "inside_cells": merged.inside_cell_count(),
         "merged": not args.no_merge,
@@ -339,21 +335,10 @@ def _cmd_cells(args):
 def _cmd_trace(args):
     spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
-    rep = trace_ratio_battery(
-        raster, args.p, battery=args.battery, doubling=not args.no_doubling
-    )
+    rep = trace_ratio_battery(raster, args.p, battery=args.battery, doubling=not args.no_doubling)
     report = {
-        "domain": print_domain(spec),
-        "t": t,
-        "p": args.p,
-        "resolution": args.res,
-        "battery": rep.battery,
-        "ratios": rep.ratios,
-        "supremum": rep.supremum,
-        "doubled_supremum": rep.doubled_supremum,
-        "stable": rep.stable,
-        "h": rep.h,
-        "seed": args.seed,
+        **_echo(args, spec, t),
+        **vars(rep),
         "status": "ok" if rep.stable is not False else "fail",
     }
     return report, {}
@@ -369,15 +354,12 @@ def _cmd_raster(args):
         write_pgm(raster, out / "mask.pgm")
         written.append("mask.pgm")
     report = {
-        "domain": print_domain(spec),
-        "t": t,
-        "resolution": args.res,
+        **_echo(args, spec, t),
         "h": raster.h,
         "empty": raster.empty,
         "volume": volume(raster),
         "interior_cells": raster.interior_count,
         "files": sorted(written),
-        "seed": args.seed,
         "status": "ok",
     }
     return report, {}

@@ -33,6 +33,9 @@ from .raster import check_resolution, rasterize, unit_vector, volume
 from .sobolev import CheckRecord, check_p, check_tol, verify_thickness_bound
 from .tangent import DIRECTIONS, SAMPLES, find_regular_direction, margin, sample_boundary
 
+# the bound check's fields that a fiber record copies and ``fibers.csv`` lists
+_BOUND_FIELDS = ("thickness", "constant", "bound", "slack")
+
 
 @dataclass(frozen=True)
 class FiberRecord:
@@ -51,6 +54,13 @@ class FiberRecord:
     @property
     def unbounded(self) -> bool:
         return self.thickness is not None and math.isinf(self.thickness)
+
+    def per_volume(self, value, dim: int) -> float | None:
+        """``value / vol^(1/dim)``, a family ratio's term; None for an empty
+        or errored fiber, a zero volume and a missing or non-finite value."""
+        if self.empty or self.error or not self.volume or value is None:
+            return None
+        return value / self.volume ** (1.0 / dim) if math.isfinite(value) else None
 
     def to_json_dict(self):
         return jsonable(dict(vars(self), unbounded=self.unbounded))
@@ -186,11 +196,8 @@ def _sweep_fiber(spec, t, p, resolution, direction, tol):
             t=t,
             empty=False,
             volume=vol,
-            thickness=rec.data["thickness"],
-            constant=rec.data["constant"],
-            bound=rec.data["bound"],
-            slack=rec.data["slack"],
             passed=rec.passed,
+            **{f: rec.data[f] for f in _BOUND_FIELDS},
         )
     except (PoincareLabError, ArithmeticError, ValueError) as exc:
         return FiberRecord(t=t, empty=False, error=f"{type(exc).__name__}: {exc}")
@@ -199,20 +206,13 @@ def _sweep_fiber(spec, t, p, resolution, direction, tol):
 def recompute_aggregates(records, dim: int):
     """Family suprema from per-fiber records; empty and errored fibers are
     excluded.  Returns (sup C/vol^{1/n}, sup T/vol^{1/n}, argmax ts)."""
-    sup_c, sup_t = None, None
-    arg_c, arg_t = None, None
+    best = [(None, None), (None, None)]
     for r in records:
-        if r.empty or r.error or not r.volume:
-            continue
-        root = r.volume ** (1.0 / dim)
-        if r.constant is not None:
-            rc = r.constant / root
-            if sup_c is None or rc > sup_c:
-                sup_c, arg_c = rc, r.t
-        if r.thickness is not None and math.isfinite(r.thickness):
-            rt = r.thickness / root
-            if sup_t is None or rt > sup_t:
-                sup_t, arg_t = rt, r.t
+        for k, value in enumerate((r.constant, r.thickness)):
+            ratio = r.per_volume(value, dim)
+            if ratio is not None and (best[k][0] is None or ratio > best[k][0]):
+                best[k] = (ratio, r.t)
+    (sup_c, arg_c), (sup_t, arg_t) = best
     return sup_c, sup_t, arg_c, arg_t
 
 
@@ -368,13 +368,7 @@ def verify_uniform_trend(reports) -> CheckRecord:
 # flat-file emission
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "volume",
-    "thickness",
-    "constant",
-    "bound",
-    "slack",
-)
+_CSV_COLUMNS = ("volume",) + _BOUND_FIELDS
 
 
 def fibers_csv_text(report: SweepReport) -> str:
@@ -409,12 +403,8 @@ def plot_data_texts(report: SweepReport) -> dict:
         coords = " ".join(repr(float(v)) for v in r.t)
         if r.constant is not None:
             cp_lines.append(f"{coords} {repr(float(r.constant))}")
-        if (
-            r.thickness is not None
-            and math.isfinite(r.thickness)
-            and r.volume
-        ):
-            ratio = r.thickness / r.volume ** (1.0 / report.dim)
+        ratio = r.per_volume(r.thickness, report.dim)
+        if ratio is not None:
             ratio_lines.append(f"{coords} {repr(float(ratio))}")
     return {
         "plot_cp.dat": "\n".join(cp_lines) + ("\n" if cp_lines else ""),

@@ -350,6 +350,18 @@ def line_cuts(spec: DomainSpec, t, origins, direction, s_lo, s_hi) -> tuple:
     return cuts, inside, atoms
 
 
+def _runs(rows: np.ndarray) -> tuple:
+    """The runs of true entries in each row of a 2D boolean array, in row
+    order: ``(row, start, end)``, each run covering ``start .. end - 1``.
+    One scan of the rows laid end to end, each closed by a false entry."""
+    n = rows.shape[1] + 1
+    flat = np.zeros((rows.shape[0], n), dtype=np.int8)
+    flat[:, :-1] = rows
+    edge = np.diff(flat.reshape(-1), prepend=np.int8(0))
+    up = np.flatnonzero(edge == 1)
+    return up // n, up % n, np.flatnonzero(edge == -1) % n
+
+
 def longest_chord(spec: DomainSpec, t, direction) -> Chord:
     """Longest open chord of the fiber in the given direction.
 
@@ -379,11 +391,8 @@ def longest_chord(spec: DomainSpec, t, direction) -> Chord:
     s_lo, s_hi, ok = _ray_box_span(bases, lam, box)
     bases, s_lo, s_hi = bases[ok], s_lo[ok], s_hi[ok]
     cuts, inside, _ = line_cuts(spec, t, bases, lam, s_lo, s_hi)
-    # runs of inside pieces: a run starts at piece j where the edge is +1
-    # and ends at cut j where it is -1
-    edge = np.diff(np.pad(inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    line, start = np.nonzero(edge == 1)
-    end = np.nonzero(edge == -1)[1]
+    # a run of inside pieces start .. end - 1 spans cuts[start] .. cuts[end]
+    line, start, end = _runs(inside)
 
     escaping = np.nonzero(inside[:, 0] | inside[:, -1])[0]
     if escaping.size:
@@ -414,18 +423,8 @@ def thickness_discrete(raster: RasterDomain, axis: int) -> float:
     if not 0 <= axis < raster.dim:
         raise ValueError(f"axis {axis} out of range for dim {raster.dim}")
     m = np.moveaxis(raster.interior, axis, -1)
-    flat = m.reshape(-1, m.shape[-1])
-    # separate rows with an always-false column, then scan globally
-    padded = np.concatenate(
-        [flat, np.zeros((flat.shape[0], 1), dtype=bool)], axis=1
-    ).reshape(-1)
-    padded = np.concatenate(([False], padded))
-    d = np.diff(padded.astype(np.int8))
-    starts = np.nonzero(d == 1)[0]
-    ends = np.nonzero(d == -1)[0]
-    if starts.size == 0:
-        return 0.0
-    return float((ends - starts).max()) * raster.h
+    _, start, end = _runs(m.reshape(-1, m.shape[-1]))
+    return float((end - start).max(initial=0)) * raster.h
 
 
 # ---------------------------------------------------------------------------

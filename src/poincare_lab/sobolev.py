@@ -205,6 +205,16 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and greater than 0, got {tol}")
 
 
+def _squared_magnitude(comps: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The per-cell squared magnitude of the components ``comps`` (rows),
+    into ``out``: squared components added in axis order, as
+    ``np.sum(comps * comps, axis=0)``; ``tmp`` is scratch of the same size."""
+    np.multiply(comps[0], comps[0], out=out)
+    for c in comps[1:]:
+        out += np.multiply(c, c, out=tmp)
+    return out
+
+
 def lp_norm(arr, p: float, raster: RasterDomain) -> float:
     """L^p norm with cell-volume weights.  1D arrays are scalar fields;
     2D arrays (components, cells) are vector fields measured with the
@@ -218,11 +228,7 @@ def lp_norm(arr, p: float, raster: RasterDomain) -> float:
     if a.ndim == 1:
         mag = np.abs(a)
     elif a.ndim == 2:
-        # squared components added in axis order, as np.sum(a * a, axis=0)
-        mag = np.multiply(a[0], a[0])
-        tmp = np.empty_like(mag)
-        for c in a[1:]:
-            mag += np.multiply(c, c, out=tmp)
+        mag = _squared_magnitude(a, np.empty_like(a[0]), np.empty_like(a[0]))
         np.sqrt(mag, out=mag)
     else:
         raise ValueError("expected a scalar or vector field array")
@@ -546,10 +552,7 @@ class _Ratio:
         """R(u), with its terms kept for the next ``grad``."""
         p, tmp = self.p, self._tmp
         G = self.op._gradient(u, self._full, self._grad)
-        # squared components added in axis order, as (g * g).sum(axis=0)
-        M2 = np.multiply(G[0], G[0], out=self._m2)
-        for g in G[1:]:
-            M2 += np.multiply(g, g, out=tmp)
+        M2 = _squared_magnitude(G, self._m2, tmp)
         M2 += eps_g * eps_g
         np.copyto(tmp, M2)
         tmp **= p / 2.0

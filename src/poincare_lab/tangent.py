@@ -207,11 +207,7 @@ def find_regular_direction(
     best_idx = min(ties, key=lambda i: tuple(cands[i]))
     lam = cands[best_idx]
 
-    per_fiber = []
-    for s in sets:
-        per_fiber.append(
-            float(np.min(np.abs(s.normals @ lam))) if len(s) else math.inf
-        )
+    per_fiber = [margin(s, lam) if len(s) else math.inf for s in sets]
     status = "ok" if best >= _MIN_ALPHA else "no_regular_direction"
     return MarginReport(
         direction=tuple(float(v) for v in lam),

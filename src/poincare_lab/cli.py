@@ -16,7 +16,10 @@ default; each is defined once, in the module that uses it.  ``_FLAGS``
 declares each flag once with its argparse keywords; one ``_COMMANDS`` row
 per command names its handler, its help, the flags it takes and the few
 keywords that differ there, and both the parser and the dispatch in
-``main`` are built from those rows.  ``harness`` alone reads ``--dir``.
+``main`` are built from those rows.  ``--dir`` goes through
+``harness``: the family commands pass it to ``sweep``, and ``thickness``
+and ``check`` read it with ``unit_direction``, where ``check`` dispatches
+``auto`` to ``resolve_direction`` itself.
 ``--seed 0 --jobs 1`` runs are byte-reproducible.
 """
 

@@ -496,7 +496,9 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
 # general p: Rayleigh-quotient descent
 # ---------------------------------------------------------------------------
 
-GENERAL_P_TOL = 1e-6  # default tol of the descent's final stage
+# default tol: the final stage stops at min(tol, 1e-10), so at this value
+# it sets only the tolerance min(1e-6, tol) of the p = 2 start
+GENERAL_P_TOL = 1e-6
 _STAGE_ITER = 300  # descent steps per annealed smoothing level
 _FINAL_ITER = 3000  # descent steps at the declared kink smoothing
 _LBFGS_PAIRS = 5  # (s, y) pairs behind each L-BFGS direction
@@ -886,52 +888,32 @@ def _trace_stencil(raster: RasterDomain):
 
 
 def _battery_functions(raster: RasterDomain, battery: str):
-    """Ambient test functions as callables on point arrays."""
+    """Ambient test functions as callables on point arrays.  The polynomial
+    and trigonometric ones are centred on the bounding box and scaled by its
+    longest span, so a raster and its doubled raster see the same
+    functions."""
     dim = raster.dim
-    lo = np.asarray(raster.origin)
-    spans = np.array([c * raster.h for c in raster.counts])
-    mid = lo + spans / 2.0
-    scale = 2.0 / spans.max()
+    lo, hi = np.transpose(raster.spec.bounding_box)
+    mid = lo + (hi - lo) / 2.0
+    scale = 2.0 / (hi - lo).max()
 
     fns = []
     if battery == "polynomial":
         fns.append(("one", lambda q: np.ones(q.shape[0])))
         for i in range(dim):
             fns.append((f"x{i}", lambda q, i=i: (q[:, i] - mid[i]) * scale))
-            fns.append(
-                (f"x{i}^2", lambda q, i=i: ((q[:, i] - mid[i]) * scale) ** 2)
-            )
+            fns.append((f"x{i}^2", lambda q, i=i: ((q[:, i] - mid[i]) * scale) ** 2))
         if dim >= 2:
-            fns.append(
-                (
-                    "x0*x1",
-                    lambda q: (q[:, 0] - mid[0]) * (q[:, 1] - mid[1]) * scale**2,
-                )
-            )
-            fns.append(
-                (
-                    "x0+x1",
-                    lambda q: ((q[:, 0] - mid[0]) + (q[:, 1] - mid[1])) * scale,
-                )
-            )
+            fns.append(("x0*x1", lambda q: (q[:, 0] - mid[0]) * (q[:, 1] - mid[1]) * scale**2))
+            fns.append(("x0+x1", lambda q: ((q[:, 0] - mid[0]) + (q[:, 1] - mid[1])) * scale))
     elif battery == "trigonometric":
         fns.append(("cos0", lambda q: np.cos(scale * (q[:, 0] - mid[0]))))
         fns.append(("sin0", lambda q: np.sin(2.0 * scale * (q[:, 0] - mid[0]))))
         if dim >= 2:
-            fns.append(
-                (
-                    "coscos",
-                    lambda q: np.cos(scale * (q[:, 0] - mid[0]))
-                    * np.cos(scale * (q[:, 1] - mid[1])),
-                )
-            )
-            fns.append(
-                (
-                    "sincos",
-                    lambda q: np.sin(2.0 * scale * (q[:, 0] - mid[0]))
-                    * np.cos(scale * (q[:, 1] - mid[1])),
-                )
-            )
+            fns.append(("coscos", lambda q: np.cos(scale * (q[:, 0] - mid[0]))
+                        * np.cos(scale * (q[:, 1] - mid[1]))))
+            fns.append(("sincos", lambda q: np.sin(2.0 * scale * (q[:, 0] - mid[0]))
+                        * np.cos(scale * (q[:, 1] - mid[1]))))
     elif battery == "bump":
         # distance-like profiles vanishing within a few cells of the boundary
         from scipy import ndimage  # deferred: slow to import, needed only here

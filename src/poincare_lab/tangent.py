@@ -5,12 +5,14 @@ scan lines; they come from ``raster._crossings`` on ``raster.line_cuts``,
 the exact line kernel that thickness and the trace's boundary quadrature
 are measured with too.  Each flip is a root of one atom, which the kernel
 names, and that atom's normalized gradient is the sample's normal; a flip
-where the gradient vanishes (a degenerate atom) is dropped, and so is a
-run's end on a box face.  Random scan lines meet a corner or a cusp tip
-with probability zero, so no further test guards them.  The margin of a
-direction is the smallest |<direction, normal>| over the samples, and the
-direction search scans a deterministic antipodally-reduced lattice of
-candidates.
+where the gradient vanishes (a degenerate atom) is dropped.  A run's end on
+a box face is a face sample, with atom -1 and normal ``e_axis``.  Random
+scan lines meet a corner or a cusp tip with probability zero, so no further
+test guards them.  The margin of a direction is 0 when the direction is
+not perpendicular to some face sample's normal, since a chord along it
+leaves the box through that face, and else the smallest
+|<direction, normal>| over the atom samples; the direction search scans a
+deterministic antipodally-reduced lattice of candidates.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) ->
     offsets inside the bounding box; their crossings (``raster._crossings``,
     which the trace's boundary quadrature reads too) are the samples: each
     a root of the atom the kernel names, with that atom's unit gradient as
-    normal.  Box-face crossings are no samples.
+    normal.  A crossing of a box face that closes the fiber is a face
+    sample: atom -1, normal ``e_axis``.
     A ``StratumTooThinWarning`` is raised when fewer than count/10 samples
     survive.
     """
@@ -75,10 +78,8 @@ def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) ->
         for j in range(dim):
             lo, hi = box[j]
             origins[:, j] = lo if j == axis else rng.uniform(lo, hi, lines_per_axis)
-        pts, atom_ids, normals = _crossings(spec, t, origins, axis)
-        on_atom = atom_ids >= 0
-        found.append((pts[on_atom], normals[on_atom], atom_ids[on_atom]))
-    pts, grads, atom_ids = (np.concatenate(a) for a in zip(*found))
+        found.append(_crossings(spec, t, origins, axis))
+    pts, atom_ids, grads = (np.concatenate(a) for a in zip(*found))
 
     if pts.shape[0] < count / 10:
         msg = (
@@ -90,14 +91,20 @@ def sample_boundary(spec: DomainSpec, t, count: int = SAMPLES, seed: int = 0) ->
 
 
 def margin(samples: BoundarySampleSet, direction) -> float:
-    """Empirical regular-direction margin: min over samples of |<d, normal>|."""
+    """Empirical regular-direction margin: 0 when ``direction`` is not
+    perpendicular to some face sample's normal, since a chord along it
+    leaves through that box face; else the min over the atom samples of
+    |<d, normal>|."""
     d = np.asarray(direction, dtype=np.float64)
     # written so that a NaN norm fails it too
     if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:
         raise ValueError("direction must be a unit vector")
-    if len(samples) == 0:
-        raise EmptySamplesError("no boundary samples to take a margin over")
-    return float(np.min(np.abs(samples.normals @ d)))
+    dots, face = samples.normals @ d, samples.atom_ids < 0
+    if np.any(dots[face] != 0.0):
+        return 0.0
+    if face.all():
+        raise EmptySamplesError("no boundary samples on an atom to take a margin over")
+    return float(np.min(np.abs(dots[~face])))
 
 
 def candidate_directions(dim: int, n: int) -> np.ndarray:
@@ -164,12 +171,14 @@ def find_regular_direction(
 ) -> MarginReport:
     """Search candidate directions for one regular for the whole family.
 
-    Boundary samples of every fiber are pooled; each lattice direction gets
-    the pooled margin, and the best margin wins with ties broken by the
-    lexicographically smallest direction.  A best margin below ``_MIN_ALPHA``
-    is classified as no_regular_direction (a sampled curved boundary never
-    produces an exactly zero margin, so the threshold is a resolution-aware
-    cutoff rather than an exact test).
+    The atom samples of every fiber are pooled; each lattice direction gets
+    the pooled margin, or 0 when it is not perpendicular to a face sample's
+    normal (``margin``'s face rule), and the best margin wins with ties
+    broken by the lexicographically smallest direction.  A family without
+    an atom sample raises ``EmptySamplesError``.  A best margin below
+    ``_MIN_ALPHA`` is classified as no_regular_direction (a sampled curved
+    boundary never produces an exactly zero margin, so the threshold is a
+    resolution-aware cutoff rather than an exact test).
 
     The pooled margins are a running minimum over blocks of sample rows,
     so the normals-by-candidates products never exist all at once; every
@@ -188,9 +197,10 @@ def find_regular_direction(
     if not t_list:
         raise ValueError("need at least one parameter sample")
     sets = [sample_boundary(spec, t, count=count, seed=seed) for t in t_list]
-    pooled = np.concatenate([s.normals for s in sets if len(s)], axis=0) if any(len(s) for s in sets) else None
-    if pooled is None or pooled.shape[0] == 0:
-        raise EmptySamplesError("no boundary samples in any fiber")
+    on_atom = [s.atom_ids >= 0 for s in sets]
+    pooled = np.concatenate([s.normals[a] for s, a in zip(sets, on_atom)])
+    if pooled.shape[0] == 0:
+        raise EmptySamplesError("no boundary samples on an atom in any fiber")
 
     cands = candidate_directions(spec.ambient_dim, directions)
     rows = min(pooled.shape[0], max(1, _BLOCK_POINTS // cands.shape[0]))
@@ -202,6 +212,10 @@ def find_regular_direction(
         np.abs(block, out=block)
         np.minimum.reduce(block, axis=0, out=block_min)
         np.minimum(margins, block_min, out=margins)
+    # a candidate with a component along a face that closes a fiber leaves
+    # the box there; the faces' normals are axes, so there are at most dim
+    faces = np.unique(np.concatenate([s.normals[~a] for s, a in zip(sets, on_atom)]), axis=0)
+    margins[np.any(faces @ cands.T != 0.0, axis=0)] = 0.0
     best = float(np.max(margins))
     ties = np.nonzero(margins == best)[0]
     best_idx = min(ties, key=lambda i: tuple(cands[i]))

@@ -413,7 +413,7 @@ GOLDEN = {
         ["regdir", "--spec", "cusp", "--grid", "3"],
         0,
         {
-            "report.json": "1f87ff84d09b0d82b5dcbdae8fdbb9dce73728dcf80c54e5b52bd7357da05ef9",
+            "report.json": "fa22533d27d49c81caa93332ae14bc663a3cf15a4907a5040ef2b7ad00877dc7",
         },
     ),
     "cells": (
@@ -428,7 +428,7 @@ GOLDEN = {
         ["trace", "--spec", "disk", "--res", "64"],
         0,
         {
-            "report.json": "6a21b13ee088af75d021f5e62745d686c4b443d7dde0f7fe000d5ca440f4282b",
+            "report.json": "bd8b996c0e4ae939a991c5995b31f1d9297b2ac3768a581e64020a86b40663b2",
         },
     ),
     "raster": (
@@ -499,7 +499,7 @@ GOLDEN = {
         ["trace", "--spec", "interval", "--res", "64"],
         0,
         {
-            "report.json": "5fdbe926775dc96adf4ec28b7e8e63eb8119d39c3bb6e521668b16ea6a15e3cb",
+            "report.json": "cd339087cc14727959ecc424f42c92831b271ae5f3ebe986b0f92157cd00db0f",
         },
     ),
     "check-p3": (
@@ -780,12 +780,22 @@ def test_bad_trials_is_usage_error(tmp_path, trials, no_solve):
 
 def test_unbounded_message_has_plain_numbers(tmp_path):
     code, report, _ = run(
-        tmp_path, "check", "--spec", "cusp", "--t", "0.5", "--res", "32", "--dir", "auto"
+        tmp_path, "check", "--spec", "cusp", "--t", "0.5", "--res", "32", "--dir", "0.3,0.9"
     )
     assert code == 1
     message = report["error"]["message"]
     assert message.startswith("fiber unbounded along direction [")
     assert "np.float64" not in message
+
+
+def test_check_dir_auto_keeps_off_a_closing_box_face(tmp_path):
+    # the box face x = 1 closes every cusp fiber, so a chord along any
+    # direction with a component along e1 leaves through it
+    code, report, _ = run(
+        tmp_path, "check", "--spec", "cusp", "--t", "0.5", "--res", "32", "--dir", "auto"
+    )
+    assert code == 0
+    assert report["direction"] == [0.0, 1.0]
 
 
 def test_bad_samples_per_column_is_usage_error(tmp_path):

@@ -366,6 +366,23 @@ def test_thickness_discrete_stacked_bars():
     assert abs(thickness_discrete(r, 0) - 1.0) <= 2.0 * r.h
 
 
+@pytest.mark.parametrize("text,res", [
+    ("dim 1\nbox [0,1]\nset: (x - 0.1) * (0.3 - x) > 0 or (x - 0.45) * (0.9 - x) > 0\n", 50),
+    ("dim 3\nbox [-1,1]x[-1,1]x[-1,1]\n"
+     "set: 1 - x^2 - 4*y^2 - 9*z^2 > 0 or (0.04 - x^2 > 0 and 0.04 - y^2 > 0)\n", 20),
+], ids=["1d", "3d"])
+def test_thickness_discrete_is_the_longest_run(text, res):
+    r = rasterize(parse_domain(text), (), res)
+    for axis in range(r.dim):
+        best = 0
+        for line in np.moveaxis(r.interior, axis, -1).reshape(-1, r.counts[axis]):
+            run = 0
+            for cell in line:
+                run = run + 1 if cell else 0
+                best = max(best, run)
+        assert thickness_discrete(r, axis) == best * r.h
+
+
 def test_thickness_discrete_bounded_by_continuum(disk128):
     for ax in (0, 1):
         td = thickness_discrete(disk128, ax)

@@ -867,12 +867,12 @@ def _trace_digest(r):
         (
             "disk", (),
             ((1368, 2), "4aa94fc58f4e078f0ccb6ad29b69d7ff4b4412ff55c24661ea798d4b92935fef"),
-            "5fca7c30f67902f38609e675907eda621c130105498114976fcdca1839643772",
+            "f3fb4b9c44bcdc827a89c7474f93ab44d29f909a72e89580653cb3e5ddf54b64",
         ),
         (
             "annulus", (),
             ((2048, 2), "45fbfa547417b22af11979921ec86cd57237619d6fb144248cdd8157851869d8"),
-            "7fc6b97c64c705a212113500d6b9fffb0ed8d5cd03174d08eeea193058d9ec1e",
+            "4700bfe45dc4373226d3ee5a71d85e9fa14a78ed4cd473f2203e7b2c900ecadd",
         ),
         (
             "three_intervals", (),
@@ -880,27 +880,27 @@ def _trace_digest(r):
                 "0x1.9999999999998p-4", "0x1.fffffffffffffp-3", "0x1.999999999999ap-2",
                 "0x1.3333333333333p-1", "0x1.8000000000000p-1", "0x1.cccccccccccccp-1",
             ],
-            "bd7abe20565ca3b95b94c936a862fa333ce788d6859bf7dda46f6f3a16b25190",
+            "7bfe169a95a93d59005c5cd46c1b8096e415173010f1540efa3d989226327ee1",
         ),
         (
             "saddle", (1e-4, 1.0),
             ((1944, 2), "844ad4017e8f8ba623809f003e43a0ddc3e20311025a3a443410aa25759a40f9"),
-            "f7201a8b73fc61c1108330bd80c620bf1468a476404dfecf5053c914792e83d6",
+            "03f12ecb478c050aa0f23b0c59710233b6ccb9509449878646ab2fff6ae1138d",
         ),
         (
             "saddle", (-1e-4, 1.0),
             ((1944, 2), "69924abc94e7613a0721c565ae2137f4870cd7c4e206edd8641aaeb4bbc28cce"),
-            "ef277b52cc30a11b9e36b4a0e90b95641d96ec839ee40b0e8ec8231a2f4de658",
+            "d061f473f337772b28ccd982dc92ee6db840f94b0c3256107de4c8da255a7dfe",
         ),
         (
             "saddle", (1e-4, -1.0),
             ((1944, 2), "dc1109f1327b175ac4aac12cd055b5270f61148ba7a7cd69d56ca75aef45816c"),
-            "54ffb1cf993990ce3b2e29404bb03a1d5a3d42ac6ac410bae8cdd7fe2b3cc6da",
+            "6cce5fd7d7f2e08fc6385eb673367aa7df907d0599bc6d31a62887e1cce42b6f",
         ),
         (
             "saddle", (-1e-4, -1.0),
             ((1944, 2), "0c54cbf96eaf73d163f67ab53356b33f5de08615ad9fb8ff89950208e87c727b"),
-            "331f789cbeefce2d10913690a589660302e37ec61c6b0925737fbb31abe7bd94",
+            "b8cb2adee837a3dfd9b6f5af5986f155da7a802beeac3073a67ed6365579ba3a",
         ),
     ],
     ids=["disk", "annulus", "three_intervals", "case5_out", "case5_in", "case10_out", "case10_in"],
@@ -974,3 +974,18 @@ def test_trace_ratios_are_the_full_grid_bits(specs, name, t, res):
                 continue
             got = sobolev._trace_ratios(r, p, battery, nodes, weights)
             assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+@pytest.mark.parametrize("name,t", [("disk", ()), ("cusp", (0.5,))])
+@pytest.mark.parametrize("battery", ["polynomial", "trigonometric"])
+def test_battery_is_defined_by_the_box(specs, rng, name, t, battery):
+    # the raster's apron is one cell wide, so it narrows when the raster is
+    # doubled; the functions are centred and scaled by the box alone
+    spec = specs[name]
+    lo, hi = np.transpose(spec.bounding_box)
+    pts = rng.uniform(lo, hi, (100, 2))
+    coarse = sobolev._battery_functions(rasterize(spec, t, 64), battery)
+    fine = sobolev._battery_functions(rasterize(spec, t, 128), battery)
+    assert [n for n, _ in coarse] == [n for n, _ in fine]
+    for (_, f), (_, g) in zip(coarse, fine):
+        assert f(pts).tobytes() == g(pts).tobytes()

@@ -32,8 +32,13 @@ def test_cusp_normals_follow_atom_gradients(specs):
     t = 0.7
     s = sample_boundary(spec, (t,), count=2048, seed=2)
     assert len(s) > 200
+    # the box face x = 1 closes the fiber: its samples have normal e1
+    face = s.atom_ids == -1
+    assert face.any()
+    assert (s.normals[face] == [1.0, 0.0]).all()
+    assert np.abs(s.points[face, 0] - 1.0).max() < 1e-8
     # atoms in source order: x, y, t*x^2 - y
-    for k, pt, n in zip(s.atom_ids, s.points, s.normals):
+    for k, pt, n in zip(s.atom_ids[~face], s.points[~face], s.normals[~face]):
         if k == 0:
             expect = np.array([1.0, 0.0])
         elif k == 1:
@@ -145,6 +150,7 @@ def test_find_regular_direction_cusp(specs):
         specs["cusp"], [(0.05,), (0.5,), (1.0,)], directions=256, count=2048
     )
     assert rep.found
+    assert rep.direction == (0.0, 1.0)
     assert rep.alpha >= 0.4
     # per-fiber margins are at least the pooled one
     assert all(m >= rep.alpha - 1e-12 for m in rep.per_fiber)
@@ -169,6 +175,10 @@ def test_find_regular_direction_empty_fiber_reported(specs):
 def test_find_regular_direction_all_empty(specs):
     with pytest.raises(EmptySamplesError), pytest.warns(StratumTooThinWarning):
         find_regular_direction(specs["shrink_disk"], [(0.1,)], directions=64, count=512)
+    # the whole box: face samples only, none on an atom
+    whole = parse_domain("dim 2\nbox [0,1]x[0,1]\nset: x + 1 > 0\n")
+    with pytest.raises(EmptySamplesError):
+        find_regular_direction(whole, [()], directions=64, count=512)
 
 
 def test_find_regular_direction_validates_inputs(specs):
@@ -185,16 +195,19 @@ def test_find_regular_direction_validates_inputs(specs):
 ], ids=["many-blocks", "under-one-block", "partial-last-block"])
 def test_find_regular_direction_blocked_margins_are_one_product(specs, ts, count, blocks):
     # the running minimum over row blocks, each written into the search's
-    # one block buffer, equals the minimum over the whole
-    # normals-by-candidates product, byte for byte
+    # one block buffer, equals the minimum over the whole atom
+    # normals-by-candidates product, byte for byte, with the candidates
+    # that leave through the box face x = 1 zeroed
     spec = specs["cusp"]
     rep = find_regular_direction(spec, ts, directions=256, count=count)
-    pooled = np.concatenate([sample_boundary(spec, t, count=count).normals for t in ts])
+    sets = [sample_boundary(spec, t, count=count) for t in ts]
+    pooled = np.concatenate([s.normals[s.atom_ids >= 0] for s in sets])
     cands = candidate_directions(2, 256)
     rows = _BLOCK_POINTS // cands.shape[0]
     assert -(-pooled.shape[0] // rows) in blocks
     assert pooled.shape[0] % rows != 0
     whole = np.min(np.abs(pooled @ cands.T), axis=0)
+    whole[cands[:, 0] != 0.0] = 0.0
     assert rep.candidate_margins.tobytes() == whole.tobytes()
 
 

@@ -151,9 +151,11 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     one ``member_points`` call on all centres.  The slabs' centres are
     written into one buffer the call allocates once, its later axes' columns
     filled once and its axis-0 column per slab, broadcast from
-    ``_axis_centers``: a fresh slab of 128 KB or more faults its pages in
-    again whenever glibc trims the heap after freeing it, which under a
-    fixed mmap threshold happens on every free.
+    ``_axis_centers``, and every slab's atom values are formed in one Horner
+    workspace the call also allocates once: a fresh slab-sized array of
+    128 KB or more faults its pages in again whenever glibc trims the heap
+    after freeing it, which under a fixed mmap threshold happens on every
+    free.
     """
     check_resolution(resolution)
     t = spec.check_params(t)
@@ -171,6 +173,7 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     axes = [_axis_centers(origin[i], h, counts[i])[1:-1] for i in range(dim)]
     rows = min(inner_counts[0], max(1, _BLOCK_POINTS // math.prod(inner_counts[1:])))
     centres = np.empty((rows, *inner_counts[1:], dim))
+    work = np.empty((dim + 1, rows, *inner_counts[1:]))
     # axis i's centres, with one unit axis appended per later axis,
     # broadcast along axis i of the slab
     for i in range(1, dim):
@@ -178,7 +181,7 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     for a in range(0, inner_counts[0], rows):
         slab = centres[: inner_counts[0] - a]
         slab[..., 0] = axes[0][a : a + rows].reshape(-1, *[1] * (dim - 1))
-        inner[a : a + rows] = spec.member_points(t, slab)
+        inner[a : a + rows] = spec.member_points(t, slab, work[:, : slab.shape[0]])
     return RasterDomain(
         spec=spec, t=t, h=h, origin=origin, interior=interior, resolution=resolution
     )
@@ -269,42 +272,62 @@ def _chebyshev_fit(degree: int) -> tuple:
 
 @cache
 def _colleague(degree: int) -> tuple:
-    """The colleague matrix of the series T_degree, in the symmetric form of
-    numpy's ``chebcompanion``, and the weights by which its last column
-    takes ``-c[:-1] / c[-1]`` for a series ``c``."""
+    """The colleague matrix of the series T_degree, degree 2 or more, in the
+    symmetric form of numpy's ``chebcompanion``, and the weights by which
+    its last column takes ``-c[:-1] / c[-1]`` for a series ``c``."""
     half = np.full(degree - 1, 0.5)
     mat, weights = np.diag(half, 1) + np.diag(half, -1), np.full(degree, 0.5)
-    if degree == 1:
-        return mat, np.ones(1)
     mat[0, 1] = mat[1, 0] = weights[0] = math.sqrt(0.5)
     return mat, weights
+
+
+def _quadratic_roots(c: np.ndarray) -> tuple:
+    """The two roots of each degree-2 Chebyshev series in the rows of
+    ``c``, those of ``2 c2 x^2 + c1 x + (c0 - c2)`` (T_2 = 2 x^2 - 1), as
+    real and imaginary parts, shape (rows, 2) each.  A real pair comes from
+    the stable formula: ``q = -(c1 + sign(c1) sqrt(disc)) / 2`` gives the
+    larger root ``q / (2 c2)`` and the smaller ``(c0 - c2) / q``, so neither
+    cancels (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 1.8); ``q`` is 0 only at the double root 0.  A complex pair has
+    real part ``-c1 / (4 c2)`` and imaginary part ``sqrt(-disc) / (4 |c2|)``."""
+    a, b, cc = 2.0 * c[:, 2], c[:, 1], c[:, 0] - c[:, 2]
+    disc = b * b - 4.0 * a * cc
+    root = np.sqrt(np.abs(disc))
+    q = -0.5 * (b + np.copysign(root, b))
+    pair = (disc < 0.0)[:, None]
+    real = np.stack([q / a, np.divide(cc, q, out=np.zeros_like(q), where=q != 0.0)], axis=1)
+    real = np.where(pair, (-b / (2.0 * a))[:, None], real)
+    return real, np.where(pair, (root / (2.0 * np.abs(a)))[:, None], 0.0)
 
 
 def _series_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots in (-1, 1) of one Chebyshev series per row, NaN-padded.
     A row's degree is that of its last coefficient above 1e-13 of its
-    largest (the rest changes it by no more on [-1, 1]); its roots are the
-    eigenvalues of its colleague matrix, one batch per degree, and at degree
-    1 the matrix's one entry, which is what LAPACK returns for it.  An
-    eigenvalue counts as real when its imaginary part is at most 1e-7: a
-    tangent line's double root comes back within about 1e-8 of real, and a
-    true complex pair changes no sign."""
+    largest (the rest changes it by no more on [-1, 1]), and the rows are
+    solved in one batch per degree: degree 1 as ``0 - c0 / c1``, degree 2 in
+    closed form (``_quadratic_roots``), and from degree 3 up, which only
+    the cells' resultants reach, as the eigenvalues of the colleague
+    matrix.  A root counts as real when its imaginary part is at most 1e-7:
+    a tangent line's double root comes back within about 1e-8 of real, and
+    a true complex pair changes no sign."""
     rows, degree = coeffs.shape[0], coeffs.shape[1] - 1
     out = np.full((rows, degree), np.nan)
     big = np.abs(coeffs) > 1e-13 * np.abs(coeffs).max(axis=1, keepdims=True)
     own = np.where(big.any(axis=1), degree - np.argmax(big[:, ::-1], axis=1), 0)
     for k in np.unique(own[own > 0]):
         sel = np.nonzero(own == k)[0]
-        mat, weights = _colleague(int(k))
-        shift = coeffs[sel, :k] / coeffs[sel, k : k + 1] * weights
-        if k == 1:  # a 1 x 1 matrix's eigenvalue is its entry
-            u = mat[0, 0] - shift
+        if k == 1:
+            real, imag = 0.0 - coeffs[sel, :1] / coeffs[sel, 1:2], 0.0
+        elif k == 2:
+            real, imag = _quadratic_roots(coeffs[sel])
         else:
+            mat, weights = _colleague(int(k))
             mats = np.repeat(mat[None], sel.size, axis=0)
-            mats[:, :, -1] -= shift
+            mats[:, :, -1] -= coeffs[sel, :k] / coeffs[sel, k : k + 1] * weights
             u = np.linalg.eigvals(mats)
-        real = (np.abs(u.real) < 1.0) & (np.abs(u.imag) <= 1e-7)
-        out[sel, :k] = np.where(real, u.real, np.nan)
+            real, imag = u.real, u.imag
+        keep = (np.abs(real) < 1.0) & (np.abs(imag) <= 1e-7)
+        out[sel, :k] = np.where(keep, real, np.nan)
     return out
 
 

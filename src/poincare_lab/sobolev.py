@@ -215,20 +215,22 @@ def _squared_magnitude(comps: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> n
     return out
 
 
-def lp_norm(arr, p: float, raster: RasterDomain) -> float:
+def lp_norm(arr, p: float, raster: RasterDomain, work=()) -> float:
     """L^p norm with cell-volume weights.  1D arrays are scalar fields;
     2D arrays (components, cells) are vector fields measured with the
     per-cell euclidean magnitude.
 
-    One or two n-sized work arrays, all later steps in place: under a low
+    The magnitudes are formed in ``work``, n-sized float arrays the call
+    may overwrite, one for a scalar field and two for a vector field, and
+    allocated when not given; all later steps are in place: under a low
     mmap threshold every fresh array faults its pages in again.  The
     caller's array is only read."""
     check_p(p)
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
-        mag = np.abs(a)
+        mag = np.abs(a, out=work[0] if work else None)
     elif a.ndim == 2:
-        mag = _squared_magnitude(a, np.empty_like(a[0]), np.empty_like(a[0]))
+        mag = _squared_magnitude(a, *(work or (np.empty_like(a[0]), np.empty_like(a[0]))))
         np.sqrt(mag, out=mag)
     else:
         raise ValueError("expected a scalar or vector field array")
@@ -853,6 +855,10 @@ def discrete_column_inequality(
 # boundary trace ratios
 # ---------------------------------------------------------------------------
 
+# rows per block of a battery function written into a caller's buffer: a
+# few block temporaries of 32 KB stay within the heap glibc keeps on a trim
+_TRACE_BLOCK = 4096
+
 
 def _trace_stencil(raster: RasterDomain):
     """The interior cells as the trace battery sees them, built once per
@@ -861,7 +867,9 @@ def _trace_stencil(raster: RasterDomain):
     one-sided neighbour, shape (dim, n_interior), which is the forward
     neighbour if it is interior, else the backward one if that is, else
     the cell itself; and per axis the positions ``back`` of the cells whose
-    neighbour is not the forward one."""
+    neighbour is not the forward one.  ``nb`` is int32, half the memory
+    of numpy's index type; the trace battery widens one axis at a time
+    into a buffer it owns."""
     inter, dim = raster.interior, raster.dim
     own = np.arange(np.count_nonzero(inter))
     # ranks on the grid with one exterior cell more on every side, on which
@@ -869,7 +877,7 @@ def _trace_stencil(raster: RasterDomain):
     rank = np.full(tuple(c + 2 for c in raster.counts), -1, dtype=np.int32)
     rank[np.pad(inter, 1)] = own
     pts = np.empty((dim, own.size))
-    nb = np.empty((dim, own.size), dtype=own.dtype)
+    nb = np.empty((dim, own.size), dtype=np.int32)
     back = []
     for ax in range(dim):
         along = [1] * dim
@@ -887,11 +895,28 @@ def _trace_stencil(raster: RasterDomain):
     return pts.T, nb, back
 
 
+def _pointwise(f):
+    """The battery callable ``fn(q, out=None)`` of the pointwise function
+    ``f`` of the rows of ``q``.  Given ``out``, it writes ``f`` of blocks of
+    ``_TRACE_BLOCK`` rows into it, with the bits of one call on all rows,
+    so every temporary is block-sized: fresh n-sized ones fault their pages
+    in again whenever glibc trims the heap after freeing them."""
+
+    def fn(q, out=None):
+        if out is None:
+            return f(q)
+        for a in range(0, q.shape[0], _TRACE_BLOCK):
+            out[a : a + _TRACE_BLOCK] = f(q[a : a + _TRACE_BLOCK])
+        return out
+
+    return fn
+
+
 def _battery_functions(raster: RasterDomain, battery: str):
-    """Ambient test functions as callables on point arrays.  The polynomial
-    and trigonometric ones are centred on the bounding box and scaled by its
-    longest span, so a raster and its doubled raster see the same
-    functions."""
+    """Ambient test functions as callables ``fn(q, out=None)`` on point
+    arrays (``_pointwise``).  The polynomial and trigonometric ones are
+    centred on the bounding box and scaled by its longest span, so a raster
+    and its doubled raster see the same functions."""
     dim = raster.dim
     lo, hi = np.transpose(raster.spec.bounding_box)
     mid = lo + (hi - lo) / 2.0
@@ -940,7 +965,7 @@ def _battery_functions(raster: RasterDomain, battery: str):
         fns.append(("bump8h^2", make_bump(8.0 * raster.h, 2)))
     else:
         raise ValueError(f"unknown battery {battery!r}")
-    return fns
+    return [(name, _pointwise(f)) for name, f in fns]
 
 
 @dataclass(frozen=True)
@@ -962,23 +987,27 @@ def _trace_ratios(raster: RasterDomain, p: float, battery: str, nodes, weights) 
     quadrature ``nodes`` and ``weights``.  Each gradient component is
     ``(v[nb] - v) / h`` on the interior values ``v``, or ``(v - v[nb]) / h``
     at the cells in ``back``, which is +0.0 where ``nb`` is the cell
-    itself; it is formed in one buffer that every function reuses."""
+    itself.  Every function reuses three buffers: the values, the gradient
+    and one scratch, which holds the values' magnitudes, then one axis of
+    ``nb`` widened to numpy's index type (``np.take`` would copy int32
+    indices into a fresh array), then the gradient's magnitudes, with the
+    spent values as the second scratch."""
     pts, nb, back = _trace_stencil(raster)
-    grad = np.empty(nb.shape)
+    vals, grad, scratch = np.empty(nb.shape[1]), np.empty(nb.shape), np.empty(nb.shape[1])
+    index = scratch.view(np.intp)[: nb.shape[1]]
     ratios = {}
     for name, fn in _battery_functions(raster, battery):
-        vals = fn(pts)
-        n_p = lp_norm(vals, p, raster)
+        n_p = lp_norm(fn(pts, out=vals), p, raster, (scratch,))
         if n_p == 0.0:
             continue
         for g, k, b in zip(grad, nb, back):
+            np.copyto(index, k)
             # every index is valid: "clip" only skips take's buffered check
-            np.take(vals, k, out=g, mode="clip")
+            np.take(vals, index, out=g, mode="clip")
             g -= vals
             g[b] = vals[b] - vals[k[b]]
             g /= raster.h
-        del vals  # room for lp_norm's temporaries
-        n_w = n_p + lp_norm(grad, p, raster)
+        n_w = n_p + lp_norm(grad, p, raster, (scratch, vals))
         n_b = float(np.sum(np.abs(fn(nodes)) ** p * weights)) ** (1.0 / p)
         ratios[name] = n_b / (n_p ** (1.0 - 1.0 / p) * n_w ** (1.0 / p))
     if not ratios:

@@ -421,14 +421,14 @@ GOLDEN = {
         0,
         {
             "cells.dot": "2fdf5b6868f2b3ecb47951631d45e9823e7f66c7a27410a37fee2399651f782a",
-            "report.json": "8e3d79af189e6692534a5a7584c984d64d282bdb0501e449123878bdcb9de061",
+            "report.json": "0a13e037793573f7a85bb05b17300ba70d304a05606e15cc9cc15697cca2e0e0",
         },
     ),
     "trace": (
         ["trace", "--spec", "disk", "--res", "64"],
         0,
         {
-            "report.json": "bd8b996c0e4ae939a991c5995b31f1d9297b2ac3768a581e64020a86b40663b2",
+            "report.json": "5d8cf85acf1853b6c227588147738349e4c499b1511d71920f3c5883f0439202",
         },
     ),
     "raster": (
@@ -463,10 +463,10 @@ GOLDEN = {
          "--dir", "e1", "--samples", "512"],
         0,
         {
-            "fibers.csv": "7903b92df39495f90b5bf1ec222c11372e13fef8a3cb4c9c548213623f802fb0",
+            "fibers.csv": "2dd3a3281166d6547a6030d95d04187df9e185b6227cb3c3c98b7527e290156b",
             "plot_cp.dat": "eccce30f3cc4c7832508e25776027e8c42f8a8838de96c3f04e37baca2a62546",
-            "plot_ratio.dat": "d1b6d890950d4e996f991bafa04e0d77af06abcdb8d8c7a5f6ea01525d31037f",
-            "report.json": "65b5a31b77a903f7593b7bdfe4d354644ac1742130db38d7b3989413596341ac",
+            "plot_ratio.dat": "11130fd6b05c8484b760febb6972a23c814218d5035418b8c7e30af43f16e65c",
+            "report.json": "5c2a6d95ae77f781c4084ed720028e1eba8f2f17cde54727de8ed3fae14b0e32",
         },
     ),
     "lemma-not-applicable": (
@@ -485,7 +485,7 @@ GOLDEN = {
         0,
         {
             "cells.dot": "fa8894b1dafc6061b8aa43c1f225bc99713f63619a7fff7e1c0810478177bcc5",
-            "report.json": "f6ad361b531155165207d5ecd38a40598f9f5cda432c9d05b6fb277304e41df7",
+            "report.json": "b59773b5cd38b02eb2e48c2a9d16fe11f6c04ea6220770c55cfdd76a306cc3f8",
         },
     ),
     "trace-bump": (

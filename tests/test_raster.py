@@ -19,7 +19,7 @@ from poincare_lab import (
     write_pgm,
 )
 from poincare_lab.errors import EmptyFiberError
-from poincare_lab.raster import _BLOCK_POINTS, line_cuts
+from poincare_lab.raster import _BLOCK_POINTS, _colleague, _quadratic_roots, _series_roots, line_cuts
 from test_sobolev import BALL, centre_grid
 
 
@@ -299,15 +299,69 @@ def test_thickness_disk_diagonal_is_exact(specs):
     assert abs(thickness(specs["disk"], (), (1.0, 1.0)) - 2.0) <= 1e-12
 
 
+def _colleague_roots(c):
+    # the degree-2 roots as the eigenvalues of the colleague matrix, with
+    # the same rule for a real root
+    mat, weights = _colleague(2)
+    mats = np.repeat(mat[None], len(c), axis=0)
+    mats[:, :, -1] -= c[:, :2] / c[:, 2:] * weights
+    u = np.linalg.eigvals(mats)
+    return np.where((np.abs(u.real) < 1.0) & (np.abs(u.imag) <= 1e-7), u.real, np.nan)
+
+
+def _monic_series(scale, b, c):
+    # the Chebyshev series of scale * (x^2 + b x + c), x^2 = (T_0 + T_2) / 2
+    return np.stack([scale * c + scale / 2, scale * b, scale / 2 + 0.0 * b], axis=1)
+
+
+def test_quadratic_roots_are_the_colleague_eigenvalues():
+    rng = np.random.default_rng(7)
+    n = 2000
+    scale = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+    r1 = rng.uniform(-1.2, 1.2, n)
+    uniform = rng.uniform(-1.0, 1.0, (n, 3))
+    uniform[:, 2] = np.copysign(rng.uniform(0.25, 1.0, n), uniform[:, 2])
+    apart = np.copysign(10.0 ** rng.uniform(-6, 0.3, n), r1)
+    tangent = 10.0 ** rng.uniform(-12, -6, n)
+    # 5% either side of the 1e-7 rule is the closest the coefficients
+    # resolve; the first half are double roots, the rest are not real
+    w = 1e-7 * np.repeat([0.95, 1.05], n // 2)
+    near_one = np.choose(rng.integers(0, 4, n), [1 - 1e-9, 1 + 1e-9, -1 + 1e-9, -1 - 1e-9])
+    for c in (
+        uniform,
+        _monic_series(scale, -(2 * r1 - apart), r1 * (r1 - apart)),
+        _monic_series(scale, -(2 * r1 - tangent), r1 * (r1 - tangent)),  # near-tangent lines
+        _monic_series(scale, -2 * r1, r1 * r1 + w * w),
+        _monic_series(scale, -(near_one + r1 / 2), near_one * r1 / 2),
+    ):
+        got, want = np.sort(_series_roots(c), axis=1), np.sort(_colleague_roots(c), axis=1)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        # eigvals' own error grows like eps / separation; the closed form's
+        # stays below it (checked against 50-digit roots)
+        real, _ = _quadratic_roots(c)
+        sep = np.abs(real[:, :1] - real[:, 1:])
+        far = ~np.isnan(got) & (sep > 1e-4)
+        assert (np.abs(got - want) <= 1e-15 / np.clip(sep, 1e-4, 1e-2))[far].all()
+    pair = _monic_series(1.0, np.array([-1.0, -1.0]), 0.25 + (1e-7 * np.array([0.95, 1.05])) ** 2)
+    assert np.isnan(_series_roots(pair)).tolist() == [[False, False], [True, True]]
+    # a c2 below 1e-13 of the row's largest coefficient makes the row linear
+    roots = _series_roots(np.array([[0.3, -0.9, 0.8e-13 * 0.9], [2.0, 1.0, -1e-14]]))
+    assert np.isnan(roots[:, 1]).all() and np.isnan(roots[1, 0])
+    assert roots[0, 0] == 0.0 - 0.3 / -0.9
+
+
 def test_line_kernel_bits_do_not_depend_on_blas_threads():
-    # the roots come from LAPACK's eigvals, whose bits must not follow the
-    # BLAS thread count
+    # from degree 3 up (the cells' resultants, and here the quartic
+    # superellipse's lines) the roots come from LAPACK's eigvals, whose bits
+    # must not follow the BLAS thread count
     probe = (
         "import hashlib\n"
-        "from poincare_lab import load_corpus, longest_chord, sample_boundary\n"
+        "from poincare_lab import load_corpus, longest_chord, parse_domain, sample_boundary\n"
+        "quartic = parse_domain('dim 2\\nbox [-1.5,1.5]x[-1.5,1.5]\\nset: 1 - x^4 - y^4 > 0')\n"
         "for name, t, d in [('disk', (), (0.3, 1.0)), ('cusp', (0.5,), (0.0, 1.0)),\n"
-        "                   ('ellipse', (1.3,), (1.0, 2.0)), ('annulus', (), (0.3, 1.0))]:\n"
-        "    spec = load_corpus(name)\n"
+        "                   ('ellipse', (1.3,), (1.0, 2.0)), ('annulus', (), (0.3, 1.0)),\n"
+        "                   ('quartic', (), (0.3, 1.0))]:\n"
+        "    spec = quartic if name == 'quartic' else load_corpus(name)\n"
         "    chord = longest_chord(spec, t, d)\n"
         "    b = sample_boundary(spec, t, 1024, 0)\n"
         "    digest = hashlib.sha256(b.points.tobytes() + b.normals.tobytes()\n"

@@ -142,38 +142,6 @@ def _eval_array(node, coords) -> np.ndarray:
     return v
 
 
-def _eval_into(node, coords, work):
-    """``_eval_horner`` with every array written into the workspace
-    ``work``: one accumulator of the points' shape per ambient variable,
-    ``work[var]`` for the nodes on ``var``, whose children sit on later
-    variables, and last the power buffer they share, which each step spends
-    before it evaluates a child.  The operations and their order are
-    ``_eval_horner``'s, and ``x**1`` is ``x`` and ``x**2`` is
-    ``np.square(x)`` as numpy computes them, so the bits are too.  A
-    subtree on the parameters alone is a scalar and is left to
-    ``_eval_horner``."""
-    if isinstance(node, float) or node[0] >= len(work) - 1:
-        return _eval_horner(node, coords)
-    var, items = node
-    xv, acc, power = coords[var], work[var], work[-1]
-    e_prev, value = items[0][0], _eval_into(items[0][1], coords, work)
-    for e, sub in (*items[1:], (0, None)):
-        if e_prev == e:  # the last item was the constant term
-            break
-        k = e_prev - e
-        if k == 1:
-            term = xv
-        elif k == 2:
-            term = np.square(xv, out=power)
-        else:
-            term = np.power(xv, k, out=power)
-        value = np.multiply(value, term, out=acc)
-        if sub is not None:
-            np.add(acc, _eval_into(sub, coords, work), out=acc)
-        e_prev = e
-    return value
-
-
 @dataclass(frozen=True)
 class PolyAtom:
     """One strict polynomial inequality ``p > 0`` or ``p < 0``.
@@ -216,18 +184,13 @@ class PolyAtom:
     def degree(self) -> int:
         return max(sum(k) for k, _ in self.coeffs)
 
-    def values(self, coords, work=None) -> np.ndarray:
+    def values(self, coords) -> np.ndarray:
         """Evaluate the polynomial; ``coords`` is one array (or scalar) per
-        variable, ambient variables first then parameters.  With a Horner
-        workspace ``work`` (``DomainSpec.member_points``) the result is one
-        of its arrays, overwritten by the next call."""
-        if work is None:
-            return _eval_array(self._horner, coords)
-        v = _eval_into(self._horner, coords, work)
-        return v if np.ndim(v) else _eval_array(self._horner, coords)
+        variable, ambient variables first then parameters."""
+        return _eval_array(self._horner, coords)
 
-    def truth(self, coords, work=None) -> np.ndarray:
-        v = self.values(coords, work)
+    def truth(self, coords) -> np.ndarray:
+        v = self.values(coords)
         return v > 0.0 if self.relation == "GT" else v < 0.0
 
     def gradient_values(self, coords) -> np.ndarray:
@@ -384,17 +347,9 @@ class DomainSpec:
         leaves = [leaf(atom, coords) for atom in self.atoms]
         return _reduce_formula(self.formula, leaves)
 
-    def member_points(self, t, pts: np.ndarray, work=None) -> np.ndarray:
-        """Vectorized membership for an array of points, shape (..., dim).
-
-        ``work``, if given, is a Horner workspace of shape
-        ``(dim + 1,) + pts.shape[:-1]``, an accumulator per ambient variable
-        and a power buffer, in which every atom's values are formed with the
-        bits of the allocating path.  A caller that tests many blocks of
-        points (``raster.rasterize``) allocates it once: fresh values arrays
-        of 128 KB or more fault their pages in again whenever glibc trims
-        the heap after freeing them."""
-        return self._fold(t, pts, lambda atom, coords: atom.truth(coords, work))
+    def member_points(self, t, pts: np.ndarray) -> np.ndarray:
+        """Vectorized membership for an array of points, shape (..., dim)."""
+        return self._fold(t, pts, PolyAtom.truth)
 
 
 def _as_param_tuple(t, k: int) -> tuple:

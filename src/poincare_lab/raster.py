@@ -48,10 +48,12 @@ LINES_PER_SPAN = {1: 1, 2: 512, 3: 96}
 # normal
 _MIN_GRAD_NORM = 1e-8
 
-# the block size of the kernels that stream through bounded blocks: cell
-# centres per membership call in ``rasterize``, normal-candidate products
-# per block in ``tangent.find_regular_direction``
+# normal-candidate products per block in ``tangent.find_regular_direction``
 _BLOCK_POINTS = 1 << 16
+# cell centres per membership call in ``rasterize``: a slab's temporaries
+# of 64 KB stay within the heap glibc keeps on a trim, where those of
+# 128 KB and up fault their pages in again on most slabs
+_RASTER_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -145,17 +147,16 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     raster (``raster.empty``), which callers treat as data, not an error.
 
     Membership is evaluated slab by slab along axis 0, each slab holding
-    whole rows and about ``_BLOCK_POINTS`` cell centres, straight into the
+    whole rows and about ``_RASTER_BLOCK`` cell centres, straight into the
     padded mask; working memory beyond the mask is bounded by the slab,
     whatever the resolution.  Membership is pointwise, so the mask equals
     one ``member_points`` call on all centres.  The slabs' centres are
     written into one buffer the call allocates once, its later axes' columns
     filled once and its axis-0 column per slab, broadcast from
-    ``_axis_centers``, and every slab's atom values are formed in one Horner
-    workspace the call also allocates once: a fresh slab-sized array of
-    128 KB or more faults its pages in again whenever glibc trims the heap
-    after freeing it, which under a fixed mmap threshold happens on every
-    free.
+    ``_axis_centers``.  A slab's membership temporaries are 64 KB each at
+    most: larger fresh arrays fault their pages in again whenever glibc
+    trims the heap after freeing them, which under a fixed mmap threshold
+    happens on every free.
     """
     check_resolution(resolution)
     t = spec.check_params(t)
@@ -171,9 +172,8 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     interior = np.zeros(counts, dtype=bool)
     inner = interior[(slice(1, -1),) * dim]
     axes = [_axis_centers(origin[i], h, counts[i])[1:-1] for i in range(dim)]
-    rows = min(inner_counts[0], max(1, _BLOCK_POINTS // math.prod(inner_counts[1:])))
+    rows = min(inner_counts[0], max(1, _RASTER_BLOCK // math.prod(inner_counts[1:])))
     centres = np.empty((rows, *inner_counts[1:], dim))
-    work = np.empty((dim + 1, rows, *inner_counts[1:]))
     # axis i's centres, with one unit axis appended per later axis,
     # broadcast along axis i of the slab
     for i in range(1, dim):
@@ -181,7 +181,7 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     for a in range(0, inner_counts[0], rows):
         slab = centres[: inner_counts[0] - a]
         slab[..., 0] = axes[0][a : a + rows].reshape(-1, *[1] * (dim - 1))
-        inner[a : a + rows] = spec.member_points(t, slab, work[:, : slab.shape[0]])
+        inner[a : a + rows] = spec.member_points(t, slab)
     return RasterDomain(
         spec=spec, t=t, h=h, origin=origin, interior=interior, resolution=resolution
     )
@@ -289,7 +289,11 @@ def _quadratic_roots(c: np.ndarray) -> tuple:
     larger root ``q / (2 c2)`` and the smaller ``(c0 - c2) / q``, so neither
     cancels (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     ed., 1.8); ``q`` is 0 only at the double root 0.  A complex pair has
-    real part ``-c1 / (4 c2)`` and imaginary part ``sqrt(-disc) / (4 |c2|)``."""
+    real part ``-c1 / (4 c2)`` and imaginary part ``sqrt(-disc) / (4 |c2|)``.
+    Each row is first scaled by the power of two that brings its largest
+    coefficient into [0.5, 1), so ``disc`` neither underflows nor
+    overflows; the scaling is exact, so the roots do not depend on it."""
+    c = np.ldexp(c, -np.frexp(np.abs(c).max(axis=1))[1][:, None])
     a, b, cc = 2.0 * c[:, 2], c[:, 1], c[:, 0] - c[:, 2]
     disc = b * b - 4.0 * a * cc
     root = np.sqrt(np.abs(disc))

@@ -897,14 +897,14 @@ def _trace_stencil(raster: RasterDomain):
 
 def _pointwise(f):
     """The battery callable ``fn(q, out=None)`` of the pointwise function
-    ``f`` of the rows of ``q``.  Given ``out``, it writes ``f`` of blocks of
-    ``_TRACE_BLOCK`` rows into it, with the bits of one call on all rows,
-    so every temporary is block-sized: fresh n-sized ones fault their pages
-    in again whenever glibc trims the heap after freeing them."""
+    ``f`` of the rows of ``q``.  It writes ``f`` of blocks of
+    ``_TRACE_BLOCK`` rows into ``out`` (a fresh array if not given), with
+    the bits of one call on all rows, so every temporary is block-sized:
+    fresh n-sized ones fault their pages in again whenever glibc trims the
+    heap after freeing them."""
 
     def fn(q, out=None):
-        if out is None:
-            return f(q)
+        out = np.empty(q.shape[0]) if out is None else out
         for a in range(0, q.shape[0], _TRACE_BLOCK):
             out[a : a + _TRACE_BLOCK] = f(q[a : a + _TRACE_BLOCK])
         return out

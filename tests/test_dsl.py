@@ -4,9 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from poincare_lab import load_corpus, parse_domain, print_domain
-from poincare_lab.corpus import corpus_names
-from poincare_lab.dsl import _eval_array
+from poincare_lab import parse_domain, print_domain
 from poincare_lab.errors import (
     DegreeLimitError,
     MissingBoundingBoxError,
@@ -14,7 +12,6 @@ from poincare_lab.errors import (
     ParamOutOfRangeError,
     SpecSyntaxError,
 )
-from test_sobolev import BALL
 
 DISK = "dim 2\nbox [-1.5,1.5]x[-1.5,1.5]\nset: x^2 + y^2 - 1 < 0\n"
 CUSP = (
@@ -242,28 +239,3 @@ def test_dsl_golden_bits(specs):
     assert set(parsed) == set(GOLDEN_DSL_DIGESTS)
     for name, spec in parsed.items():
         assert _dsl_digest(spec) == GOLDEN_DSL_DIGESTS[name], name
-
-
-def test_horner_workspace_keeps_the_bits():
-    # every corpus atom, BALL, the golden specs' atoms (parameters, 3D,
-    # constant gradients) and an atom on a parameter alone, at random
-    # points and parameters, in one workspace reused across atoms and calls
-    # as rasterize reuses it
-    rng = np.random.default_rng(11)
-    parsed = [load_corpus(n) for n in corpus_names()] + [parse_domain(BALL)]
-    parsed += [parse_domain(text) for text in GOLDEN_SPECS.values()]
-    parsed.append(parse_domain("dim 2\nparams t in [0,1]\nbox [0,1]x[0,1]\nset: x > 0 and t - 0.5 > 0\n"))
-    for spec in parsed:
-        dim = spec.ambient_dim
-        lo, hi = np.array(spec.bounding_box).T
-        work = np.full((dim + 1, 300), np.nan)
-        for shape in ((300,), (20, 15)):
-            pts = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), shape + (dim,))
-            space = work.reshape((dim + 1,) + shape)
-            t = tuple(rng.uniform(a, b) for a, b in spec.param_box)
-            coords = [pts[..., i] for i in range(dim)] + [np.float64(v) for v in t]
-            for atom in spec.atoms:
-                want = _eval_array(atom._horner, coords)
-                got = atom.values(coords, space)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert np.array_equal(spec.member_points(t, pts, space), spec.member_points(t, pts))

@@ -106,10 +106,15 @@ def test_volume_error_shrinks_with_resolution(specs):
 
 def test_thickness_disk_any_direction(specs):
     # chord lines sit at multiples of q across the direction, so one passes
-    # through the origin, the disk's centre
-    spec = specs["disk"]
-    for d in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7)]:
-        assert abs(thickness(spec, (), d) - 2.0) < 1e-12
+    # through the origin, the disk's centre; scaled by 1e-170 or 1e160 the
+    # line series' squares under- or overflow, and the chords must not move
+    scaled = [
+        parse_domain(f"dim 2\nbox [-1.5,1.5]x[-1.5,1.5]\nset: {s}*x^2 + {s}*y^2 - {s} < 0\n")
+        for s in ("1e-170", "1e160")
+    ]
+    for spec in [specs["disk"], *scaled]:
+        for d in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7)]:
+            assert abs(thickness(spec, (), d) - 2.0) < 1e-12
 
 
 THIN_BAR = "dim 2\nbox [0,1]x[0,1]\nset: y > 0 and 1/1000 - y > 0\n"
@@ -342,6 +347,17 @@ def test_quadratic_roots_are_the_colleague_eigenvalues():
         sep = np.abs(real[:, :1] - real[:, 1:])
         far = ~np.isnan(got) & (sep > 1e-4)
         assert (np.abs(got - want) <= 1e-15 / np.clip(sep, 1e-4, 1e-2))[far].all()
+        # coefficients near 1e-170 or 1e160, whose squares under- or
+        # overflow: a power-of-two factor keeps the bits, a decimal one
+        # keeps the eigenvalues' pattern and agreement
+        for e in (-565, 531):
+            assert _series_roots(np.ldexp(c, e)).tobytes() == _series_roots(c).tobytes()
+        for s in (1e-170, 1e160):
+            got = np.sort(_series_roots(c * s), axis=1)
+            want = np.sort(_colleague_roots(c * s), axis=1)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            far = ~np.isnan(got) & (sep > 1e-4)
+            assert (np.abs(got - want) <= 1e-15 / np.clip(sep, 1e-4, 1e-2))[far].all()
     pair = _monic_series(1.0, np.array([-1.0, -1.0]), 0.25 + (1e-7 * np.array([0.95, 1.05])) ** 2)
     assert np.isnan(_series_roots(pair)).tolist() == [[False, False], [True, True]]
     # a c2 below 1e-13 of the row's largest coefficient makes the row linear

@@ -977,16 +977,21 @@ def test_trace_ratios_are_the_full_grid_bits(specs, name, t, res):
 
 
 @pytest.mark.parametrize("name,res", [("disk", 64), ("disk", 256), ("ball", 16), ("isolated", 0)])
-def test_battery_functions_write_the_same_bits_into_a_buffer(specs, name, res):
-    # disk@256 has more interior cells than one block of the buffered path
+def test_battery_functions_write_the_same_bits_into_a_buffer(specs, name, res, monkeypatch):
+    # disk@256 has more interior cells than one block; the reference takes
+    # all rows in one block
     spec = parse_domain(BALL) if name == "ball" else specs.get(name, specs["square"])
     r = _isolated_cells(specs) if name == "isolated" else rasterize(spec, (), res)
     pts, _, _ = sobolev._trace_stencil(r)
     for battery in ("polynomial", "trigonometric", "bump"):
-        for fname, fn in sobolev._battery_functions(r, battery):
+        fns = sobolev._battery_functions(r, battery)
+        with monkeypatch.context() as m:
+            m.setattr(sobolev, "_TRACE_BLOCK", pts.shape[0])
+            whole = [fn(pts) for _, fn in fns]
+        for (fname, fn), want in zip(fns, whole):
             buf = np.full(pts.shape[0], np.nan)
             assert fn(pts, out=buf) is buf
-            assert buf.tobytes() == fn(pts).tobytes(), (battery, fname)
+            assert buf.tobytes() == want.tobytes(), (battery, fname)
 
 
 def test_trace_battery_memory_is_bounded(specs):

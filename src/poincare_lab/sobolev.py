@@ -269,6 +269,9 @@ class PoincareEstimate:
 
 _MAX_OUTER = 200  # LOBPCG steps
 P2_TOL = 1e-8  # default tol of the p = 2 eigensolve
+# squared Cholesky pivot of the scaled V^T V at which a vector is dropped: at
+# 1e-6 interval@4096's second step drops p (3e-11) and no solve takes a step more
+_GRAM_DROP = 1e-6
 
 
 def _coarsen(raster: RasterDomain) -> RasterDomain:
@@ -378,21 +381,40 @@ class _VCycle:
         return x
 
 
-def _orthonormalize(v: np.ndarray, Av: np.ndarray, basis: list, tmp: np.ndarray) -> bool:
-    """Make ``v`` orthogonal to the orthonormal vectors of ``basis``, a list
-    of (u, A u), and of unit norm, in place, with ``Av`` following it.  False,
-    leaving both unscaled, when less than 1e-10 of ``v``'s norm is left."""
-    norm0 = float(np.linalg.norm(v))
-    for u, Au in basis:
-        c = float(u @ v)
-        v -= np.multiply(u, c, out=tmp)
-        Av -= np.multiply(Au, c, out=tmp)
-    norm = float(np.linalg.norm(v))
-    if norm <= 1e-10 * norm0:
-        return False
-    v /= norm
-    Av /= norm
-    return True
+def _rayleigh_ritz(GA: np.ndarray, GB: np.ndarray) -> tuple:
+    """The lowest Ritz pair of A on a raw basis V = [x, w, p] from the Gram
+    matrices GA = V^T A V and GB = V^T V alone: the coefficients y on V,
+    with y^T GB y = 1, y[0] >= 0 and 0 on a dropped vector, and the
+    relative Ritz gap (theta2 - theta1) / theta1, None on x alone.
+
+    Both are scaled to unit diagonal (Duersch, Shao, Yang and Gu, SIAM J.
+    Sci. Comput. 40(5), 2018).  A vector of zero norm is dropped, then p
+    and then w while the scaled GB is numerically singular: its Cholesky
+    factorization fails or leaves a squared pivot (the share of a vector's
+    squared norm outside the span of those before it) of at most
+    ``_GRAM_DROP``.  Closer than that, the scaled GA's rounding, about
+    eps cond(A) (6e-9 at interval@8192), and the large cancelling
+    coefficients that the tracked products keep spoil the step.  What is
+    left is solved as L^-1 GA L^-T by ``eigh``.
+    """
+    norms = np.sqrt(np.diag(GB))
+    kept = [0] + [k for k in (1, 2) if norms[k] > 0.0]
+    while True:
+        scale = 1.0 / norms[kept]
+        block = np.ix_(kept, kept)
+        try:
+            L = np.linalg.cholesky(GB[block] * np.outer(scale, scale))
+            if len(kept) == 1 or np.diag(L).min() ** 2 > _GRAM_DROP:
+                break
+        except np.linalg.LinAlgError:
+            pass
+        kept.pop()  # p, then w
+    Linv = np.linalg.inv(L)
+    theta, z = np.linalg.eigh(Linv @ (GA[block] * np.outer(scale, scale) @ Linv.T))
+    y = np.zeros(3)
+    y[kept] = scale * (Linv.T @ z[:, 0])
+    gap = (theta[1] - theta[0]) / theta[0] if len(kept) > 1 else None
+    return (-y if y[0] < 0.0 else y), gap
 
 
 def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
@@ -400,17 +422,19 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
 
     Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) from the
     all-ones start.  Each step takes w, one V-cycle (``_VCycle``) applied to
-    the residual A x - lambda x, and p, the previous step's direction; it
-    orthonormalizes w against x and then p against both, drops either when
-    less than 1e-10 of its norm is left (a single cell, a converged iterate),
-    and takes the lowest Ritz pair of A on what is left.  The Ritz vector is
-    the next x, with a coefficient on x of at least 0, and its part outside
-    x the next p.  The V-cycle runs on the hierarchy of ``_coarsen``ed
-    rasters, built once per solve: each level's own Laplacian, injection P
-    with R = P^T / 2^dim, two damped-Jacobi sweeps before and after the
-    coarse correction, down to the last level whose coarsening has no
-    cells.  The iteration stops when the eigen-residual res = ||A x - lambda x|| / lambda
-    is at most sqrt(tol) / 10, so the Rayleigh quotient's relative error,
+    the residual A x - lambda x, and p, the previous step's direction, and
+    takes the lowest Ritz pair of A on the raw basis (x, w, p) from its two
+    3 x 3 Gram matrices, with no orthonormalization (``_rayleigh_ritz``,
+    which drops p and then w while the basis is numerically dependent).  The
+    Ritz vector, with a coefficient on x of at least 0 and unit norm, is the
+    next x, and its part outside x the next p; its x.Ax and x.x come from
+    the small problem, so lambda = x.Ax / x.x costs no pass over x.  The
+    V-cycle runs on the hierarchy of ``_coarsen``ed rasters, built once per
+    solve: each level's own Laplacian, injection P with R = P^T / 2^dim, two
+    damped-Jacobi sweeps before and after the coarse correction, down to
+    the last level whose coarsening has no cells.  The iteration stops when
+    the eigen-residual res = ||A x - lambda x|| / (lambda ||x||) is at most
+    sqrt(tol) / 10, so the Rayleigh quotient's relative error,
     about res^2 lambda / gap, is far below ``tol`` unless the gap is small
     and the start holds much of the next eigenvector.  ``residual`` is that
     res and ``iterations`` counts the steps, each one V-cycle and one
@@ -418,8 +442,11 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     ``SolverDivergedError`` names the last step's relative Ritz gap
     (theta2 - theta1) / theta1, a small gap being why the stop was not met.
 
-    Every product with A, here and in the V-cycle, is written into a buffer
-    the solve owns (``_matvec``), so a step allocates no n-vector: a fresh
+    The solve holds six n-vectors: x, p, their products with A, the
+    product A w and one scratch vector, which takes the residual that the
+    V-cycle reads; w is the buffer the V-cycle returns its result in.
+    Every product with A, here and in the V-cycle, is written into one of
+    these buffers (``_matvec``), so a step allocates no n-vector: a fresh
     one per product costs page faults whenever the allocator hands its pages
     back to the system on free.
     """
@@ -428,15 +455,22 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     check_tol(tol)
     A = build_gradient(raster).laplacian()
     precond = _VCycle(raster, A)
-    # apart, so that the returned eigenvector holds no other buffer; p = 0 is
-    # dropped at the first step
-    x, Ax, w, Aw, p, Ap, tmp = (np.zeros(A.shape[0]) for _ in range(7))
+    # apart, so that the returned eigenvector holds no other buffer; w is the
+    # V-cycle's output, and p = 0 is dropped at the first step
+    x, Ax, Aw, p, Ap, tmp = (np.zeros(A.shape[0]) for _ in range(6))
+    GA, GB = np.zeros((3, 3)), np.zeros((3, 3))
     x += 1.0
     x /= np.linalg.norm(x)
     _matvec(A, x, Ax)
-    lam = float(x @ Ax)
-    np.subtract(Ax, np.multiply(x, lam, out=w), out=w)
-    res = float(np.linalg.norm(w)) / lam
+    GA[0, 0], GB[0, 0] = x @ Ax, x @ x
+
+    def rayleigh():
+        # lambda = x.Ax / x.x and res, with the residual left in tmp
+        lam = float(GA[0, 0] / GB[0, 0])
+        np.subtract(Ax, np.multiply(x, lam, out=tmp), out=tmp)
+        return lam, float(np.linalg.norm(tmp)) / (lam * math.sqrt(GB[0, 0]))
+
+    lam, res = rayleigh()
 
     def estimate(iterations: int) -> PoincareEstimate:
         return PoincareEstimate(
@@ -452,22 +486,16 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
         )
 
     for outer in range(1, _MAX_OUTER + 1):
-        np.copyto(w, precond(w))
+        w = precond(tmp)
         _matvec(A, w, Aw)
-        basis = [(x, Ax)]
-        kept = [0]
-        for k, (v, Av) in enumerate(((w, Aw), (p, Ap)), 1):
-            if _orthonormalize(v, Av, basis, tmp):
-                basis.append((v, Av))
-                kept.append(k)
-        # A projected on the kept basis; eigh reads its lower triangle only
-        gram = np.array([[u @ Av for _, Av in basis] for u, _ in basis])
-        y = np.zeros(3)  # the Ritz vector on (x, w, p), 0 where dropped
-        theta, ritz = np.linalg.eigh(gram)
-        y[kept] = ritz[:, 0]
-        gap = (theta[1] - theta[0]) / theta[0] if len(kept) > 1 else None
-        if y[0] < 0.0:
-            y = -y
+        # GA[0, 0] and GB[0, 0], x.Ax and x.x, carry over from the last step
+        V, AV = (x, w, p), (Ax, Aw, Ap)
+        for i, j in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            GA[i, j] = GA[j, i] = V[i] @ AV[j]
+            GB[i, j] = GB[j, i] = V[i] @ V[j]
+        y, gap = _rayleigh_ritz(GA, GB)
+        # x.Ax and x.x of the next x, from the small problem
+        GA[0, 0], GB[0, 0] = y @ GA @ y, y @ GB @ y
         # p <- y1 w + y2 p and x <- y0 x + p, Ap and Ax alike
         p *= y[2]
         p += np.multiply(w, y[1], out=tmp)
@@ -477,12 +505,7 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
         x += p
         Ax *= y[0]
         Ax += Ap
-        nx = float(np.linalg.norm(x))
-        x /= nx
-        Ax /= nx
-        lam = float(x @ Ax)
-        np.subtract(Ax, np.multiply(x, lam, out=w), out=w)
-        res = float(np.linalg.norm(w)) / lam
+        lam, res = rayleigh()
         if not math.isfinite(res):
             raise SolverDivergedError("LOBPCG produced a non-finite iterate")
         if res <= math.sqrt(tol) / 10.0:

@@ -23,6 +23,7 @@ from poincare_lab import (
     find_regular_direction,
     grid_points,
     lp_norm,
+    poincare_constant,
     poincare_p2,
     rasterize,
     sweep,
@@ -153,6 +154,34 @@ def test_criterion_03_extremal_fields_reach_the_column_constant(corpus65):
                 du = lp_norm(np.abs(op.apply(u)[axis])[None, :], p, raster)
                 ratio = lp_norm(u, p, raster) / (T * du)
                 assert abs(ratio - want) <= 1e-12, (name, t, axis, p, ratio, want)
+
+
+def _column_constant(n, h, p):
+    """The sharp discrete constant of one column of n cells: n h / 2 at
+    p = 1, h / (2 sin(pi / (2n + 2))) at p = 2, and the upper bound
+    (h / 2) n^(1/p) (n + 1)^(1 - 1/p) otherwise."""
+    if p == 1.0:
+        return n * h / 2.0
+    if p == 2.0:
+        return h / (2.0 * math.sin(math.pi / (2 * n + 2)))
+    return h / 2.0 * n ** (1.0 / p) * (n + 1) ** (1.0 - 1.0 / p)
+
+
+def test_constants_stay_below_the_column_bound(corpus65):
+    # no column along axis j is longer than n_j = thickness_discrete / h,
+    # so C_p <= min_j c_p(n_j): a solver that overshoots C_p fails here
+    # (worst ratios 0.633, 0.815 and 0.594 at p = 1, 2 and 3, all on
+    # cusp(0.1)), while random fields only show that C_p is not too small
+    worst = {}
+    for name, t, raster in corpus65:
+        runs = [round(thickness_discrete(raster, j) / raster.h) for j in range(2)]
+        for p in (1.0, 2.0, 3.0):
+            bound = min(_column_constant(n, raster.h, p) for n in runs)
+            ratio = poincare_constant(raster, p).constant / bound
+            assert ratio <= 1.0, (name, t, p, ratio)
+            worst[p] = max(worst.get(p, 0.0), ratio)
+    worst = ", ".join(f"{ratio:.3f} at p = {p:g}" for p, ratio in worst.items())
+    print(f"[column bound] PASS C_p / min_j c_p(n_j) at most {worst}")
 
 
 def test_criterion_04_thickness_oracles(specs):

@@ -369,37 +369,37 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "60d6a81ec13d73276b037315e37c63651b0de1239a5e68919fc1fa96413f916a",
+            "report.json": "e1d91aadbb002481550da61be7dc3ad78d95d8ba7fb8ddd10bd97748253c155a",
         },
     ),
     "sweep": (
         ["sweep", "--spec", "cusp", "--grid", "3", "--p", "2", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "5c2678938cf4a52122b9fe807866754a79e2fa3aba07a72eb935b3aea4808bf1",
-            "plot_cp.dat": "8a5d7090181db5fc68d67d06e80f655756a7aa3b92caba76c98707e8ccfd54ca",
+            "fibers.csv": "5b95e9ad22334e10da520ebf662b7b9deea9364f97e41689f870f56692363cfc",
+            "plot_cp.dat": "4c90c377e24a86a1fb015d22bce858601a6a597fcb2f55c0b3103471b1b68573",
             "plot_ratio.dat": "b80f217c437a310370de77656005a72ed84c1d4a0b53f54a4b72bed51cb22b07",
-            "report.json": "45f9041ee395bae5d3efa6f77a0169bd40d5b493a635d7714b2778d4998de58d",
+            "report.json": "f60a4b0f348e783b863ad14a1a7b3e4d8f0352e3f79bc29fd7c6e5063ef51c55",
         },
     ),
     "lemma": (
         ["lemma", "--spec", "cusp", "--grid", "3", "--res", "64", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "5c2678938cf4a52122b9fe807866754a79e2fa3aba07a72eb935b3aea4808bf1",
-            "plot_cp.dat": "8a5d7090181db5fc68d67d06e80f655756a7aa3b92caba76c98707e8ccfd54ca",
+            "fibers.csv": "5b95e9ad22334e10da520ebf662b7b9deea9364f97e41689f870f56692363cfc",
+            "plot_cp.dat": "4c90c377e24a86a1fb015d22bce858601a6a597fcb2f55c0b3103471b1b68573",
             "plot_ratio.dat": "b80f217c437a310370de77656005a72ed84c1d4a0b53f54a4b72bed51cb22b07",
-            "report.json": "b1aab5be337c319f51800a714119fb50221ca76a004bf5a5a4734bdfce276862",
+            "report.json": "2a2603e7163d19b867b8895b99805b5767a0535c47ab69c3f65fddbea0f10451",
         },
     ),
     "uniform": (
         ["uniform", "--spec", "cusp", "--grid", "3", "--res", "48,96", "--dir", "0,1"],
         0,
         {
-            "fibers.csv": "92e3fde54d10d9e61569a7bbb9bee59f45b9a8c41cfb7ecf8983badd438f0ab3",
-            "plot_cp.dat": "008c1e2f634be25e8b642717c02e92a85b2cabb517fcaa4e2a6b5b4783185e12",
+            "fibers.csv": "3382dc4965bd093d0aba50264cb571f456d6d113500edaadc4667f7db821819f",
+            "plot_cp.dat": "0c8ae1a5317f8162bb6f774591a3874e6f636e5d92ecf4fe4e78e97a34af03bd",
             "plot_ratio.dat": "5e227414ecd0a63d717a17c74617bcd3df2cf40960321fff88ee9af0d270e8a0",
-            "report.json": "fc331103e82842b561c3861c0a6dee3cd22ad76f46f48d44c12043a1756413e2",
+            "report.json": "c14a361b4c244c12932bb571217348d73e39796f113f95931fe54e26bb909c92",
         },
     ),
     "thickness": (
@@ -463,10 +463,10 @@ GOLDEN = {
          "--dir", "e1", "--samples", "512"],
         0,
         {
-            "fibers.csv": "2dd3a3281166d6547a6030d95d04187df9e185b6227cb3c3c98b7527e290156b",
-            "plot_cp.dat": "eccce30f3cc4c7832508e25776027e8c42f8a8838de96c3f04e37baca2a62546",
+            "fibers.csv": "6a3e089addcfc20262cf1b4408ffc09896022cb8d5a2afebe1bdb2c5e17354cd",
+            "plot_cp.dat": "638eade677314f68c1807fff1831c2a84933a0aa492a7397809242aa27dcbca5",
             "plot_ratio.dat": "11130fd6b05c8484b760febb6972a23c814218d5035418b8c7e30af43f16e65c",
-            "report.json": "5c2a6d95ae77f781c4084ed720028e1eba8f2f17cde54727de8ed3fae14b0e32",
+            "report.json": "89302281463a420a1519475cbcc576f08712cec01214907b8822a58da630392c",
         },
     ),
     "lemma-not-applicable": (
@@ -506,7 +506,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
         0,
         {
-            "report.json": "025716314e3b7747238c3bf2484d77953e086e9a63e98fc517caf35d5a14e71d",
+            "report.json": "e381ef47c3914280d13cc943cfc971fe4a67aa2cd282ce63a54d8007a7d44784",
         },
     ),
     "unknown-spec": (
@@ -528,7 +528,7 @@ GOLDEN = {
          "--trials", "5"],
         0,
         {
-            "report.json": "38e603e88bcb1b24b88ac124924634e4c2624375fe3377f25beb944af6a39a28",
+            "report.json": "d90a7987a7fd5126c20fc8ed062cadf1174f54e55025ee58e4dd02a87e9d35cc",
         },
     ),
 }

@@ -142,7 +142,13 @@ class GradientOperator:
         The diagonal is 2 * dim / h^2 for every cell, since both neighbours
         along each axis enter the differences whether inside or not; each
         pair of face-adjacent interior cells adds -1/h^2 off the diagonal.
-        The CSR arrays are assembled directly: a row's columns are its
+        The CSR arrays are assembled directly from whole-grid slices.  On
+        the flat grid of interior ranks, -1 outside, the neighbour at flat
+        offset o of every interior cell is that grid shifted by o and
+        compressed by the interior mask: one contiguous column per offset,
+        which the apron keeps on the grid.  Adding the 2 * dim + 1 presence
+        columns (rank >= 0) counts each row's entries and, before the cell
+        itself, the entries left of its diagonal.  A row's columns are its
         interior face neighbours and itself in ascending flat order, so the
         matrix is in canonical format and the column order, which fixes the
         bits of ``A @ x``, is that of a sorted COO conversion.
@@ -154,27 +160,34 @@ class GradientOperator:
         inv_h = 1.0 / r.h
         n = r.interior_count
         index = np.int32 if (2 * r.dim + 1) * n < 2**31 else np.int64
-        col = np.full(r.interior.size, -1, dtype=index)
-        col[r.interior.reshape(-1)] = np.arange(n, dtype=index)
-        fi = self._flat_interior
+        inside = r.interior.reshape(-1)
+        size = inside.size
+        rank = np.full(size, -1, dtype=index)
+        rank[inside] = np.arange(n, dtype=index)
         strides = [s for s, _ in self._axes]
         # slot dim is the cell itself; the others its neighbours, flat order
         offsets = [-s for s in strides] + [0] + strides[::-1]
         nbr = np.empty((n, len(offsets)), dtype=index)
+        count = np.zeros(n, dtype=index)
         for j, o in enumerate(offsets):
-            nbr[:, j] = col[fi + o]
+            if j == r.dim:
+                left = count.copy()
+            # rank[k + o] for every interior cell k
+            lo, hi = max(o, 0), size + min(o, 0)
+            column = rank[lo:hi][inside[lo - o : hi - o]]
+            count += column >= 0
+            nbr[:, j] = column
         # each work array goes as soon as it is used, so that the peak stays
         # near the matrix's own size
-        del col
-        present = nbr >= 0
-        indices = nbr[present]
+        del rank, column
+        indices = nbr[nbr >= 0]
         del nbr
         indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(np.count_nonzero(present, axis=1), dtype=index, out=indptr[1:])
-        diagonal = indptr[:-1] + np.count_nonzero(present[:, : r.dim], axis=1)
-        del present
+        np.cumsum(count, out=indptr[1:])
+        del count
+        left += indptr[:-1]  # the diagonal's place in indices
         data = np.full(indices.size, -(inv_h * inv_h))
-        data[diagonal] = 2 * r.dim * (inv_h * inv_h)
+        data[left] = 2 * r.dim * (inv_h * inv_h)
         return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -277,11 +290,49 @@ _GRAM_DROP = 1e-6
 def _coarsen(raster: RasterDomain) -> RasterDomain:
     """The raster on cells twice as wide, with the same origin: a coarse
     cell is interior iff all of its 2^dim fine cells are, so it is still an
-    inner approximation, and the exterior apron carries over."""
-    inside = np.pad(raster.interior, [(0, c % 2) for c in raster.counts])
-    blocks = inside.reshape(sum(((c // 2, 2) for c in inside.shape), ()))
-    interior = blocks.all(axis=tuple(range(1, 2 * raster.dim, 2)))
+    inner approximation, and the exterior apron carries over.
+
+    The mask is the AND of the fine mask's 2^dim strided corner views, one
+    per place of a fine cell in its coarse cell, written into the coarse
+    cells whose fine cells all lie on the grid.  Along an odd axis the last
+    coarse plane has only one fine plane, as if the grid were padded by an
+    exterior one, and stays exterior."""
+    half = [c // 2 for c in raster.counts]
+    interior = np.zeros([c - k for c, k in zip(raster.counts, half)], dtype=bool)
+    paired = interior[tuple(slice(k) for k in half)]
+    corners = [
+        raster.interior[tuple(slice(i, 2 * k, 2) for i, k in zip(corner, half))]
+        for corner in np.ndindex((2,) * raster.dim)
+    ]
+    np.logical_and(corners[0], corners[1], out=paired)
+    for view in corners[2:]:
+        paired &= view
     return replace(raster, h=2.0 * raster.h, interior=interior, resolution=raster.resolution // 2)
+
+
+def _parent_map(fine: RasterDomain, coarse: RasterDomain) -> np.ndarray:
+    """Per interior cell of ``fine``, in flat order, the rank of its cell in
+    ``coarse = _coarsen(fine)``, or the count of coarse interior cells
+    where that cell is exterior.
+
+    The coarse ranks are laid out once at the fine resolution along the
+    last axis, each repeated for the two fine cells there; broadcast along
+    the other axes over the fine mask split into pairs of planes, and
+    compressed by that mask, they come out in flat order.  The apron keeps
+    every interior cell off the last plane of an odd axis, which has no
+    pair.  The layout holds 32-bit ranks, so it is no larger than a grid of
+    64-bit coarse ranks; only the result is widened to ``intp``."""
+    half = [c // 2 for c in fine.counts]
+    n = coarse.interior_count
+    rank = np.int32 if n < 2**31 else np.int64
+    ranks = np.full(half + [2], n, dtype=rank)
+    ranks[..., 0][coarse.interior[tuple(slice(k) for k in half)]] = np.arange(n, dtype=rank)
+    ranks[..., 1] = ranks[..., 0]
+    pairs = fine.interior[tuple(slice(2 * k) for k in half)].reshape(
+        sum(((k, 2) for k in half[:-1]), ()) + (2 * half[-1],)
+    )
+    ranks = ranks.reshape(sum(((k, 1) for k in half[:-1]), ()) + (2 * half[-1],))
+    return np.broadcast_to(ranks, pairs.shape)[pairs].astype(np.intp)
 
 
 def _matvec(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -344,6 +395,12 @@ class _VCycle:
     buffer that the next call overwrites.  A cycle allocates no n-vector:
     every residual's product with A is written into the level's residual
     buffer and subtracted from b there.
+
+    The hierarchy is built from whole-grid slices, with no per-cell
+    coordinate arrays: each coarse mask from ``_coarsen``'s corner views,
+    each map to the coarse level from ``_parent_map``'s broadcast ranks,
+    and each coarse operator by the ``laplacian()`` that built ``A``.  Its
+    work arrays stay below the arrays that the levels keep.
     """
 
     def __init__(self, raster: RasterDomain, A):
@@ -354,10 +411,8 @@ class _VCycle:
             n = coarse.interior_count
             if n == 0:
                 break
-            index = np.full(coarse.counts, n)
-            index[coarse.interior] = np.arange(n)
             fine = self.levels[-1]
-            fine.parent = index[tuple(k // 2 for k in np.nonzero(raster.interior))]
+            fine.parent = _parent_map(raster, coarse)
             fine.restricted = np.zeros(n + 1)
             raster = coarse
             self.levels.append(_Level(raster, build_gradient(raster).laplacian()))

@@ -156,10 +156,19 @@ def _reference_difference_matrices(raster):
 
 @pytest.mark.parametrize(
     "name,t,res",
-    [("interval", (), 64), ("disk", (), 25), ("cusp", (0.5,), 65), ("ball", (), 25)],
+    [
+        ("interval", (), 64),
+        ("disk", (), 25),
+        ("cusp", (0.5,), 65),
+        ("ball", (), 25),
+        # 4363 interior cells on a grid of about 264k: the shifted views
+        # and the interior mask do the work far from the square
+        ("cusp", (0.05,), 512),
+        ("cube", (), 17),
+    ],
 )
 def test_stencils_match_sparse_reference(specs, name, t, res):
-    spec = specs.get(name) or parse_domain(BALL)
+    spec = specs.get(name) or parse_domain({"ball": BALL, "cube": CUBE}[name])
     r = rasterize(spec, t, res)
     op = build_gradient(r)
     mats = _reference_difference_matrices(r)
@@ -196,6 +205,23 @@ def test_laplacian_memory_is_bounded(specs):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+@pytest.mark.parametrize("name", ["square", "disk"])
+def test_vcycle_memory_is_bounded(specs, name):
+    # besides the arrays that its levels keep, the hierarchy's build holds
+    # no per-cell coordinates and no fine grid of 64-bit ranks
+    r = rasterize(specs[name], (), 512)
+    A = build_gradient(r).laplacian()
+    tracemalloc.start()
+    try:
+        cycle = sobolev._VCycle(r, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = [a for lv in cycle.levels for a in (lv.x, lv.r, lv.parent, lv.restricted) if a is not None]
+    kept += [a for lv in cycle.levels[1:] for a in (lv.A.data, lv.A.indices, lv.A.indptr)]
+    assert peak < 1.25 * sum(a.nbytes for a in kept)
 
 
 def test_laplacian_rejects_a_raster_without_apron(specs):
@@ -432,6 +458,56 @@ def test_vcycle_is_symmetric_positive_definite(specs, name, t, res):
         Bu, Bv = cycle(u).copy(), cycle(v).copy()
         assert u @ Bv == pytest.approx(v @ Bu, rel=1e-12)
         assert u @ Bu > 0.0
+
+
+def _reference_coarse_mask(interior):
+    """A coarse cell is interior iff its 2^dim fine cells are, the grid
+    padded by an exterior plane along each odd axis."""
+    inside = np.pad(interior, [(0, c % 2) for c in interior.shape])
+    blocks = inside.reshape(sum(((c // 2, 2) for c in inside.shape), ()))
+    return blocks.all(axis=tuple(range(1, 2 * interior.ndim, 2)))
+
+
+def _reference_parent(fine, coarse):
+    """Per fine interior cell, from its coordinates, the rank of its coarse
+    cell, or the coarse cell count where that cell is exterior."""
+    n = int(coarse.sum())
+    index = np.full(coarse.shape, n)
+    index[coarse] = np.arange(n)
+    return index[tuple(k // 2 for k in np.nonzero(fine))]
+
+
+@pytest.mark.parametrize(
+    "name,t,res",
+    [
+        ("interval", (), 4096),
+        ("interval", (), 2047),
+        ("disk", (), 100),
+        ("cusp", (0.05,), 512),
+        ("cube", (), 17),
+        ("thin_strip", (), 4096),
+    ],
+)
+def test_vcycle_hierarchy_matches_its_definition(specs, name, t, res):
+    # every level's mask and map to its coarse level, byte for byte, against
+    # the per-cell expressions: 1D at even and odd counts, tip cells dropped
+    # on the cusp, 3D, and a hierarchy that ends on an empty coarsening
+    spec = specs.get(name) or parse_domain({"cube": CUBE, "thin_strip": THIN_STRIP}[name])
+    fine = rasterize(spec, t, res)
+    cycle = sobolev._VCycle(fine, build_gradient(fine).laplacian())
+    for level in cycle.levels:
+        assert level.A.shape[0] == fine.interior_count
+        mask = _reference_coarse_mask(fine.interior)
+        coarse = sobolev._coarsen(fine)
+        assert coarse.interior.dtype == mask.dtype and coarse.interior.shape == mask.shape
+        assert coarse.interior.tobytes() == mask.tobytes()
+        if level.parent is None:
+            assert not mask.any()
+        else:
+            want = _reference_parent(fine.interior, mask)
+            assert level.parent.dtype == want.dtype
+            assert level.parent.tobytes() == want.tobytes()
+        fine = coarse
 
 
 def test_p2_step_cap_reports_the_ritz_gap():

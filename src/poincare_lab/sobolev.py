@@ -399,8 +399,7 @@ class _VCycle:
     The hierarchy is built from whole-grid slices, with no per-cell
     coordinate arrays: each coarse mask from ``_coarsen``'s corner views,
     each map to the coarse level from ``_parent_map``'s broadcast ranks,
-    and each coarse operator by the ``laplacian()`` that built ``A``.  Its
-    work arrays stay below the arrays that the levels keep.
+    and each coarse operator by the ``laplacian()`` that built ``A``.
     """
 
     def __init__(self, raster: RasterDomain, A):

@@ -209,8 +209,8 @@ def test_laplacian_memory_is_bounded(specs):
 
 @pytest.mark.parametrize("name", ["square", "disk"])
 def test_vcycle_memory_is_bounded(specs, name):
-    # besides the arrays that its levels keep, the hierarchy's build holds
-    # no per-cell coordinates and no fine grid of 64-bit ranks
+    # the hierarchy's build holds little beside the arrays that its levels
+    # keep: no per-cell coordinates, and no 64-bit ranks on the fine grid
     r = rasterize(specs[name], (), 512)
     A = build_gradient(r).laplacian()
     tracemalloc.start()

@@ -62,13 +62,7 @@ from .raster import (
     write_mask,
     write_pgm,
 )
-from .sobolev import (
-    TRIALS,
-    check_trials,
-    discrete_column_inequality,
-    trace_ratio_battery,
-    verify_thickness_bound,
-)
+from .sobolev import discrete_column_inequality, trace_ratio_battery, verify_thickness_bound
 from .tangent import DIRECTIONS, SAMPLES, find_regular_direction
 
 # every numeric default of the command line; flags override 1:1
@@ -81,7 +75,6 @@ DEFAULTS = {
     "resolution": 256,  # cells per axis
     "grid": 5,  # per-axis parameter grid count for sweeps
     "samples_per_column": SAMPLES_PER_COLUMN,  # abscissae per decomposition column
-    "trials": TRIALS,  # random fields per exact-inequality check
     "p": 2.0,
 }
 
@@ -100,7 +93,6 @@ _FLAGS = {
     "--dir": {"default": "auto", "help": "axis name, vector, or auto (search)"},
     "--dirs": {"type": int, "default": DEFAULTS["dirs"]},
     "--samples": {"type": int, "default": DEFAULTS["samples"]},
-    "--trials": {"type": int, "default": DEFAULTS["trials"]},
     "--samples-per-column": {"type": int, "default": DEFAULTS["samples_per_column"]},
     "--no-merge": {"action": "store_true", "help": "export the raw stacks"},
     "--battery": {"default": "polynomial", "choices": ["polynomial", "trigonometric", "bump"]},
@@ -199,7 +191,6 @@ def canonical_json(report: dict) -> str:
 
 
 def _cmd_check(args):
-    check_trials(args.trials)
     spec, t = _fiber(args)
     raster = rasterize(spec, t, args.res)
     direction = args.dir if args.dir is not None else f"e{spec.ambient_dim}"
@@ -211,9 +202,7 @@ def _cmd_check(args):
         lam = unit_direction(spec.ambient_dim, direction)
     checks = [verify_thickness_bound(spec, t, raster, args.p, lam, tol=args.tol)]
     for axis in range(spec.ambient_dim):
-        checks.append(
-            discrete_column_inequality(raster, axis, args.p, trials=args.trials, seed=args.seed)
-        )
+        checks.append(discrete_column_inequality(raster, axis, args.p))
     report = {
         **_echo(args, spec, t),
         "p": args.p,
@@ -374,7 +363,7 @@ def _cmd_raster(args):
 _FAMILY = "--tol --ts --grid --p --res --dir --dirs --samples"
 _COMMANDS = {
     "check": (_cmd_check, "single-fiber bound check plus exact discrete inequality",
-              "--tol --t --p --res --dir --trials", {"--dir": {"default": None}}),
+              "--tol --t --p --res --dir", {"--dir": {"default": None}}),
     "sweep": (_cmd_sweep, "bound check across a parameter family", _FAMILY, {}),
     "lemma": (_cmd_lemma, "sweep plus thickness-volume ratio bound", _FAMILY + " --K", {}),
     "uniform": (_cmd_uniform, "multi-resolution sweep refinement trend", _FAMILY, {

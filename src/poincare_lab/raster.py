@@ -445,13 +445,24 @@ def thickness(spec: DomainSpec, t, direction) -> float:
         return 0.0
 
 
-def thickness_discrete(raster: RasterDomain, axis: int) -> float:
-    """Longest run of consecutive interior cells along a grid axis, times h."""
+def _longest_run(raster: RasterDomain, axis: int) -> tuple:
+    """The first longest run of interior cells along a grid axis, as the
+    ``(row, start, end)`` of ``_runs`` over the interior with ``axis``
+    moved last; ``(0, 0, 0)`` on an empty raster."""
     if not 0 <= axis < raster.dim:
         raise ValueError(f"axis {axis} out of range for dim {raster.dim}")
     m = np.moveaxis(raster.interior, axis, -1)
-    _, start, end = _runs(m.reshape(-1, m.shape[-1]))
-    return float((end - start).max(initial=0)) * raster.h
+    row, start, end = _runs(m.reshape(-1, m.shape[-1]))
+    if row.size == 0:
+        return 0, 0, 0
+    i = int(np.argmax(end - start))
+    return int(row[i]), int(start[i]), int(end[i])
+
+
+def thickness_discrete(raster: RasterDomain, axis: int) -> float:
+    """Longest run of consecutive interior cells along a grid axis, times h."""
+    _, start, end = _longest_run(raster, axis)
+    return float(end - start) * raster.h
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .raster import (
     RasterDomain,
+    _longest_run,
     boundary_quadrature,
     face_slices,
     rasterize,
@@ -201,15 +202,6 @@ def check_p(p: float) -> None:
     """The package's one rule for an exponent: finite and at least 1."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be finite and at least 1, got {p}")
-
-
-TRIALS = 100  # default random fields per exact-inequality check
-
-
-def check_trials(trials: int) -> None:
-    """The package's one rule for a trial count: at least 1."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 def check_tol(tol: float) -> None:
@@ -885,45 +877,49 @@ def verify_thickness_bound(
     )
 
 
-def discrete_column_inequality(
-    raster: RasterDomain, axis: int, p: float, trials: int = TRIALS, seed: int = 0
-) -> CheckRecord:
-    """Exact per-axis inequality ||u||_p <= T * ||D_axis u||_p with
-    T the discrete thickness.  Holds with no slack for every field by a
-    telescoping-and-Holder argument; each random trial is asserted at
-    ratio <= 1.  Identically zero draws are skipped by convention.
+def discrete_column_inequality(raster: RasterDomain, axis: int, p: float) -> CheckRecord:
+    """Exact per-axis inequality ||u||_p <= T * ||D_axis u||_p with T the
+    discrete thickness, which holds for every field by a telescoping-and-
+    Holder argument along each column of at most T / h cells.  The check
+    measures the ratio ||u||_p / (T * ||D_axis u||_p) of the extremal
+    fields on the first longest run of n cells along ``axis``: the
+    indicator (ratio 1/2 at p = 1) and the sine mode sin(pi k / (n + 1))
+    (ratio 1 / (2 n sin(pi / (2n + 2))) at p = 2, above 1/pi), and passes
+    when the larger ratio is at most 1.  ``column_constant`` is c_p(n):
+    n h / 2 at p = 1, h / (2 sin(pi / (2n + 2))) at p = 2, and the Holder
+    bound (h / 2) n^(1/p) (n + 1)^(1 - 1/p) otherwise.
     """
-    check_trials(trials)
     if raster.empty:
         raise EmptyFiberError("empty raster")
-    op = build_gradient(raster)
     T = thickness_discrete(raster, axis)
-    rng = np.random.default_rng(seed)
+    row, start, end = _longest_run(raster, axis)
+    n, h = end - start, raster.h
+    field = np.zeros(raster.counts)
+    grid = np.moveaxis(field, axis, -1)
+    column = grid[np.unravel_index(row, grid.shape[:-1])]  # a view into field
+    op = build_gradient(raster)
     worst = 0.0
-    skipped = 0
-    violations = []
-    for k in range(trials):
-        u = rng.uniform(-1.0, 1.0, raster.interior_count)
-        nu = lp_norm(u, p, raster)
-        if nu == 0.0:
-            skipped += 1
-            continue
+    for profile in (1.0, np.sin(np.pi * np.arange(1, n + 1) / (n + 1))):
+        column[start:end] = profile
+        u = field[raster.interior]
         du = lp_norm(np.abs(op.apply(u)[axis])[None, :], p, raster)
-        ratio = nu / (T * du)
-        worst = max(worst, ratio)
-        if ratio > 1.0:
-            violations.append({"trial": k, "ratio": ratio})
+        worst = max(worst, lp_norm(u, p, raster) / (T * du))
+    if p == 1.0:
+        c = n * h / 2.0
+    elif p == 2.0:
+        c = h / (2.0 * math.sin(math.pi / (2 * n + 2)))
+    else:
+        c = h / 2.0 * n ** (1.0 / p) * (n + 1) ** (1.0 - 1.0 / p)
     return CheckRecord(
         kind="discrete-column-inequality",
-        passed=not violations,
+        passed=worst <= 1.0,
         data=jsonable({
             "axis": axis,
             "p": float(p),
-            "trials": trials,
-            "skipped": skipped,
             "thickness_discrete": T,
+            "run_cells": n,
+            "column_constant": c,
             "worst_ratio": worst,
-            "violations": violations,
         }),
     )
 

@@ -23,6 +23,7 @@ from poincare_lab import (
     find_regular_direction,
     grid_points,
     lp_norm,
+    parse_domain,
     poincare_constant,
     poincare_p2,
     rasterize,
@@ -35,10 +36,11 @@ from poincare_lab import (
     verify_uniform_trend,
     volume,
 )
+from poincare_lab import sobolev
 from poincare_lab.errors import UnboundedDirectionError
 from poincare_lab.sobolev import _battery_functions
 from poincare_lab.tangent import BoundarySampleSet, margin, sample_boundary
-from test_sobolev import centre_grid
+from test_sobolev import BALL, centre_grid
 
 # the fixed test corpus: every bounded 2D shape plus three cusp fibers
 CORPUS = [
@@ -112,7 +114,7 @@ def test_criterion_03_exact_discrete_inequality(corpus65):
     for name, t, raster in corpus65:
         for p in (1.0, 1.5, 2.0, 4.0):
             for axis in range(2):
-                rec = discrete_column_inequality(raster, axis, p, trials=100, seed=0)
+                rec = discrete_column_inequality(raster, axis, p)
                 assert rec.passed, (name, t, p, axis, rec.data)
                 worst = max(worst, rec.data["worst_ratio"])
     assert worst <= 1.0
@@ -165,6 +167,43 @@ def _column_constant(n, h, p):
     if p == 2.0:
         return h / (2.0 * math.sin(math.pi / (2 * n + 2)))
     return h / 2.0 * n ** (1.0 / p) * (n + 1) ** (1.0 - 1.0 / p)
+
+
+def test_criterion_03_column_check_reports_the_column_constant(specs, corpus65):
+    # the record's run and constant match the references above, and its
+    # worst ratio is c_p(n) / T: exactly at p = 1 and 2, where one of its
+    # two fields is extremal, and at most that at the other exponents
+    rasters = [raster for _, _, raster in corpus65] + [
+        rasterize(specs["interval"], (), 64), rasterize(parse_domain(BALL), (), 16)]
+    for raster in rasters:
+        for axis in range(raster.dim):
+            n = _longest_run(raster.interior, axis)[0].size
+            for p in (1.0, 1.5, 2.0, 3.0):
+                data = discrete_column_inequality(raster, axis, p).data
+                assert data["run_cells"] == n
+                c = data["column_constant"]
+                assert c == pytest.approx(_column_constant(n, raster.h, p), rel=1e-15)
+                want = c / data["thickness_discrete"]
+                if p in (1.0, 2.0):
+                    assert abs(data["worst_ratio"] - want) <= 1e-12, (axis, p, data)
+                else:
+                    assert data["worst_ratio"] <= want * (1.0 + 1e-12), (axis, p, data)
+
+
+def test_criterion_03_column_check_rejects_a_short_thickness(corpus65, monkeypatch):
+    # the ratios scale with 1 / T, so a thickness 3.2 times too small reads
+    # 1.6 at p = 1 and above 3.2 / pi at p = 2, where the sine ratio falls
+    # toward 1 / pi on long runs; uniform random fields, whose ratios stay
+    # below 0.13 here, would read under 0.42 and pass
+    monkeypatch.setattr(
+        sobolev, "thickness_discrete", lambda raster, axis: thickness_discrete(raster, axis) / 3.2
+    )
+    for name, t, raster in corpus65:
+        for p in (1.0, 2.0):
+            for axis in range(2):
+                rec = discrete_column_inequality(raster, axis, p)
+                assert not rec.passed, (name, t, p, axis, rec.data)
+                assert rec.data["worst_ratio"] > 1.0
 
 
 def test_constants_stay_below_the_column_bound(corpus65):

@@ -44,7 +44,7 @@ def test_canonical_json_is_sorted_and_finite():
 
 def test_check_disk(tmp_path):
     code, report, _ = run(
-        tmp_path, "check", "--spec", "disk", "--res", "64", "--trials", "20"
+        tmp_path, "check", "--spec", "disk", "--res", "64"
     )
     assert code == 0
     assert report["status"] == "ok"
@@ -61,7 +61,7 @@ def test_check_disk(tmp_path):
 def test_check_cusp_bound_value(tmp_path):
     code, report, _ = run(
         tmp_path, "check", "--spec", "cusp", "--t", "0.5",
-        "--res", "64", "--trials", "10",
+        "--res", "64",
     )
     assert code == 0
     bound = report["checks"][0]["data"]
@@ -90,7 +90,7 @@ def test_check_general_p_uses_route_tolerance(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sobolev, "poincare_general_p", spy)
     code, report, _ = run(
-        tmp_path, "check", "--spec", "disk", "--p", "1", "--res", "16", "--trials", "5"
+        tmp_path, "check", "--spec", "disk", "--p", "1", "--res", "16"
     )
     assert code == 0
     assert seen == [1e-6]
@@ -105,7 +105,7 @@ def test_check_nonfinite_constant_is_solver_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sobolev, "poincare_p2", nan_p2)
     code, report, _ = run(
-        tmp_path, "check", "--spec", "disk", "--res", "16", "--trials", "5"
+        tmp_path, "check", "--spec", "disk", "--res", "16"
     )
     assert code == 3
     assert report["status"] == "solver_error"
@@ -356,7 +356,7 @@ def test_byte_determinism(tmp_path):
 def test_defaults_complete():
     expected = {
         "tol", "samples", "dirs", "seed", "jobs", "resolution",
-        "grid", "samples_per_column", "trials", "p",
+        "grid", "samples_per_column", "p",
     }
     assert set(DEFAULTS) == expected
 
@@ -369,7 +369,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "e1d91aadbb002481550da61be7dc3ad78d95d8ba7fb8ddd10bd97748253c155a",
+            "report.json": "f0a502f39bbf15b90dbfce008b90185ed5bf455a66de2bd3eab73004c6f67ca9",
         },
     ),
     "sweep": (
@@ -503,10 +503,10 @@ GOLDEN = {
         },
     ),
     "check-p3": (
-        ["check", "--spec", "disk", "--p", "3", "--res", "12", "--trials", "5"],
+        ["check", "--spec", "disk", "--p", "3", "--res", "12"],
         0,
         {
-            "report.json": "e381ef47c3914280d13cc943cfc971fe4a67aa2cd282ce63a54d8007a7d44784",
+            "report.json": "f467109beefd0ca32443c5eb9d1b4ca3a7b25630ce3b901c117834d8486d5e1c",
         },
     ),
     "unknown-spec": (
@@ -524,11 +524,10 @@ GOLDEN = {
         },
     ),
     "check-dir-auto": (
-        ["check", "--spec", "ellipse", "--t", "1.5", "--res", "32", "--dir", "auto",
-         "--trials", "5"],
+        ["check", "--spec", "ellipse", "--t", "1.5", "--res", "32", "--dir", "auto"],
         0,
         {
-            "report.json": "d90a7987a7fd5126c20fc8ed062cadf1174f54e55025ee58e4dd02a87e9d35cc",
+            "report.json": "a19146427c86deb4766dc37c3b21345156e266e6afe93bc6c9ec2ef356f804bd",
         },
     ),
 }
@@ -619,8 +618,8 @@ def test_sweep_bad_flag_is_usage_error(tmp_path, flag, no_fiber_work):
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", "--spec", "disk", "--res", "16", "--trials", "5", "--jobs=0"],
-    ["check", "--spec", "disk", "--res", "16", "--trials", "5", "--jobs=-3"],
+    ["check", "--spec", "disk", "--res", "16", "--jobs=0"],
+    ["check", "--spec", "disk", "--res", "16", "--jobs=-3"],
     ["raster", "--spec", "disk", "--res", "16", "--jobs=0"],
 ])
 def test_bad_jobs_is_usage_error_on_every_command(tmp_path, argv):
@@ -657,7 +656,7 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-# The parse matrix: every command bare, then with each of the 19 flags
+# The parse matrix: every command bare, then with each of the 18 flags
 # given a valid value and, when the flag takes one, the value "abc", then
 # with an unknown flag; plus a missing and an unknown subcommand.  Each
 # outcome is the parsed namespace or argparse's error message, together
@@ -668,11 +667,11 @@ PARSE_COMMANDS = ["check", "sweep", "lemma", "uniform", "thickness", "regdir", "
 PARSE_VALUES = {
     "--spec": "cusp", "--out": "o", "--seed": "3", "--jobs": "2", "--tol": "1e-3",
     "--t": "0.5", "--ts": "0.5;1", "--grid": "3", "--p": "3", "--res": "64",
-    "--dir": "e1", "--dirs": "128", "--samples": "1024", "--trials": "5",
+    "--dir": "e1", "--dirs": "128", "--samples": "1024",
     "--samples-per-column": "33", "--no-merge": None,
     "--battery": "bump", "--no-doubling": None, "--K": "2",
 }
-PARSE_DIGEST = "074f66e80ca4c1a8a83b6e56c562ea82d7e9b8de7721352ebfd826db34533d6c"
+PARSE_DIGEST = "6342782886db896104a1ef843cde616d77dd4b099f81cfc88572f5d169823075"
 
 
 def _parse_outcome(parser, argv):
@@ -694,7 +693,7 @@ def test_parse_matrix_golden(capsys):
             if value is not None:
                 cases.append(base + [flag, "abc"])
         cases.append([command, "--spec", "disk", "--nonsense"])
-    assert len(cases) == 344
+    assert len(cases) == 326
     full = _build_parser([])
     outcomes = [[argv, _parse_outcome(full, argv)] for argv in cases]
     # main builds only the parser of the command argv[0] names; it parses
@@ -738,10 +737,7 @@ DIR_GRAMMAR = [
 
 @pytest.mark.parametrize("command,text,code,direction,message", DIR_GRAMMAR)
 def test_dir_grammar(tmp_path, command, text, code, direction, message):
-    trials = ["--trials", "5"] if command == "check" else []
-    got, report, _ = run(
-        tmp_path, command, "--spec", "disk", "--res", "16", f"--dir={text}", *trials
-    )
+    got, report, _ = run(tmp_path, command, "--spec", "disk", "--res", "16", f"--dir={text}")
     assert got == code
     assert report.get("direction") == direction
     expected = None if message is None else {"type": "ValueError", "message": message}
@@ -754,28 +750,6 @@ def test_thickness_dir_auto_is_usage_error(tmp_path):
     assert report["status"] == "usage_error"
     assert report["error"]["type"] == "ValueError"
     assert "auto applies only where a direction search runs" in report["error"]["message"]
-
-
-@pytest.fixture
-def no_solve(monkeypatch):
-    """Fail the test if a command reaches either solver route."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the command ran past its input checks")
-
-    monkeypatch.setattr(sobolev, "poincare_p2", forbidden)
-    monkeypatch.setattr(sobolev, "poincare_general_p", forbidden)
-
-
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_bad_trials_is_usage_error(tmp_path, trials, no_solve):
-    code, report, _ = run(
-        tmp_path, "check", "--spec", "disk", "--res", "256", "--trials", trials
-    )
-    assert code == 2
-    assert report["error"] == {
-        "type": "ValueError", "message": f"trials must be at least 1, got {trials}"
-    }
 
 
 def test_unbounded_message_has_plain_numbers(tmp_path):

@@ -327,19 +327,30 @@ def _parent_map(fine: RasterDomain, coarse: RasterDomain) -> np.ndarray:
     return np.broadcast_to(ranks, pairs.shape)[pairs].astype(np.intp)
 
 
-def _matvec(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a CSR matrix, written into ``out`` instead of a new
-    array.  It runs the kernel that ``A @ x`` runs, which adds into its
-    output, on ``out`` zeroed first, so the bits are those of ``A @ x``.
-    That kernel is private to scipy; where a release moves it, ``out``
-    takes a copy of ``A @ x``, the same bits at the cost of an allocation."""
+def _product(A, x: np.ndarray, out: np.ndarray):
+    """A function of no arguments that writes ``A @ x`` into ``out``, for a
+    CSR matrix, with the kernel and its operands looked up once.  It runs
+    the kernel that ``A @ x`` runs, which adds into its output, on ``out``
+    zeroed first, so the bits are those of ``A @ x``.  That kernel is
+    private to scipy; where a release moves it, ``out`` takes a copy of
+    ``A @ x``, the same bits at the cost of an allocation."""
     try:
         from scipy.sparse._sparsetools import csr_matvec  # deferred: slow to import
     except ImportError:
-        np.copyto(out, A @ x)
-        return out
-    out.fill(0.0)
-    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+        return lambda: np.copyto(out, A @ x)
+    operands = (A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+
+    def product():
+        out.fill(0.0)
+        csr_matvec(*operands)
+
+    return product
+
+
+def _matvec(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a CSR matrix, written into ``out`` instead of a new
+    array, by ``_product``."""
+    _product(A, x, out)()
     return out
 
 
@@ -349,8 +360,14 @@ class _Level:
     last level, the map to its coarse level and the buffer of the restricted
     residual.  Every level vector has one slot past its cells, held at zero
     in the iterate: ``parent`` sends there the fine cells whose coarse cell
-    is exterior.  Each product with A goes into the residual buffer
-    (``_matvec``), so a sweep allocates no n-vector."""
+    is exterior.  So every index in ``parent`` lies in [0, n] for the n + 1
+    slots of the coarse iterate, and the prolongation's gather runs
+    ``np.take`` with ``mode="clip"``, which never moves such an index and
+    gives the bits of the default ``mode="raise"``; in that mode numpy
+    buffers ``take(out=)``, a whole n-vector allocated and freed per cycle.
+    The views of the cells, ``cells_x`` and ``cells_r``, and the product of
+    A with the iterate, which goes into the residual buffer (``_product``),
+    are bound once, so a sweep allocates no n-vector and looks nothing up."""
 
     def __init__(self, raster: RasterDomain, A):
         n = A.shape[0]
@@ -358,13 +375,20 @@ class _Level:
         self.jacobi = 0.8 * raster.h**2 / (2 * raster.dim)
         self.x = np.zeros(n + 1)
         self.r = np.zeros(n + 1)
+        self.cells_x, self.cells_r = self.x[:-1], self.r[:-1]
+        self.product = _product(A, self.cells_x, self.cells_r)
         self.parent = None  # per cell, the index of its coarse cell
         self.restricted = None
 
+    def residual(self, b: np.ndarray):
+        """r = b - A x, in the residual buffer."""
+        self.product()
+        np.subtract(b, self.cells_r, out=self.cells_r)
+
     def smooth(self, b: np.ndarray, sweeps: int):
-        x, r = self.x[:-1], self.r[:-1]
+        x, r = self.cells_x, self.cells_r
         for _ in range(sweeps):
-            np.subtract(b, _matvec(self.A, x, r), out=r)
+            self.residual(b)
             r *= self.jacobi
             x += r
 
@@ -386,7 +410,9 @@ class _VCycle:
     all that LOBPCG asks of a preconditioner.  The result is returned in a
     buffer that the next call overwrites.  A cycle allocates no n-vector:
     every residual's product with A is written into the level's residual
-    buffer and subtracted from b there.
+    buffer and subtracted from b there, and the prolongation gathers the
+    coarse iterate into that buffer with the unbuffered clipped ``np.take``
+    (see ``_Level``) before adding it to the fine iterate.
 
     The hierarchy is built from whole-grid slices, with no per-cell
     coordinate arrays: each coarse mask from ``_coarsen``'s corner views,
@@ -413,16 +439,17 @@ class _VCycle:
 
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         level = self.levels[k]
-        x, r = level.x[:-1], level.r[:-1]
+        x, r = level.cells_x, level.cells_r
         np.multiply(b, level.jacobi, out=x)  # the first sweep, from zero
         level.smooth(b, 1)
         if level.parent is not None:
-            np.subtract(b, _matvec(level.A, x, r), out=r)
+            level.residual(b)
             level.restricted.fill(0.0)
             np.add.at(level.restricted, level.parent, r)
             level.restricted *= self.restriction_weight
             self._cycle(k + 1, level.restricted[:-1])
-            x += np.take(self.levels[k + 1].x, level.parent, out=r)
+            # unbuffered, and every index is valid (see _Level)
+            x += np.take(self.levels[k + 1].x, level.parent, out=r, mode="clip")
         level.smooth(b, 2)
         return x
 
@@ -447,16 +474,16 @@ def _rayleigh_ritz(GA: np.ndarray, GB: np.ndarray) -> tuple:
     kept = [0] + [k for k in (1, 2) if norms[k] > 0.0]
     while True:
         scale = 1.0 / norms[kept]
-        block = np.ix_(kept, kept)
+        block, unit = np.ix_(kept, kept), np.outer(scale, scale)
         try:
-            L = np.linalg.cholesky(GB[block] * np.outer(scale, scale))
+            L = np.linalg.cholesky(GB[block] * unit)
             if len(kept) == 1 or np.diag(L).min() ** 2 > _GRAM_DROP:
                 break
         except np.linalg.LinAlgError:
             pass
         kept.pop()  # p, then w
     Linv = np.linalg.inv(L)
-    theta, z = np.linalg.eigh(Linv @ (GA[block] * np.outer(scale, scale) @ Linv.T))
+    theta, z = np.linalg.eigh(Linv @ (GA[block] * unit @ Linv.T))
     y = np.zeros(3)
     y[kept] = scale * (Linv.T @ z[:, 0])
     gap = (theta[1] - theta[0]) / theta[0] if len(kept) > 1 else None
@@ -488,13 +515,14 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     ``SolverDivergedError`` names the last step's relative Ritz gap
     (theta2 - theta1) / theta1, a small gap being why the stop was not met.
 
-    The solve holds six n-vectors: x, p, their products with A, the
-    product A w and one scratch vector, which takes the residual that the
-    V-cycle reads; w is the buffer the V-cycle returns its result in.
-    Every product with A, here and in the V-cycle, is written into one of
-    these buffers (``_matvec``), so a step allocates no n-vector: a fresh
-    one per product costs page faults whenever the allocator hands its pages
-    back to the system on free.
+    Beside its set-up, the solve holds six n-vectors: x, p, their products
+    with A, the product A w and one scratch vector, which takes the residual
+    that the V-cycle reads; w is the buffer the V-cycle returns its result
+    in.  Every product with A, here and in the V-cycle, is written into one
+    of these buffers or a level's (``_matvec``, ``_product``), and the
+    V-cycle's gather into a level's residual buffer, so a step allocates no
+    n-vector: a fresh one per product or per cycle costs page faults
+    whenever the allocator hands its pages back to the system on free.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")

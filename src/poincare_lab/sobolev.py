@@ -4,7 +4,7 @@ Fields live on interior cells and are implicitly extended by zero, which
 models the zero-trace condition.  The gradient is the forward difference
 quotient, applied as array stencils on the full raster grid; only the
 p = 2 Laplacian is assembled as a sparse matrix.  On top of the operator
-this module computes discrete Poincare constants (exact eigensolve route
+this module computes discrete Poincare constants (LOBPCG with a V-cycle
 for p = 2, Rayleigh-quotient descent for general p, one trajectory per
 face-connected component from the p = 2 eigenvector), verifies the
 thickness bound C_p <= 2^(1/p) * |Omega|_dir, checks the sharper per-axis
@@ -347,13 +347,6 @@ def _product(A, x: np.ndarray, out: np.ndarray):
     return product
 
 
-def _matvec(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a CSR matrix, written into ``out`` instead of a new
-    array, by ``_product``."""
-    _product(A, x, out)()
-    return out
-
-
 class _Level:
     """One level of the V-cycle: its Laplacian, the damped-Jacobi step
     omega / diagonal, its iterate and residual buffers and, unless it is the
@@ -408,7 +401,9 @@ class _VCycle:
     post-smoother is the pre-smoother's adjoint and R is a positive
     multiple of P^T, so the cycle is symmetric positive definite, which is
     all that LOBPCG asks of a preconditioner.  The result is returned in a
-    buffer that the next call overwrites.  A cycle allocates no n-vector:
+    buffer that the next call overwrites, the finest level's iterate; each
+    call writes that level's residual buffer before it reads it, so the
+    buffer is free between calls.  A cycle allocates no n-vector:
     every residual's product with A is written into the level's residual
     buffer and subtracted from b there, and the prolongation gathers the
     coarse iterate into that buffer with the unbuffered clipped ``np.take``
@@ -515,14 +510,14 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     ``SolverDivergedError`` names the last step's relative Ritz gap
     (theta2 - theta1) / theta1, a small gap being why the stop was not met.
 
-    Beside its set-up, the solve holds six n-vectors: x, p, their products
-    with A, the product A w and one scratch vector, which takes the residual
-    that the V-cycle reads; w is the buffer the V-cycle returns its result
-    in.  Every product with A, here and in the V-cycle, is written into one
-    of these buffers or a level's (``_matvec``, ``_product``), and the
-    V-cycle's gather into a level's residual buffer, so a step allocates no
-    n-vector: a fresh one per product or per cycle costs page faults
-    whenever the allocator hands its pages back to the system on free.
+    Beside its set-up, the solve holds five n-vectors: x, p, Ax, Ap and one
+    scratch vector, which takes the residual that the V-cycle reads.  w is
+    the V-cycle's output, and A w goes into its finest level's residual
+    buffer, free between cycles.  Every product with A is written into one
+    of these buffers or a level's (``_product``), and the V-cycle's gather
+    into a level's residual buffer, so a step allocates no n-vector: a
+    fresh one per product or per cycle costs page faults whenever the
+    allocator hands its pages back to the system on free.
     """
     if raster.empty:
         raise EmptyFiberError("empty raster has no Poincare constant")
@@ -531,11 +526,13 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
     precond = _VCycle(raster, A)
     # apart, so that the returned eigenvector holds no other buffer; w is the
     # V-cycle's output, and p = 0 is dropped at the first step
-    x, Ax, Aw, p, Ap, tmp = (np.zeros(A.shape[0]) for _ in range(6))
+    x, Ax, p, Ap, tmp = (np.zeros(A.shape[0]) for _ in range(5))
+    finest = precond.levels[0]
+    Aw = finest.cells_r  # free between cycles (see _VCycle)
     GA, GB = np.zeros((3, 3)), np.zeros((3, 3))
     x += 1.0
     x /= np.linalg.norm(x)
-    _matvec(A, x, Ax)
+    _product(A, x, Ax)()
     GA[0, 0], GB[0, 0] = x @ Ax, x @ x
 
     def rayleigh():
@@ -561,7 +558,7 @@ def poincare_p2(raster: RasterDomain, tol: float = P2_TOL) -> PoincareEstimate:
 
     for outer in range(1, _MAX_OUTER + 1):
         w = precond(tmp)
-        _matvec(A, w, Aw)
+        finest.product()  # A w, into Aw
         # GA[0, 0] and GB[0, 0], x.Ax and x.x, carry over from the last step
         V, AV = (x, w, p), (Ax, Aw, Ap)
         for i, j in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
@@ -706,14 +703,14 @@ def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
     candidate is the last point ``ratio`` evaluated, so its gradient comes
     from the terms already in the buffers: each point is differenced once.
     Every dot product is pairwise-summed (``_dot``), so the bits do not
-    depend on the BLAS thread count.  Returns the best ratio seen, the
-    final iterate, iterations used, and the relative change of R over the
-    last 10 iterations: 0.0 only for a zero gradient, and when the line
-    search fails, the last change measured (1.0 before 10 steps).
+    depend on the BLAS thread count.  No accepted step raises R, since
+    slope > 0, so the ratio returned, the last, is the least seen; with it
+    come the final iterate, iterations used, and the relative change of R
+    over the last 10 iterations: 0.0 only for a zero gradient, and when the
+    line search fails, the last change measured (1.0 before 10 steps).
     """
     u = u0 / ratio.norm(u0)
     R = ratio.value(u, eps_g)
-    best = R
     history = [R]
     resid = 1.0
     pairs = []
@@ -750,13 +747,12 @@ def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
             st *= 0.5
         else:
             break
-        best = min(best, R)
         history.append(R)
         if len(history) > 10:
             resid = abs(history[-11] - R) / max(R, 1e-300)
             if resid <= rtol:
                 break
-    return best, u, it, resid
+    return R, u, it, resid
 
 
 def _trajectory(op: GradientOperator, u0: np.ndarray, p: float, eps_u: float, tol: float):

@@ -88,53 +88,41 @@ class GradientOperator:
     @cached_property
     def _adjoint_index(self) -> np.ndarray:
         """Per axis, the flat indices of every interior cell and of its
-        backward neighbour, shape (dim, 2, n_interior)."""
+        backward neighbour, shape (dim, 2, n_interior), written in place so
+        that building it holds nothing beside it."""
         self._check_apron()
         fi = self._flat_interior
-        return np.stack([np.stack([fi, fi - s]) for s, _ in self._axes])
+        index = np.empty((len(self._axes), 2, fi.size), dtype=fi.dtype)
+        for (s, _), (here, behind) in zip(self._axes, index):
+            here[...] = fi
+            np.subtract(fi, s, out=behind)
+        return index
 
-    def _scatter(self, values: np.ndarray, full: np.ndarray):
-        """Interior values times 1/h into ``full``, a flat grid whose
-        exterior cells are zero."""
-        full[self._flat_interior] = values * (1.0 / self.raster.h)
-
-    def _forward_difference(self, full: np.ndarray, axis: int, out: np.ndarray):
-        """Component ``axis`` of the gradient of the scattered ``full`` into
-        ``out``, both contiguous flat grids."""
-        s, last = self._axes[axis]
-        # one shifted difference; wherever it pairs a cell with the next
-        # line's first cell, the cell is on the last plane
-        np.subtract(full[s:], full[:-s], out=out[:-s])
-        # there the forward neighbour is +0.0, as np.diff(append=0)
-        grid = self.raster.counts
-        np.subtract(0.0, full.reshape(grid)[last], out=out.reshape(grid)[last])
-
-    def _gradient(self, values: np.ndarray, full: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Gradient of an interior field into ``out``, shape (dim, n_full),
-        through the zero-exterior flat grid ``full``."""
-        self._scatter(values, full)
-        for ax in range(self.raster.dim):
-            self._forward_difference(full, ax, out[ax])
+    def _adjoint(self, comps: np.ndarray, out: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        """Adjoint of ``apply`` into ``out``: components (dim, n_full) to
+        interior values, minus the sum over axes of the backward differences
+        at the interior cells.  ``pair``, shape (2, n_interior), takes each
+        axis's components at the cells and at their backward neighbours."""
+        inv_h = 1.0 / self.raster.h
+        for ax, (c, index) in enumerate(zip(comps, self._adjoint_index)):
+            # every index is valid: "clip" only skips take's buffered check
+            c.take(index, out=pair, mode="clip")
+            pair *= inv_h
+            here = np.subtract(pair[0], pair[1], out=pair[0])
+            if ax == 0:
+                np.negative(here, out=out)
+            else:
+                out -= here
         return out
 
     def apply_transpose(self, comps: np.ndarray) -> np.ndarray:
-        """Adjoint of ``apply``: components (dim, n_full) to interior
-        values, minus the sum over axes of the backward differences at the
-        interior cells."""
-        terms = []
-        for c, index in zip(np.asarray(comps), self._adjoint_index):
-            c = c[index]
-            c *= 1.0 / self.raster.h
-            terms.append(c[0] - c[1])
-        out = -terms[0]
-        for d in terms[1:]:
-            out -= d
-        return out
+        """Adjoint of ``apply``, into a fresh array (``_adjoint``)."""
+        n = self.raster.interior_count
+        return self._adjoint(np.asarray(comps), np.empty(n), np.empty((2, n)))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Gradient of an interior field, shape (dim, n_full_cells)."""
-        full = np.zeros(self.raster.interior.size)
-        return self._gradient(np.asarray(values), full, np.empty((self.raster.dim, full.size)))
+        return _Stencil(self, np.empty((self.raster.dim, self.raster.interior.size)))(values)
 
     def laplacian(self):
         """grad^T grad on interior cells, as a CSR matrix: the Dirichlet
@@ -190,6 +178,35 @@ class GradientOperator:
         data = np.full(indices.size, -(inv_h * inv_h))
         data[left] = 2 * r.dim * (inv_h * inv_h)
         return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+class _Stencil:
+    """``GradientOperator``'s forward differences bound to one output
+    ``out``, shape (dim, n_full).  The scaled interior values and the
+    zero-exterior flat grid they are scattered into are buffers it owns,
+    and per axis the views of the shifted difference and of the last plane
+    are taken once, so an application allocates nothing and looks nothing
+    up."""
+
+    def __init__(self, op: GradientOperator, out: np.ndarray):
+        r = op.raster
+        self.out, self.index, self.inv_h = out, op._flat_interior, 1.0 / r.h
+        self.scaled = np.empty(r.interior_count)
+        self.full = full = np.zeros(r.interior.size)  # only interior cells are ever written
+        self.axes = tuple(
+            (full[s:], full[:-s], row[:-s], full.reshape(r.counts)[last], row.reshape(r.counts)[last])
+            for (s, last), row in zip(op._axes, out)
+        )
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        self.full[self.index] = np.multiply(values, self.inv_h, out=self.scaled)
+        for ahead, here, diff, last, diff_last in self.axes:
+            # one shifted difference; wherever it pairs a cell with the next
+            # line's first cell, the cell is on the last plane
+            np.subtract(ahead, here, out=diff)
+            # there the forward neighbour is +0.0, as np.diff(append=0)
+            np.subtract(0.0, last, out=diff_last)
+        return self.out
 
 
 def build_gradient(raster: RasterDomain) -> GradientOperator:
@@ -600,10 +617,12 @@ _FINAL_ITER = 3000  # descent steps at the declared kink smoothing
 _LBFGS_PAIRS = 5  # (s, y) pairs behind each L-BFGS direction
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Pairwise-summed dot product: its bits do not depend on the BLAS
-    thread count, as those of ``a @ b`` do above about 10000 entries."""
-    return float(np.multiply(a, b).sum())
+def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
+    """Dot product with the product formed in ``work``, summed pairwise by
+    ``np.add.reduce``, as ``.sum()`` sums: its bits do not depend on the
+    BLAS thread count, as those of ``a @ b`` do above about 10000
+    entries."""
+    return float(np.add.reduce(np.multiply(a, b, out=work)))
 
 
 class _Ratio:
@@ -619,8 +638,16 @@ class _Ratio:
     once and leaves its terms in the buffers, and ``grad`` reads them
     there, so a point's gradient costs no second stencil.  The scalars are
     finished as Python floats, whose ``**`` is libm ``pow`` (numpy's can
-    differ in the last bit).  The arrays live in scratch buffers allocated
-    once: fresh ones per call fault their pages in again whenever the
+    differ in the last bit).
+
+    Its buffers are allocated once: on the full grid the gradient's
+    components, which the stencil bound to them (``_Stencil``) writes and
+    ``grad`` weights in place, the squared magnitude, which ``grad`` turns
+    into the weight, and one scratch; on the interior cells the field's
+    smoothed squares, their power, which ``grad`` reuses for dNu, and the
+    pair that the adjoint gathers into.  ``grad`` writes the adjoint and the
+    final combination into the caller's ``out``, so no call allocates an
+    n-vector: fresh ones per call fault their pages in again whenever the
     allocator has handed the memory back in between.
     """
 
@@ -628,13 +655,13 @@ class _Ratio:
         r = op.raster
         self.op, self.p, self.eps_u = op, p, eps_u
         self.h_w = r.h**r.dim
-        self._full = np.zeros(r.interior.size)  # only interior cells are ever written
         self._grad = np.empty((r.dim, r.interior.size))
-        self._comps = np.empty((r.dim, r.interior.size))
+        self._stencil = _Stencil(op, self._grad)
         self._m2 = np.empty(r.interior.size)
         self._tmp = np.empty(r.interior.size)
         self._u2 = np.empty(r.interior_count)
         self._upow = np.empty(r.interior_count)
+        self._pair = np.empty((2, r.interior_count))
         self._Ng = self._Nu = None
 
     def norm(self, u: np.ndarray) -> float:
@@ -644,48 +671,57 @@ class _Ratio:
         U2 += self.eps_u * self.eps_u
         np.copyto(self._upow, U2)
         self._upow **= self.p / 2.0  # in place, through the same scalar-power path as **
-        return (float(self._upow.sum()) * self.h_w) ** (1.0 / self.p)
+        return (float(np.add.reduce(self._upow)) * self.h_w) ** (1.0 / self.p)
 
     def value(self, u: np.ndarray, eps_g: float) -> float:
         """R(u), with its terms kept for the next ``grad``."""
         p, tmp = self.p, self._tmp
-        G = self.op._gradient(u, self._full, self._grad)
-        M2 = _squared_magnitude(G, self._m2, tmp)
+        M2 = _squared_magnitude(self._stencil(u), self._m2, tmp)
         M2 += eps_g * eps_g
         np.copyto(tmp, M2)
         tmp **= p / 2.0
-        self._Ng = (float(tmp.sum()) * self.h_w) ** (1.0 / p)
+        self._Ng = (float(np.add.reduce(tmp)) * self.h_w) ** (1.0 / p)
         self._Nu = self.norm(u)
         return self._Ng / self._Nu
 
-    def grad(self, u: np.ndarray) -> np.ndarray:
+    def grad(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of f at a normalized ``u``, (dNg - (dNg.u / Nu) dNu) / Nu,
-        from the terms of the last ``value`` call, which must have been at
-        ``u``."""
-        p, h_w, W = self.p, self.h_w, self._tmp
+        into ``out`` (a fresh array if not given), from the terms of the
+        last ``value`` call, which must have been at ``u``.  It turns the
+        squared magnitude into the weight and weights the components in
+        place, so it reads each ``value`` call's terms once."""
+        p, h_w, W, dNu = self.p, self.h_w, self._m2, self._upow
         Ng, Nu = self._Ng, self._Nu
-        np.copyto(W, self._m2)
+        dNg = np.empty(u.size) if out is None else out
         W **= p / 2.0 - 1.0
-        dNg = self.op.apply_transpose(np.multiply(self._grad, W, out=self._comps))
+        self.op._adjoint(np.multiply(self._grad, W, out=self._grad), dNg, self._pair)
         dNg *= h_w * Ng ** (1.0 - p)
-        dNu = u * self._u2 ** (p / 2.0 - 1.0) * (h_w * Nu ** (1.0 - p))
-        return (dNg - (_dot(dNg, u) / Nu) * dNu) / Nu
+        radial = _dot(dNg, u, dNu) / Nu
+        np.copyto(dNu, self._u2)
+        dNu **= p / 2.0 - 1.0
+        dNu *= u
+        dNu *= h_w * Nu ** (1.0 - p)
+        dNu *= radial
+        dNg -= dNu
+        dNg /= Nu
+        return dNg
 
 
-def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
+def _lbfgs_direction(g: np.ndarray, pairs: list, q: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Nocedal's two-loop recursion (Math. Comp. 35, 1980): the inverse
     Hessian estimate from the (s, y, s.y) pairs, oldest first, applied to
-    ``g``, with the initial scale s.y / y.y of the newest pair."""
-    q = g.copy()
+    ``g``, with the initial scale s.y / y.y of the newest pair, into ``q``;
+    ``work`` takes each product."""
+    np.copyto(q, g)
     alphas = []
     for s, y, sy in reversed(pairs):
-        alphas.append(_dot(s, q) / sy)
-        q -= alphas[-1] * y
+        alphas.append(_dot(s, q, work) / sy)
+        q -= np.multiply(y, alphas[-1], out=work)
     if pairs:
         _, y, sy = pairs[-1]
-        q *= sy / _dot(y, y)
+        q *= sy / _dot(y, y, work)
     for (s, y, sy), a in zip(pairs, reversed(alphas)):
-        q += (a - _dot(y, q) / sy) * s
+        q += np.multiply(s, a - _dot(y, q, work) / sy, out=work)
     return q
 
 
@@ -708,41 +744,51 @@ def _descend(ratio: _Ratio, u0, eps_g, max_iter, rtol):
     come the final iterate, iterations used, and the relative change of R
     over the last 10 iterations: 0.0 only for a zero gradient, and when the
     line search fails, the last change measured (1.0 before 10 steps).
+
+    Beside the ratio's, the descent holds its state in n-vectors allocated
+    once per call: the iterate and the candidate, which swap roles when a
+    candidate is accepted, so the previous iterate is still whole when the
+    next step pair is formed; the gradient and the previous one, which
+    swap each step; a ring of ``_LBFGS_PAIRS + 1`` slots for the (s, y)
+    pairs, one free for the next pair; the direction; and one scratch for
+    products.  So a step allocates no n-vector.
     """
-    u = u0 / ratio.norm(u0)
+    n = u0.size
+    u, cand, g, g_prev, d, work = (np.empty(n) for _ in range(6))
+    slots = [(np.empty(n), np.empty(n)) for _ in range(_LBFGS_PAIRS + 1)]
+    np.divide(u0, ratio.norm(u0), out=u)
     R = ratio.value(u, eps_g)
     history = [R]
     resid = 1.0
-    pairs = []
-    u_prev = None
-    g_prev = None
+    pairs = []  # (s, y, s.y), oldest first, in the slots
+    formed = 0  # pairs kept so far: the next goes into the slot after the newest
     it = 0
     for it in range(1, max_iter + 1):
-        g = ratio.grad(u)
-        gnorm2 = _dot(g, g)
+        g, g_prev = ratio.grad(u, out=g_prev), g
+        gnorm2 = _dot(g, g, work)
         if gnorm2 == 0.0:
             resid = 0.0
             break
-        if g_prev is not None:
-            s = u - u_prev
-            y = g - g_prev
-            sy = _dot(s, y)
+        if it > 1:
+            s, y = slots[formed % len(slots)]
+            np.subtract(u, cand, out=s)  # cand holds the previous iterate
+            np.subtract(g, g_prev, out=y)
+            sy = _dot(s, y, work)
             if sy > 1e-300:
                 pairs.append((s, y, sy))
                 del pairs[:-_LBFGS_PAIRS]
-        u_prev = u
-        g_prev = g
-        d = _lbfgs_direction(g, pairs)
-        slope = _dot(g, d)
+                formed += 1
+        direction = _lbfgs_direction(g, pairs, d, work)
+        slope = _dot(g, direction, work)
         if not slope > 0.0:
-            d, slope, pairs = g, gnorm2, []
+            direction, slope, pairs = g, gnorm2, []
         st = 1.0
         for _ in range(50):
-            cand = u - st * d
+            np.subtract(u, np.multiply(direction, st, out=cand), out=cand)
             cand /= ratio.norm(cand)
             Rc = ratio.value(cand, eps_g)
             if Rc <= R - 1e-4 * st * slope:
-                u, R = cand, Rc
+                u, cand, R = cand, u, Rc
                 break
             st *= 0.5
         else:

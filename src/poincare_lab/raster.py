@@ -61,10 +61,15 @@ class RasterDomain:
     """Uniform-grid inner approximation of one fiber.
 
     ``interior`` marks cell centers that belong to the set; ``counts``
-    (its shape) and ``boundary_adjacent`` are derived from it.  The grid
-    extends one exterior cell beyond the bounding box on every side, so an
-    interior cell never sits on the grid edge and difference operators see
-    every zero-extension jump on an in-grid face.
+    (its shape) and ``boundary_adjacent`` are derived from it.
+
+    The apron rule, which construction checks: the first and the last
+    plane along every axis are exterior (``rasterize`` puts one exterior
+    cell beyond the box on every side, and ``_coarsen`` keeps it).  So an
+    interior cell's face neighbours lie on the grid, at the flat offsets
+    plus and minus each axis's stride; every zero-extension jump lies on an
+    in-grid face; and a flat offset that leaves a cell's line pairs two
+    exterior cells.
     """
 
     spec: DomainSpec
@@ -77,6 +82,9 @@ class RasterDomain:
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("spacing must be positive")
+        for _, _, last, first in face_slices(self.interior.ndim):
+            if self.interior[last].any() or self.interior[first].any():
+                raise ValueError("interior cell on the grid edge: the raster has no exterior apron")
 
     @property
     def counts(self) -> tuple:
@@ -84,11 +92,10 @@ class RasterDomain:
 
     @cached_property
     def boundary_adjacent(self) -> np.ndarray:
-        """Interior cells with a non-interior face neighbour.  The exterior
-        apron keeps every interior cell off the grid edge, so only in-grid
-        neighbours are looked at.  A copy of the mask, the one array made,
-        is narrowed in place to the cells whose face neighbours are all
-        interior and then turned into its complement within the mask: a
+        """Interior cells with a non-interior face neighbour, all of them
+        on the grid (``RasterDomain``).  A copy of the mask, the one array
+        made, is narrowed in place to the cells whose face neighbours are
+        all interior and then turned into its complement within the mask: a
         fresh grid-sized temporary of 128 KB or more faults its pages in
         again once glibc trims the heap, which under a fixed mmap threshold
         happens on every free."""
@@ -163,8 +170,7 @@ def rasterize(spec: DomainSpec, t, resolution: int) -> RasterDomain:
     spans = [hi - lo for lo, hi in spec.bounding_box]
     h = max(spans) / resolution
     inner_counts = tuple(max(1, int(math.floor(s / h + 1e-9))) for s in spans)
-    # the grid carries a one-cell exterior apron around the box so every
-    # zero-extension jump of a difference operator lies on an in-grid face
+    # the one-cell exterior apron around the box (``RasterDomain``)
     counts = tuple(c + 2 for c in inner_counts)
     origin = tuple(lo - h for lo, _ in spec.bounding_box)
     dim = len(counts)
@@ -528,7 +534,8 @@ def boundary_quadrature(spec: DomainSpec, t) -> tuple:
 
 
 # the benchmark's tracer times the trace boundary under this name; the alias
-# goes together with that tracer entry (ROADMAP item 2)
+# goes with that tracer entry and its metric, in the next change to the
+# benchmark
 boundary_polyline = boundary_quadrature
 
 

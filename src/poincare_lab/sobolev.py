@@ -32,7 +32,6 @@ from .raster import (
     RasterDomain,
     _longest_run,
     boundary_quadrature,
-    face_slices,
     rasterize,
     thickness,
     thickness_discrete,
@@ -44,6 +43,21 @@ from .raster import (
 # ---------------------------------------------------------------------------
 
 
+def _strides(counts: tuple) -> list:
+    """Per axis, the flat offset of a cell's forward neighbour on a C-order
+    grid of shape ``counts``."""
+    return np.cumprod((1,) + counts[:0:-1])[::-1].tolist()
+
+
+def _neighbours(rank: np.ndarray, inside: np.ndarray, o: int) -> np.ndarray:
+    """``rank[k + o]`` for every cell ``k`` of the flat mask ``inside``, in
+    flat order: one contiguous slice of the flat grid ``rank``, compressed
+    by the mask.  For ``o`` plus or minus an axis's stride, ``k + o`` is the
+    face neighbour of ``k`` under the apron rule (``RasterDomain``)."""
+    lo, hi = max(o, 0), rank.size + min(o, 0)
+    return rank[lo:hi][inside[lo - o : hi - o]]
+
+
 @dataclass(frozen=True)
 class GradientOperator:
     """Forward-difference gradient with zero extension outside the interior.
@@ -52,12 +66,9 @@ class GradientOperator:
     scattered by flat index into a zero grid, and component j is each
     cell's forward neighbour along axis j minus the cell, divided by h.
     On the flattened grid the forward neighbour along axis j is the cell
-    ``stride_j`` further on, so each component is one shifted difference;
-    on the last plane along the axis (``raster.face_slices``) the forward
-    neighbour is the zero past the grid.  The exterior apron keeps every
-    interior cell off the grid edge, so that zero only ever meets exterior
-    cells, and every interior cell's backward neighbour, which the adjoint
-    reads, lies on the grid.
+    ``stride_j`` further on, so each component is one shifted difference,
+    and the adjoint reads each interior cell's backward neighbour
+    ``stride_j`` back; both rest on the apron rule (``RasterDomain``).
     """
 
     raster: RasterDomain
@@ -71,29 +82,14 @@ class GradientOperator:
         return np.flatnonzero(self.raster.interior)
 
     @cached_property
-    def _axes(self) -> tuple:
-        """Per axis: its stride in flat cells and the index of its last plane."""
-        r = self.raster
-        strides = np.cumprod((1,) + r.counts[:0:-1])[::-1].tolist()
-        return tuple((s, last) for s, (_, _, last, _) in zip(strides, face_slices(r.dim)))
-
-    def _check_apron(self):
-        """Flat neighbour offsets stay on the grid, and in the cell's own
-        line, only if no interior cell sits on the grid edge."""
-        inside = self.raster.interior
-        for _, _, last, first in face_slices(inside.ndim):
-            if inside[last].any() or inside[first].any():
-                raise ValueError("interior cell on the grid edge: the raster has no exterior apron")
-
-    @cached_property
     def _adjoint_index(self) -> np.ndarray:
         """Per axis, the flat indices of every interior cell and of its
         backward neighbour, shape (dim, 2, n_interior), written in place so
         that building it holds nothing beside it."""
-        self._check_apron()
         fi = self._flat_interior
-        index = np.empty((len(self._axes), 2, fi.size), dtype=fi.dtype)
-        for (s, _), (here, behind) in zip(self._axes, index):
+        strides = _strides(self.raster.counts)
+        index = np.empty((len(strides), 2, fi.size), dtype=fi.dtype)
+        for s, (here, behind) in zip(strides, index):
             here[...] = fi
             np.subtract(fi, s, out=behind)
         return index
@@ -132,28 +128,25 @@ class GradientOperator:
         along each axis enter the differences whether inside or not; each
         pair of face-adjacent interior cells adds -1/h^2 off the diagonal.
         The CSR arrays are assembled directly from whole-grid slices.  On
-        the flat grid of interior ranks, -1 outside, the neighbour at flat
-        offset o of every interior cell is that grid shifted by o and
-        compressed by the interior mask: one contiguous column per offset,
-        which the apron keeps on the grid.  Adding the 2 * dim + 1 presence
-        columns (rank >= 0) counts each row's entries and, before the cell
-        itself, the entries left of its diagonal.  A row's columns are its
+        the flat grid of interior ranks, -1 outside, the neighbours at flat
+        offset o of all interior cells are one column (``_neighbours``).
+        Adding the 2 * dim + 1 presence columns (rank >= 0) counts each
+        row's entries and, before the cell itself, the entries left of its
+        diagonal.  A row's columns are its
         interior face neighbours and itself in ascending flat order, so the
         matrix is in canonical format and the column order, which fixes the
         bits of ``A @ x``, is that of a sorted COO conversion.
         """
         from scipy import sparse  # deferred: slow to import
 
-        self._check_apron()
         r = self.raster
         inv_h = 1.0 / r.h
         n = r.interior_count
         index = np.int32 if (2 * r.dim + 1) * n < 2**31 else np.int64
         inside = r.interior.reshape(-1)
-        size = inside.size
-        rank = np.full(size, -1, dtype=index)
+        rank = np.full(inside.size, -1, dtype=index)
         rank[inside] = np.arange(n, dtype=index)
-        strides = [s for s, _ in self._axes]
+        strides = _strides(r.counts)
         # slot dim is the cell itself; the others its neighbours, flat order
         offsets = [-s for s in strides] + [0] + strides[::-1]
         nbr = np.empty((n, len(offsets)), dtype=index)
@@ -161,9 +154,7 @@ class GradientOperator:
         for j, o in enumerate(offsets):
             if j == r.dim:
                 left = count.copy()
-            # rank[k + o] for every interior cell k
-            lo, hi = max(o, 0), size + min(o, 0)
-            column = rank[lo:hi][inside[lo - o : hi - o]]
+            column = _neighbours(rank, inside, o)
             count += column >= 0
             nbr[:, j] = column
         # each work array goes as soon as it is used, so that the peak stays
@@ -182,30 +173,29 @@ class GradientOperator:
 
 class _Stencil:
     """``GradientOperator``'s forward differences bound to one output
-    ``out``, shape (dim, n_full).  The scaled interior values and the
-    zero-exterior flat grid they are scattered into are buffers it owns,
-    and per axis the views of the shifted difference and of the last plane
-    are taken once, so an application allocates nothing and looks nothing
-    up."""
+    ``out``, shape (dim, n_full), which it zeroes once.  The scaled interior
+    values and the zero-exterior flat grid they are scattered into are
+    buffers it owns, and per axis the views of the shifted difference are
+    taken once, so an application allocates nothing and looks nothing up.
+    The last ``stride_j`` cells of axis j's row, whose forward neighbour is
+    past the grid, are never written: they stay +0.0, as in
+    ``np.diff(append=0)``, while callers scale ``out`` by finite weights
+    only.  Where the shifted difference pairs a last-plane cell with the
+    next line's first cell, both are exterior (``RasterDomain``), so it
+    writes that same +0.0."""
 
     def __init__(self, op: GradientOperator, out: np.ndarray):
         r = op.raster
         self.out, self.index, self.inv_h = out, op._flat_interior, 1.0 / r.h
+        out.fill(0.0)
         self.scaled = np.empty(r.interior_count)
         self.full = full = np.zeros(r.interior.size)  # only interior cells are ever written
-        self.axes = tuple(
-            (full[s:], full[:-s], row[:-s], full.reshape(r.counts)[last], row.reshape(r.counts)[last])
-            for (s, last), row in zip(op._axes, out)
-        )
+        self.axes = tuple((full[s:], full[:-s], row[:-s]) for s, row in zip(_strides(r.counts), out))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         self.full[self.index] = np.multiply(values, self.inv_h, out=self.scaled)
-        for ahead, here, diff, last, diff_last in self.axes:
-            # one shifted difference; wherever it pairs a cell with the next
-            # line's first cell, the cell is on the last plane
+        for ahead, here, diff in self.axes:
             np.subtract(ahead, here, out=diff)
-            # there the forward neighbour is +0.0, as np.diff(append=0)
-            np.subtract(0.0, last, out=diff_last)
         return self.out
 
 
@@ -327,10 +317,10 @@ def _parent_map(fine: RasterDomain, coarse: RasterDomain) -> np.ndarray:
     The coarse ranks are laid out once at the fine resolution along the
     last axis, each repeated for the two fine cells there; broadcast along
     the other axes over the fine mask split into pairs of planes, and
-    compressed by that mask, they come out in flat order.  The apron keeps
-    every interior cell off the last plane of an odd axis, which has no
-    pair.  The layout holds 32-bit ranks, so it is no larger than a grid of
-    64-bit coarse ranks; only the result is widened to ``intp``."""
+    compressed by that mask, they come out in flat order.  The last plane
+    of an odd axis, which has no pair, is exterior (``RasterDomain``).  The
+    layout holds 32-bit ranks, so it is no larger than a grid of 64-bit
+    coarse ranks; only the result is widened to ``intp``."""
     half = [c // 2 for c in fine.counts]
     n = coarse.interior_count
     rank = np.int32 if n < 2**31 else np.int64
@@ -642,7 +632,8 @@ class _Ratio:
 
     Its buffers are allocated once: on the full grid the gradient's
     components, which the stencil bound to them (``_Stencil``) writes and
-    ``grad`` weights in place, the squared magnitude, which ``grad`` turns
+    ``grad`` weights in place (every weight (M2 + eps_g^2)^(p/2 - 1) is
+    finite and positive), the squared magnitude, which ``grad`` turns
     into the weight, and one scratch; on the interior cells the field's
     smoothed squares, their power, which ``grad`` reuses for dNu, and the
     pair that the adjoint gathers into.  ``grad`` writes the adjoint and the
@@ -684,15 +675,14 @@ class _Ratio:
         self._Nu = self.norm(u)
         return self._Ng / self._Nu
 
-    def grad(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def grad(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gradient of f at a normalized ``u``, (dNg - (dNg.u / Nu) dNu) / Nu,
-        into ``out`` (a fresh array if not given), from the terms of the
-        last ``value`` call, which must have been at ``u``.  It turns the
-        squared magnitude into the weight and weights the components in
-        place, so it reads each ``value`` call's terms once."""
-        p, h_w, W, dNu = self.p, self.h_w, self._m2, self._upow
+        into ``out``, from the terms of the last ``value`` call, which must
+        have been at ``u``.  It turns the squared magnitude into the weight
+        and weights the components in place, so it reads each ``value``
+        call's terms once."""
+        p, h_w, W, dNu, dNg = self.p, self.h_w, self._m2, self._upow, out
         Ng, Nu = self._Ng, self._Nu
-        dNg = np.empty(u.size) if out is None else out
         W **= p / 2.0 - 1.0
         self.op._adjoint(np.multiply(self._grad, W, out=self._grad), dNg, self._pair)
         dNg *= h_w * Ng ** (1.0 - p)
@@ -1012,25 +1002,21 @@ def _trace_stencil(raster: RasterDomain):
     the cell itself; and per axis the positions ``back`` of the cells whose
     neighbour is not the forward one.  ``nb`` is int32, half the memory
     of numpy's index type; the trace battery widens one axis at a time
-    into a buffer it owns."""
+    into a buffer it owns.  The neighbours are read from the flat grid of
+    interior ranks, -1 outside (``_neighbours``)."""
     inter, dim = raster.interior, raster.dim
+    inside = inter.reshape(-1)
     own = np.arange(np.count_nonzero(inter))
-    # ranks on the grid with one exterior cell more on every side, on which
-    # every cell has both neighbours along every axis
-    rank = np.full(tuple(c + 2 for c in raster.counts), -1, dtype=np.int32)
-    rank[np.pad(inter, 1)] = own
+    rank = np.full(inside.size, -1, dtype=np.int32)
+    rank[inside] = own
     pts = np.empty((dim, own.size))
     nb = np.empty((dim, own.size), dtype=np.int32)
     back = []
-    for ax in range(dim):
+    for ax, s in enumerate(_strides(raster.counts)):
         along = [1] * dim
         along[ax] = -1
         pts[ax] = np.broadcast_to(raster.axis_centers(ax).reshape(along), raster.counts)[inter]
-        shifted = [slice(1, -1)] * dim
-        shifted[ax] = slice(None, -2)
-        behind = rank[tuple(shifted)][inter]
-        shifted[ax] = slice(2, None)
-        ahead = rank[tuple(shifted)][inter]
+        behind, ahead = _neighbours(rank, inside, -s), _neighbours(rank, inside, s)
         nb[ax] = own
         np.copyto(nb[ax], behind, where=behind >= 0)
         np.copyto(nb[ax], ahead, where=ahead >= 0)

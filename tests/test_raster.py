@@ -19,7 +19,7 @@ from poincare_lab import (
     write_pgm,
 )
 from poincare_lab.errors import EmptyFiberError
-from poincare_lab.raster import _BLOCK_POINTS, _colleague, _quadratic_roots, _series_roots, line_cuts
+from poincare_lab.raster import RasterDomain, _BLOCK_POINTS, _colleague, _quadratic_roots, _series_roots, line_cuts
 from test_sobolev import BALL, centre_grid
 
 
@@ -39,6 +39,22 @@ def test_apron_is_exterior(disk128):
         for edge in (0, -1):
             sl[ax] = edge
             assert not disk128.interior[tuple(sl)].any()
+
+
+def test_raster_rejects_an_interior_cell_on_the_grid_edge(specs):
+    # an interior cell on the first or the last plane of any axis, in 1D,
+    # 2D and 3D; the same mask with only its middle cell builds
+    for dim in (1, 2, 3):
+        middle = np.zeros((5,) * dim, dtype=bool)
+        middle[(2,) * dim] = True
+        RasterDomain(spec=specs["square"], t=(), h=0.25, origin=(0.0,) * dim, interior=middle)
+        for ax in range(dim):
+            for edge in (0, -1):
+                interior = middle.copy()
+                interior[tuple(edge if a == ax else 2 for a in range(dim))] = True
+                with pytest.raises(ValueError, match="grid edge"):
+                    RasterDomain(spec=specs["square"], t=(), h=0.25, origin=(0.0,) * dim,
+                                 interior=interior)
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,12 @@ keywords that differ there, and both the parser and the dispatch in
 and ``check`` read it with ``unit_direction``, where ``check`` dispatches
 ``auto`` to ``resolve_direction`` itself.
 ``--seed 0 --jobs 1`` runs are byte-reproducible.
+
+One process builds the parser and the ``--out`` pre-parser once each, on
+first use, and every later ``main`` call reuses them; bundled specs are
+parsed once too (``load_corpus``).  Nothing a call computes from its
+inputs is kept: a spec file given by path is read again on every call.
+``--help`` shows every paragraph of this text but this last one.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from .cells import SAMPLES_PER_COLUMN, cell_decompose_2d, merge_vertical
@@ -171,12 +178,18 @@ class _Parser(argparse.ArgumentParser):
             raise exc from argparse.ArgumentError(None, message)
 
 
-def _out_dir(argv) -> Path:
-    """``--out`` read ahead of the full parse; ``.`` when it cannot be."""
+@cache
+def _out_parser() -> argparse.ArgumentParser:
+    """The parser of ``--out`` alone, built once per process."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--out", **_FLAGS["--out"])
+    return pre
+
+
+def _out_dir(argv) -> Path:
+    """``--out`` read ahead of the full parse; ``.`` when it cannot be."""
     try:
-        return Path(pre.parse_known_args(argv)[0].out)
+        return Path(_out_parser().parse_known_args(argv)[0].out)
     except argparse.ArgumentError:
         return Path(".")
 
@@ -379,19 +392,14 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv) -> _Parser:
-    """The parser that ``main`` runs on ``argv``: with only the subcommand
-    that ``argv[0]`` names, or with all of them when it names none (no
-    command, ``--help`` or an unknown command).  A lone subcommand keeps
-    every command in the usage line, so help, usage errors and reports
-    read as with the full parser, which takes about 95 ``add_argument``
-    calls to build."""
-    named = argv[:1] if argv and argv[0] in _COMMANDS else None
-    ap = _Parser(prog="poincare-lab", description=__doc__)
-    every = "{" + ",".join(_COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=None if named is None else every)
-    for name in named or _COMMANDS:
-        _, hlp, flags, changes = _COMMANDS[name]
+@cache
+def _build_parser() -> _Parser:
+    """The parser of every command, built once per process on first use
+    (about 95 ``add_argument`` calls) and reused by every later ``main``
+    call; argparse keeps no state between parses."""
+    ap = _Parser(prog="poincare-lab", description=__doc__.rpartition("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, hlp, flags, changes) in _COMMANDS.items():
         sp = sub.add_parser(name, help=hlp)
         for flag in ("--spec --out --seed --jobs " + flags).split():
             sp.add_argument(flag, **{**_FLAGS[flag], **changes.get(flag, {})})
@@ -405,7 +413,7 @@ def main(argv=None) -> int:
     files: dict = {}
     error = None
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.__cause__ is None:  # --help
             return 0

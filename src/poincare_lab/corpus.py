@@ -2,11 +2,12 @@
 
 Each entry is a ``.dom`` file in the package's ``corpus/`` directory;
 ``corpus_path`` resolves a short name to a real filesystem path and
-``load_corpus`` parses it.
+``load_corpus`` parses it, once per name and process.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from .dsl import DomainSpec, parse_domain
@@ -28,6 +29,11 @@ def corpus_path(name: str):
     return path
 
 
+@cache
 def load_corpus(name: str) -> DomainSpec:
-    """Parse a bundled domain by short name."""
+    """Parse a bundled domain by short name, once per process: later calls
+    return the same object.  That is safe because a ``DomainSpec`` is
+    immutable and the bundled files are read-only package data; a spec
+    file given by path (as the CLI's ``--spec`` takes) is not bundled and
+    is read and parsed again on every use."""
     return parse_domain(corpus_path(name).read_text())

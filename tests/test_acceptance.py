@@ -191,19 +191,19 @@ def test_criterion_03_column_check_reports_the_column_constant(specs, corpus65):
 
 
 def test_criterion_03_column_check_rejects_a_short_thickness(corpus65, monkeypatch):
-    # the ratios scale with 1 / T, so a thickness 3.2 times too small reads
-    # 1.6 at p = 1 and above 3.2 / pi at p = 2, where the sine ratio falls
-    # toward 1 / pi on long runs; uniform random fields, whose ratios stay
-    # below 0.13 here, would read under 0.42 and pass
-    monkeypatch.setattr(
-        sobolev, "thickness_discrete", lambda raster, axis: thickness_discrete(raster, axis) / 3.2
-    )
+    # the run of n cells is held against the thickness T of the line
+    # kernel, which does not read the raster: |n h - T| <= 2 h.  A thickness
+    # 3.2 times too small, n h / 3.2, is off by 0.69 n cells, more than 2 on
+    # every run here (n >= 6); it is injected on cusp's unbounded e1 too,
+    # where the line kernel reads infinity and the ratios alone count
     for name, t, raster in corpus65:
-        for p in (1.0, 2.0):
-            for axis in range(2):
+        for axis in range(2):
+            short = thickness_discrete(raster, axis) / 3.2
+            monkeypatch.setattr(sobolev, "thickness", lambda spec, t, direction: short)
+            for p in (1.0, 2.0):
                 rec = discrete_column_inequality(raster, axis, p)
                 assert not rec.passed, (name, t, p, axis, rec.data)
-                assert rec.data["worst_ratio"] > 1.0
+                assert abs(rec.data["run_excess"]) > 2.0
 
 
 def test_constants_stay_below_the_column_bound(corpus65):

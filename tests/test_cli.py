@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from poincare_lab import sobolev
+from poincare_lab import load_corpus, sobolev
 from poincare_lab.cli import (
     DEFAULTS,
     _build_parser,
@@ -319,7 +319,7 @@ def test_tol_only_on_solver_commands(tmp_path, capsys):
     assert main(["trace", "--spec", "disk", "--res", "16", "--tol", "1e-3",
                  "--out", str(tmp_path)]) == 2
     assert "--tol" in capsys.readouterr().err
-    parser = _build_parser([])
+    parser = _build_parser()
     for command in ("check", "sweep", "lemma", "uniform"):
         args = parser.parse_args([command, "--spec", "disk", "--tol", "1e-3"])
         assert args.tol == 1e-3
@@ -369,7 +369,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "f0a502f39bbf15b90dbfce008b90185ed5bf455a66de2bd3eab73004c6f67ca9",
+            "report.json": "70bee6216cabe005c66e9ad875662d49c03656c37ec7d05390c60155b9ed8b4e",
         },
     ),
     "sweep": (
@@ -506,7 +506,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12"],
         0,
         {
-            "report.json": "f467109beefd0ca32443c5eb9d1b4ca3a7b25630ce3b901c117834d8486d5e1c",
+            "report.json": "6aaefe64df2c26b9c8c53957531cfe3464007bff84d9547359022d39a045349d",
         },
     ),
     "unknown-spec": (
@@ -527,7 +527,7 @@ GOLDEN = {
         ["check", "--spec", "ellipse", "--t", "1.5", "--res", "32", "--dir", "auto"],
         0,
         {
-            "report.json": "a19146427c86deb4766dc37c3b21345156e266e6afe93bc6c9ec2ef356f804bd",
+            "report.json": "2ece560d911a7163784a91d2b9de7a7e899eba2a78acabd0cad1f1fe7914bb98",
         },
     ),
 }
@@ -541,6 +541,62 @@ def test_report_golden_bytes(tmp_path, name):
     assert main(argv + ["--out", str(out), "--seed", "0", "--jobs", "1"]) == code
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert got == digests
+
+
+# In one process main reuses its parser, its --out pre-parser and the
+# bundled specs, and nothing else: these tests hold it to that.
+
+
+@pytest.mark.filterwarnings("ignore::poincare_lab.errors.StratumTooThinWarning")
+def test_golden_reports_back_to_back(tmp_path):
+    names = list(GOLDEN)
+    for k, name in enumerate(names + names[::-1]):
+        argv, code, digests = GOLDEN[name]
+        out = tmp_path / f"{k}-{name}"
+        assert main(argv + ["--out", str(out), "--seed", "0", "--jobs", "1"]) == code, name
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert got == digests, name
+
+
+def test_parser_and_bundled_spec_are_built_once():
+    assert _build_parser() is _build_parser()
+    assert load_corpus("disk") is load_corpus("disk")
+
+
+def test_spec_file_is_read_on_every_call(tmp_path):
+    path = tmp_path / "disk.dom"
+    got = []
+    for k in ("1", "4"):
+        path.write_text(f"dim 2\nbox [-1.5, 1.5] x [-1.5, 1.5]\nset: 1 - {k}*x^2 - {k}*y^2 > 0\n")
+        code, report, _ = run(tmp_path, "thickness", "--spec", str(path), "--dir", "e1",
+                              "--res", "16")
+        assert code == 0
+        got.append(report["thickness"])
+    assert got == pytest.approx([2.0, 1.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [["--nonsense"], ["--res", "abc"]])
+def test_usage_error_between_calls_leaves_the_report(tmp_path, capsys, bad):
+    argv = ["check", "--spec", "disk", "--res", "16"]
+    reports = []
+    for sub, extra in (("a", []), ("bad", bad), ("b", [])):
+        main(argv + extra + ["--out", str(tmp_path / sub)])
+        reports.append((tmp_path / sub / "report.json").read_bytes())
+    capsys.readouterr()
+    assert json.loads(reports[1])["status"] == "usage_error"
+    assert reports[2] == reports[0]
+
+
+def test_help_after_other_calls_is_a_fresh_process_help(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the wrap width, here and in the subprocess
+    run(tmp_path, "thickness", "--spec", "disk", "--dir", "e1", "--res", "16")
+    run(tmp_path, "check", "--spec", "disk", "--nonsense")
+    capsys.readouterr()
+    for argv in (["--help"], ["thickness", "--help"]):
+        assert main(argv) == 0
+        fresh = subprocess.run([sys.executable, "-m", "poincare_lab.cli", *argv],
+                               capture_output=True, text=True, check=True)
+        assert capsys.readouterr().out == fresh.stdout, argv
 
 
 @pytest.mark.parametrize("command", ["check", "trace"])
@@ -694,14 +750,16 @@ def test_parse_matrix_golden(capsys):
                 cases.append(base + [flag, "abc"])
         cases.append([command, "--spec", "disk", "--nonsense"])
     assert len(cases) == 326
-    full = _build_parser([])
-    outcomes = [[argv, _parse_outcome(full, argv)] for argv in cases]
-    # main builds only the parser of the command argv[0] names; it parses
-    # every case as the full parser does, usage text included
-    full_err = capsys.readouterr()
-    for argv, outcome in outcomes:
-        assert _parse_outcome(_build_parser(argv), argv) == outcome, argv
-    assert capsys.readouterr() == full_err
+
+    def parse_all(order):
+        return {tuple(argv): (_parse_outcome(_build_parser(), argv), capsys.readouterr())
+                for argv in order}
+
+    first = parse_all(cases)
+    # every main call reuses the one parser: a second pass in reverse order
+    # reproduces every outcome, usage text included
+    assert parse_all(reversed(cases)) == first
+    outcomes = [[argv, first[tuple(argv)][0]] for argv in cases]
     text = json.dumps(outcomes, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGEST
 

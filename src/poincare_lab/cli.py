@@ -21,12 +21,6 @@ keywords that differ there, and both the parser and the dispatch in
 and ``check`` read it with ``unit_direction``, where ``check`` dispatches
 ``auto`` to ``resolve_direction`` itself.
 ``--seed 0 --jobs 1`` runs are byte-reproducible.
-
-One process builds the parser and the ``--out`` pre-parser once each, on
-first use, and every later ``main`` call reuses them; bundled specs are
-parsed once too (``load_corpus``).  Nothing a call computes from its
-inputs is kept: a spec file given by path is read again on every call.
-``--help`` shows every paragraph of this text but this last one.
 """
 
 from __future__ import annotations
@@ -397,7 +391,7 @@ def _build_parser() -> _Parser:
     """The parser of every command, built once per process on first use
     (about 95 ``add_argument`` calls) and reused by every later ``main``
     call; argparse keeps no state between parses."""
-    ap = _Parser(prog="poincare-lab", description=__doc__.rpartition("\n\n")[0])
+    ap = _Parser(prog="poincare-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, hlp, flags, changes) in _COMMANDS.items():
         sp = sub.add_parser(name, help=hlp)

@@ -441,6 +441,23 @@ def longest_chord(spec: DomainSpec, t, direction) -> Chord:
     return Chord(tuple(start_point), tuple(lam), float(lengths[i]))
 
 
+def segment_extent(spec: DomainSpec, t, start, stop) -> float:
+    """Distance from the first to the last point of the fiber on the
+    segment ``start .. stop``, from one ``line_cuts`` call on its line and
+    with the cuts held to the segment; ``0.0`` when the segment misses the
+    fiber.  Gaps in between count, so a slit or crack the segment crosses
+    does not shorten it."""
+    t = spec.check_params(t)
+    a, b = (np.asarray(x, dtype=np.float64) for x in (start, stop))
+    length = float(np.linalg.norm(b - a))
+    cuts, inside, _ = line_cuts(spec, t, a[None], (b - a) / length, np.zeros(1), np.full(1, length))
+    pieces = np.flatnonzero(inside[0])
+    if pieces.size == 0:
+        return 0.0
+    ends = np.clip(cuts[0, [pieces[0], pieces[-1] + 1]], 0.0, length)
+    return float(ends[1] - ends[0])
+
+
 def thickness(spec: DomainSpec, t, direction) -> float:
     """Directional thickness: supremum of open chord lengths along
     ``direction``.  Returns ``0.0`` for an empty fiber and ``math.inf``

@@ -38,6 +38,7 @@ from poincare_lab import (
 )
 from poincare_lab import sobolev
 from poincare_lab.errors import UnboundedDirectionError
+from poincare_lab.raster import LINES_PER_SPAN
 from poincare_lab.sobolev import _battery_functions
 from poincare_lab.tangent import BoundarySampleSet, margin, sample_boundary
 from test_sobolev import BALL, centre_grid
@@ -191,19 +192,30 @@ def test_criterion_03_column_check_reports_the_column_constant(specs, corpus65):
 
 
 def test_criterion_03_column_check_rejects_a_short_thickness(corpus65, monkeypatch):
-    # the run of n cells is held against the thickness T of the line
-    # kernel, which does not read the raster: |n h - T| <= 2 h.  A thickness
-    # 3.2 times too small, n h / 3.2, is off by 0.69 n cells, more than 2 on
-    # every run here (n >= 6); it is injected on cusp's unbounded e1 too,
-    # where the line kernel reads infinity and the ratios alone count
+    # the run of n cells is held against the exact extent of the fiber on
+    # its row, which does not read the raster: |n h - L| <= h.  An extent
+    # 3.2 times too small, n h / 3.2, is off by 0.69 n cells, more than 1
+    # on every run here (n >= 6)
     for name, t, raster in corpus65:
         for axis in range(2):
             short = thickness_discrete(raster, axis) / 3.2
-            monkeypatch.setattr(sobolev, "thickness", lambda spec, t, direction: short)
+            monkeypatch.setattr(sobolev, "segment_extent", lambda spec, t, a, b: short)
             for p in (1.0, 2.0):
                 rec = discrete_column_inequality(raster, axis, p)
                 assert not rec.passed, (name, t, p, axis, rec.data)
-                assert abs(rec.data["run_excess"]) > 2.0
+                assert abs(rec.data["run_excess"]) > 1.0
+
+
+def test_criterion_03_column_check_holds_between_sparse_chord_lines(specs):
+    # at 2048 cells the raster's rows lie closer than half the spacing of
+    # the thickness kernel's lines, whose error is not bounded in h; the
+    # run is held to its own row, so the check still passes there
+    raster = rasterize(specs["annulus"], (), 2048)
+    assert 2 * raster.h < 3.0 / LINES_PER_SPAN[2]
+    for axis in range(2):
+        rec = discrete_column_inequality(raster, axis, 2.0)
+        assert rec.passed, rec.data
+        assert abs(rec.data["run_excess"]) <= 1.0 + 1e-12, rec.data
 
 
 def test_constants_stay_below_the_column_bound(corpus65):

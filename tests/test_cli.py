@@ -369,7 +369,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "2", "--res", "64"],
         0,
         {
-            "report.json": "70bee6216cabe005c66e9ad875662d49c03656c37ec7d05390c60155b9ed8b4e",
+            "report.json": "42bbdd4b4396851648e9d7f9cc8af7157aa0cece08f8f268b805a436c5d73341",
         },
     ),
     "sweep": (
@@ -506,7 +506,7 @@ GOLDEN = {
         ["check", "--spec", "disk", "--p", "3", "--res", "12"],
         0,
         {
-            "report.json": "6aaefe64df2c26b9c8c53957531cfe3464007bff84d9547359022d39a045349d",
+            "report.json": "7f02ef75fd4526b8a9183d114fa57bbe8bcee8f705ed4995220cca4029d8f33e",
         },
     ),
     "unknown-spec": (
@@ -527,7 +527,7 @@ GOLDEN = {
         ["check", "--spec", "ellipse", "--t", "1.5", "--res", "32", "--dir", "auto"],
         0,
         {
-            "report.json": "2ece560d911a7163784a91d2b9de7a7e899eba2a78acabd0cad1f1fe7914bb98",
+            "report.json": "0e9e25fb66412379e40b2331657c2254f738be25dadf6045c68d20075fa0b89a",
         },
     ),
 }

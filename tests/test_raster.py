@@ -19,7 +19,9 @@ from poincare_lab import (
     write_pgm,
 )
 from poincare_lab.errors import EmptyFiberError
-from poincare_lab.raster import RasterDomain, _BLOCK_POINTS, _colleague, _quadratic_roots, _series_roots, line_cuts
+from poincare_lab.raster import (
+    RasterDomain, _BLOCK_POINTS, _colleague, _quadratic_roots, _series_roots, line_cuts, segment_extent,
+)
 from test_sobolev import BALL, centre_grid
 
 
@@ -262,6 +264,17 @@ def test_line_cuts_atom_vanishing_on_the_line(specs):
     )
     (a, b), = _inside_pieces(cuts, inside, 0)
     assert (a - 1.5, b - 1.5) == pytest.approx((-1.0, 0.0), abs=1e-12)
+
+
+def test_segment_extent_spans_gaps_and_stops_at_the_segment(specs):
+    # across the slit at x = 0.5 the fiber is two pieces, but the extent
+    # runs from the first point to the last; a segment inside the disk is
+    # its own extent, and one that misses it has none
+    slit, disk = specs["slit_disk"], specs["disk"]
+    assert segment_extent(slit, (), (0.5, -1.5), (0.5, 1.5)) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert segment_extent(disk, (), (0.0, -0.5), (0.0, 0.5)) == pytest.approx(1.0, abs=1e-12)
+    assert segment_extent(disk, (), (0.0, 0.5), (0.0, 1.5)) == pytest.approx(0.5, abs=1e-12)
+    assert segment_extent(disk, (), (1.2, -1.0), (1.2, 1.0)) == 0.0
 
 
 def test_line_cuts_tangent_line(specs):
